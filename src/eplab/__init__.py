@@ -9,17 +9,17 @@ sections of classical operator examples.
 __version__ = "0.1.0"
 
 from .core import (DEFAULT_TOL, SubspaceBasis, SubspaceComparison, SvdFactors,
-                   TolerancePolicy, adjoint, as_matrix, null_basis,
-                   numerical_rank, op_norm, projector, range_basis,
-                   subspace_equal, subspace_included, svd)
+                   TolerancePolicy, adjoint, as_matrix, min_eigenvalue,
+                   null_basis, numerical_rank, op_norm, projector, range_basis,
+                   subspace_equal, subspace_included, svd, svdvals)
 from .pinv import (IdentityResidual, PenroseReport, dagger_identities,
                    penrose_verify, pinv)
 from .classify import (ClassificationReport, ConditionCheck, FactorC,
                        classify, construct_factor_c, ep_closure_suite, gamma,
                        majorization_witness, modulus)
 from .douglas import (DouglasReport, PanelItem, closed_range_panel,
-                      douglas_factorize, majorization_contraction,
-                      range_inclusion_check)
+                      douglas_analysis, douglas_factorize,
+                      majorization_contraction, range_inclusion_check)
 from .perturb import PerturbationReport, check_perturbation, generate_admissible
 from .zoo import (CorpusEntry, ExpectedTraits, Expectation, Family,
                   OperatorSpec, SweepPoint, corpus, corpus_matrix, gamma_sweep,
@@ -29,15 +29,16 @@ from . import errors
 
 __all__ = [
     "DEFAULT_TOL", "SubspaceBasis", "SubspaceComparison", "SvdFactors",
-    "TolerancePolicy", "adjoint", "as_matrix", "null_basis", "numerical_rank",
-    "op_norm", "projector", "range_basis", "subspace_equal",
-    "subspace_included", "svd",
+    "TolerancePolicy", "adjoint", "as_matrix", "min_eigenvalue", "null_basis",
+    "numerical_rank", "op_norm", "projector", "range_basis", "subspace_equal",
+    "subspace_included", "svd", "svdvals",
     "IdentityResidual", "PenroseReport", "dagger_identities", "penrose_verify",
     "pinv",
     "ClassificationReport", "ConditionCheck", "FactorC", "classify",
     "construct_factor_c", "ep_closure_suite", "gamma", "majorization_witness",
     "modulus",
-    "DouglasReport", "PanelItem", "closed_range_panel", "douglas_factorize",
+    "DouglasReport", "PanelItem", "closed_range_panel", "douglas_analysis",
+    "douglas_factorize",
     "majorization_contraction", "range_inclusion_check",
     "PerturbationReport", "check_perturbation", "generate_admissible",
     "CorpusEntry", "ExpectedTraits", "Expectation", "Family", "OperatorSpec",

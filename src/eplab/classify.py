@@ -34,11 +34,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SubspaceBasis, TolerancePolicy, adjoint,
-                   as_matrix, null_basis, numerical_rank, op_norm, projector,
-                   range_basis, subspace_equal, subspace_included, svd)
-from .errors import (ConvergenceFailure, DimensionMismatch, NotSquare,
-                     SolveFailure, SourceNotEP, SourceNotHypoEP)
+from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SubspaceBasis,
+                   TolerancePolicy, adjoint, as_matrix, min_eigenvalue,
+                   null_basis, numerical_rank, op_norm, projector, range_basis,
+                   subspace_equal, subspace_included, svd, svdvals)
+from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
+                     SourceNotHypoEP)
 from .pinv import pinv, pinv_from_factors
 
 # Fixed seed for the sampled conditions so classification is a pure function.
@@ -78,10 +79,7 @@ def gamma(a, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     values-only SVD driver, which reproduces diagonal entries exactly.
     """
     arr = as_matrix(a)
-    try:
-        sigma = np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    sigma = svdvals(arr)
     kept = sigma[sigma > tol.rank_threshold(sigma, arr.shape)]
     return float(kept[-1]) if len(kept) else 0.0
 
@@ -161,9 +159,7 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     residual_check("hypo2", op_norm(ada @ arr @ a_dag - aad), sub)
     residual_check("chain2", op_norm(arr @ a_dag @ a_dag @ arr - aad), sub)
 
-    diff = ada - aad
-    herm = (diff + diff.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(herm)[0])
+    lam_min = min_eigenvalue(ada - aad)
     checks.append(ConditionCheck("chain3", max(0.0, -lam_min), lam_min >= -tol.psd_tol))
 
     residual_check("chain4", _sampled_norm_violation(aad, ada, n), sub)
@@ -228,7 +224,7 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     bijective = numerical_rank(svd(c), tol) == n
 
     scale = max(1.0, op_norm(arr))
-    if not bijective or residual > 1e-9 * scale:
+    if not bijective or residual > RESIDUAL_SLACK * scale:
         raise SolveFailure(
             "carrier-restricted solve is numerically singular "
             f"(residual={residual:.3e}, bijective={bijective}); gamma may be ~0")
@@ -261,7 +257,7 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     k = float(np.linalg.norm(z))
 
     scale = max(1.0, op_norm(arr)) * max(1.0, float(np.linalg.norm(vec)))
-    if np.linalg.norm(star @ z - ax) > max(tol.subspace_tol, 1e-9) * scale:
+    if np.linalg.norm(star @ z - ax) > max(tol.subspace_tol, RESIDUAL_SLACK) * scale:
         raise SolveFailure("A* z = A x is not solvable at tolerance; input may not be hypo-EP")
 
     rng = np.random.default_rng(_SAMPLE_SEED)

@@ -18,14 +18,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .classify import classify
 from .core import TolerancePolicy
-from .douglas import DouglasReport, douglas_factorize, majorization_contraction, range_inclusion_check
+from .douglas import douglas_analysis
 from .errors import OperatorAnalysisError, ParseError
 from .matio import (FORMAT_MATRIXMARKET, bytes_digest, file_digest,
                     read_matrix, sniff_format, write_matrix)
@@ -111,19 +108,7 @@ def _cmd_douglas(args) -> int:
     tol = _tolerance(args)
     a = read_matrix(args.a, args.format)
     b = read_matrix(args.b, args.format)
-    included, residual = range_inclusion_check(a, b, tol)
-    if included:
-        report = douglas_factorize(a, b, tol, seed=args.seed)
-    else:
-        report = DouglasReport(range_included=False, residual_range=residual,
-                               factor_c=None, residual_bc_a=None, bound_k=None,
-                               contraction_ok=None)
-    # Fill in the contraction verdict when the PSD hypothesis holds.
-    diff = b @ b.conj().T - a @ a.conj().T
-    herm = (diff + diff.conj().T) / 2.0
-    if float(np.linalg.eigvalsh(herm)[0]) >= -tol.psd_tol:
-        contraction = majorization_contraction(a, b, tol, seed=args.seed)
-        report = replace(report, contraction_ok=contraction.contraction_ok)
+    report = douglas_analysis(a, b, tol, seed=args.seed)
     doc = make_document("douglas", report, file_digest([args.a, args.b]), tol)
     _emit(dump_document(doc), args.out)
     return 0

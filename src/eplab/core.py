@@ -19,6 +19,13 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonFinite
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# Relative slack on quantities whose exact value is 0: the factorization and
+# solve residuals and the gamma perturbation bound.  Callers scale it by
+# max(1, ||A||).
+RESIDUAL_SLACK = 1e-9
+# Largest ||B* B - I||_2 accepted for the basis of a SubspaceBasis.
+ORTHONORMAL_TOL = 1e-10
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-D complex128 array, rejecting NaN/Inf entries."""
@@ -141,7 +148,7 @@ class SubspaceBasis:
             raise ValueError("subspace dimension exceeds ambient dimension")
         if k:
             gram = self.basis.conj().T @ self.basis
-            if np.linalg.norm(gram - np.eye(k), 2) > 1e-10:
+            if np.linalg.norm(gram - np.eye(k), 2) > ORTHONORMAL_TOL:
                 raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -199,11 +206,26 @@ def adjoint(a) -> np.ndarray:
     return as_matrix(a).conj().T
 
 
-def op_norm(a) -> float:
-    """Operator 2-norm, the largest singular value."""
+def svdvals(a) -> np.ndarray:
+    """Singular values, non-increasing, from the values-only SVD driver."""
     arr = as_matrix(a)
     try:
-        s = np.linalg.svd(arr, compute_uv=False)
+        return np.linalg.svd(arr, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+
+
+def op_norm(a) -> float:
+    """Operator 2-norm, the largest singular value."""
+    s = svdvals(a)
     return float(s[0]) if len(s) else 0.0
+
+
+def min_eigenvalue(a) -> float:
+    """Smallest eigenvalue of the Hermitian part ``(A + A*) / 2`` of a square matrix."""
+    arr = as_matrix(a)
+    herm = (arr + arr.conj().T) / 2.0
+    try:
+        return float(np.linalg.eigvalsh(herm)[0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigvalsh did not converge: {exc}") from exc

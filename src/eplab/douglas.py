@@ -10,14 +10,14 @@ which witnesses all three statements in finite dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, SubspaceComparison, TolerancePolicy, adjoint,
-                   as_matrix, numerical_rank, op_norm, projector, range_basis,
-                   subspace_equal, svd)
+                   as_matrix, min_eigenvalue, numerical_rank, op_norm,
+                   projector, range_basis, subspace_equal, svd)
 from .errors import DimensionMismatch, MajorizationFails, RangeNotIncluded
 from .pinv import pinv
 
@@ -40,18 +40,28 @@ class DouglasReport:
     contraction_ok: bool | None
 
 
+def _check_rows(arr_a: np.ndarray, arr_b: np.ndarray) -> None:
+    if arr_a.shape[0] != arr_b.shape[0]:
+        raise DimensionMismatch(
+            f"row counts differ: {arr_a.shape[0]} vs {arr_b.shape[0]}")
+
+
 def range_inclusion_check(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
     """Test ``R(A) <= R(B)`` via ``||(I - P_R(B)) A|| <= tol * max(1, ||A||)``."""
     arr_a = as_matrix(a)
     arr_b = as_matrix(b)
-    if arr_a.shape[0] != arr_b.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {arr_a.shape[0]} vs {arr_b.shape[0]}")
+    _check_rows(arr_a, arr_b)
     m = arr_a.shape[0]
     p_b = projector(range_basis(arr_b, tol))
     residual = op_norm((np.eye(m, dtype=np.complex128) - p_b) @ arr_a)
     return SubspaceComparison(residual <= tol.subspace_tol * max(1.0, op_norm(arr_a)),
                               residual)
+
+
+def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
+    """Minimum eigenvalue of ``B B* - A A*``; ``A A* <= B B*`` iff it is >= 0."""
+    _check_rows(arr_a, arr_b)
+    return min_eigenvalue(arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a))
 
 
 def _sampled_growth_bound(c: np.ndarray, a: np.ndarray, seed: int,
@@ -64,6 +74,17 @@ def _sampled_growth_bound(c: np.ndarray, a: np.ndarray, seed: int,
     return float(np.max(num / den, initial=0.0))
 
 
+def _factor(arr_a: np.ndarray, arr_b: np.ndarray, inclusion: SubspaceComparison,
+            majorized: bool, tol: TolerancePolicy, seed: int) -> DouglasReport:
+    """Report for the factor ``C = pinv(B) A``; ``contraction_ok`` only when majorized."""
+    c = pinv(arr_b, tol) @ arr_a
+    return DouglasReport(
+        range_included=bool(inclusion.ok), residual_range=float(inclusion.residual),
+        factor_c=c, residual_bc_a=float(op_norm(arr_b @ c - arr_a)),
+        bound_k=_sampled_growth_bound(c, arr_a, seed),
+        contraction_ok=op_norm(c) <= 1.0 + tol.subspace_tol if majorized else None)
+
+
 def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
                       seed: int = 0) -> DouglasReport:
     """Factor ``A = B C`` with ``C = pinv(B) A`` once inclusion holds.
@@ -73,16 +94,11 @@ def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     """
     arr_a = as_matrix(a)
     arr_b = as_matrix(b)
-    included, residual_range = range_inclusion_check(arr_a, arr_b, tol)
-    if not included:
+    inclusion = range_inclusion_check(arr_a, arr_b, tol)
+    if not inclusion.ok:
         raise RangeNotIncluded(
-            f"R(A) is not contained in R(B) (residual {residual_range:.3e})")
-    c = pinv(arr_b, tol) @ arr_a
-    residual_bc_a = op_norm(arr_b @ c - arr_a)
-    bound_k = _sampled_growth_bound(c, arr_a, seed)
-    return DouglasReport(range_included=True, residual_range=float(residual_range),
-                         factor_c=c, residual_bc_a=float(residual_bc_a),
-                         bound_k=bound_k, contraction_ok=None)
+            f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
+    return _factor(arr_a, arr_b, inclusion, False, tol, seed)
 
 
 def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -94,25 +110,35 @@ def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     """
     arr_a = as_matrix(a)
     arr_b = as_matrix(b)
-    if arr_a.shape[0] != arr_b.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {arr_a.shape[0]} vs {arr_b.shape[0]}")
-    diff = arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a)
-    herm = (diff + diff.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(herm)[0])
+    lam_min = _majorization_gap(arr_a, arr_b)
     if lam_min < -tol.psd_tol:
         raise MajorizationFails(
             f"B B* - A A* has negative eigenvalue {lam_min:.3e}")
+    return _factor(arr_a, arr_b, range_inclusion_check(arr_a, arr_b, tol), True,
+                   tol, seed)
 
-    included, residual_range = range_inclusion_check(arr_a, arr_b, tol)
-    c = pinv(arr_b, tol) @ arr_a
-    residual_bc_a = op_norm(arr_b @ c - arr_a)
-    contraction_ok = op_norm(c) <= 1.0 + tol.subspace_tol
-    bound_k = _sampled_growth_bound(c, arr_a, seed)
-    return DouglasReport(range_included=bool(included),
-                         residual_range=float(residual_range), factor_c=c,
-                         residual_bc_a=float(residual_bc_a), bound_k=bound_k,
-                         contraction_ok=contraction_ok)
+
+def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
+                     seed: int = 0) -> DouglasReport:
+    """Inclusion, factorization and contraction verdicts for ``(A, B)`` together.
+
+    The factor fields are those of :func:`douglas_factorize` when
+    ``R(A) <= R(B)`` and None otherwise.  ``contraction_ok`` is that of
+    :func:`majorization_contraction` when ``A A* <= B B*`` holds, whether
+    or not the inclusion does, and None otherwise.  Neither failure raises.
+    """
+    arr_a = as_matrix(a)
+    arr_b = as_matrix(b)
+    inclusion = range_inclusion_check(arr_a, arr_b, tol)
+    majorized = _majorization_gap(arr_a, arr_b) >= -tol.psd_tol
+    if not (inclusion.ok or majorized):
+        return DouglasReport(range_included=False,
+                             residual_range=float(inclusion.residual), factor_c=None,
+                             residual_bc_a=None, bound_k=None, contraction_ok=None)
+    report = _factor(arr_a, arr_b, inclusion, majorized, tol, seed)
+    if inclusion.ok:
+        return report
+    return replace(report, factor_c=None, residual_bc_a=None, bound_k=None)
 
 
 class PanelItem(NamedTuple):

@@ -62,7 +62,11 @@ def matrix_from_json_dict(data) -> np.ndarray:
         raise ParseError(
             f"entry arrays must hold rows*cols={rows * cols} values, "
             f"got re={re.shape} im={im.shape}")
-    return (re + 1j * im).reshape(rows, cols)
+    # Set the parts one by one: re + 1j * im adds +0.0 to each, losing -0.0.
+    out = np.empty(rows * cols, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out.reshape(rows, cols)
 
 
 def read_matrix(path, fmt: str | None = None) -> np.ndarray:

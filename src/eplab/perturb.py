@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, TolerancePolicy, as_matrix, null_basis,
-                   op_norm, range_basis, subspace_equal)
+from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, as_matrix,
+                   null_basis, op_norm, range_basis, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
 from .classify import classify, gamma
 from .pinv import pinv
@@ -80,7 +80,7 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
 
     gamma_a = gamma(arr_a, tol)
     gamma_perturbed = gamma(total, tol)
-    bound_slack = 1e-9 * max(1.0, op_norm(arr_a))
+    bound_slack = RESIDUAL_SLACK * max(1.0, op_norm(arr_a))
     concl_gamma_bound = gamma_perturbed >= gamma_a - norm_b - bound_slack
 
     report = PerturbationReport(

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (DEFAULT_TOL, SvdFactors, TolerancePolicy, adjoint,
-                   as_matrix, null_basis, numerical_rank, op_norm, projector,
-                   range_basis, subspace_equal, svd)
+                   as_matrix, min_eigenvalue, null_basis, numerical_rank,
+                   op_norm, projector, range_basis, subspace_equal, svd)
 from .errors import DimensionMismatch
 
 
@@ -124,7 +124,5 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[IdentityRes
                                         null_basis(arr, tol), tol).residual),
     ]
     for name, gram in (("gram_left_psd", star @ arr), ("gram_right_psd", arr @ star)):
-        herm = (gram + gram.conj().T) / 2.0
-        lam_min = float(np.linalg.eigvalsh(herm)[0])
-        out.append(IdentityResidual(name, max(0.0, -lam_min)))
+        out.append(IdentityResidual(name, max(0.0, -min_eigenvalue(gram))))
     return out

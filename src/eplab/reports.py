@@ -3,141 +3,100 @@
 Every CLI invocation wraps its typed report in a document carrying the tool
 version, a content digest of the inputs and the tolerance policy in effect.
 Documents round-trip field-for-field through ``json``.
+
+One codec serves every report type.  It walks the fields of a dataclass or
+NamedTuple in declaration order and converts each value by its type hint:
+``bool``, ``int``, ``float`` and ``str`` as themselves, ``np.ndarray``
+through the dense JSON matrix format, ``tuple[X, ...]`` as a list, ``X |
+None`` as X or null, and any other class as a nested record.  On decoding,
+a missing key takes the field's default, or None for an optional field.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from . import __version__
-from .classify import ClassificationReport, ConditionCheck
+from .classify import ClassificationReport
 from .core import TolerancePolicy
 from .douglas import DouglasReport
 from .matio import matrix_from_json_dict, matrix_to_json_dict
 from .perturb import PerturbationReport
 from .pinv import PenroseReport
 
+_REPORT_TYPES = {
+    "classification": ClassificationReport,
+    "penrose": PenroseReport,
+    "douglas": DouglasReport,
+    "perturbation": PerturbationReport,
+}
+
+# Document keys that differ from the field name.
+_KEYS = {"condition_id": "id"}
+
+_SCALARS = (bool, int, float, str)
+_NONE = type(None)
+
+_hints = cache(get_type_hints)
+
+
+def _split_optional(hint) -> tuple[object, bool]:
+    """``(X, True)`` for the hint ``X | None``, else ``(hint, False)``."""
+    args = get_args(hint)
+    if _NONE in args:
+        return next(arg for arg in args if arg is not _NONE), True
+    return hint, False
+
+
+def _encode(hint, value):
+    hint, optional = _split_optional(hint)
+    if optional and value is None:
+        return None
+    if get_origin(hint) is tuple:
+        return [_encode(get_args(hint)[0], item) for item in value]
+    if hint is np.ndarray:
+        return matrix_to_json_dict(value)
+    if hint in _SCALARS:
+        return hint(value)
+    return {_KEYS.get(name, name): _encode(field_hint, getattr(value, name))
+            for name, field_hint in _hints(hint).items()}
+
+
+def _decode(hint, data):
+    hint, optional = _split_optional(hint)
+    if optional and data is None:
+        return None
+    if get_origin(hint) is tuple:
+        return tuple(_decode(get_args(hint)[0], item) for item in data)
+    if hint is np.ndarray:
+        return matrix_from_json_dict(data)
+    if hint in _SCALARS:
+        return hint(data)
+    kwargs = {}
+    for name, field_hint in _hints(hint).items():
+        key = _KEYS.get(name, name)
+        if key in data:
+            kwargs[name] = _decode(field_hint, data[key])
+        elif _split_optional(field_hint)[1]:
+            kwargs[name] = None
+    return hint(**kwargs)
+
 
 def tolerance_to_dict(tol: TolerancePolicy) -> dict:
-    return {
-        "rank_rel": tol.rank_rel,
-        "rank_abs": tol.rank_abs,
-        "subspace_tol": tol.subspace_tol,
-        "psd_tol": tol.psd_tol,
-    }
+    return _encode(TolerancePolicy, tol)
 
 
 def tolerance_from_dict(data: dict) -> TolerancePolicy:
-    return TolerancePolicy(
-        rank_rel=data.get("rank_rel"),
-        rank_abs=data.get("rank_abs"),
-        subspace_tol=float(data.get("subspace_tol", 1e-8)),
-        psd_tol=float(data.get("psd_tol", 1e-9)),
-    )
-
-
-def classification_to_dict(rep: ClassificationReport) -> dict:
-    return {
-        "is_ep": bool(rep.is_ep),
-        "is_hypo_ep": bool(rep.is_hypo_ep),
-        "rank": int(rep.rank),
-        "gamma": float(rep.gamma),
-        "conditions": [
-            {"id": c.condition_id, "residual": float(c.residual), "passed": bool(c.passed)}
-            for c in rep.conditions
-        ],
-    }
-
-
-def classification_from_dict(data: dict) -> ClassificationReport:
-    conditions = tuple(
-        ConditionCheck(c["id"], float(c["residual"]), bool(c["passed"]))
-        for c in data["conditions"]
-    )
-    return ClassificationReport(is_ep=bool(data["is_ep"]),
-                                is_hypo_ep=bool(data["is_hypo_ep"]),
-                                rank=int(data["rank"]), gamma=float(data["gamma"]),
-                                conditions=conditions)
-
-
-def penrose_to_dict(rep: PenroseReport) -> dict:
-    out = {k: float(v) for k, v in rep.residuals().items()}
-    out["passed"] = bool(rep.passed)
-    return out
-
-
-def penrose_from_dict(data: dict) -> PenroseReport:
-    return PenroseReport(
-        residual_a_dag_a_a_dag=float(data["residual_a_dag_a_a_dag"]),
-        residual_a_a_dag_a=float(data["residual_a_a_dag_a"]),
-        residual_sym_a_dag_a=float(data["residual_sym_a_dag_a"]),
-        residual_sym_a_a_dag=float(data["residual_sym_a_a_dag"]),
-        residual_proj_range=float(data["residual_proj_range"]),
-        residual_proj_carrier=float(data["residual_proj_carrier"]),
-        passed=bool(data["passed"]),
-    )
-
-
-def douglas_to_dict(rep: DouglasReport) -> dict:
-    return {
-        "range_included": bool(rep.range_included),
-        "residual_range": float(rep.residual_range),
-        "factor_c": None if rep.factor_c is None else matrix_to_json_dict(rep.factor_c),
-        "residual_bc_a": None if rep.residual_bc_a is None else float(rep.residual_bc_a),
-        "bound_k": None if rep.bound_k is None else float(rep.bound_k),
-        "contraction_ok": None if rep.contraction_ok is None else bool(rep.contraction_ok),
-    }
-
-
-def douglas_from_dict(data: dict) -> DouglasReport:
-    factor = data.get("factor_c")
-    return DouglasReport(
-        range_included=bool(data["range_included"]),
-        residual_range=float(data["residual_range"]),
-        factor_c=None if factor is None else matrix_from_json_dict(factor),
-        residual_bc_a=None if data.get("residual_bc_a") is None else float(data["residual_bc_a"]),
-        bound_k=None if data.get("bound_k") is None else float(data["bound_k"]),
-        contraction_ok=None if data.get("contraction_ok") is None else bool(data["contraction_ok"]),
-    )
-
-
-_PERTURBATION_FLOATS = ("hyp_norm_product", "hyp_b_adag_a", "hyp_a_adag_b",
-                        "residual_null_equal", "residual_range_equal",
-                        "gamma_a", "gamma_perturbed", "norm_b")
-_PERTURBATION_BOOLS = ("hypotheses_pass", "concl_ep", "concl_null_equal",
-                       "concl_range_equal", "concl_gamma_bound")
-
-
-def perturbation_to_dict(rep: PerturbationReport) -> dict:
-    out: dict = {name: float(getattr(rep, name)) for name in _PERTURBATION_FLOATS}
-    out.update({name: bool(getattr(rep, name)) for name in _PERTURBATION_BOOLS})
-    return out
-
-
-def perturbation_from_dict(data: dict) -> PerturbationReport:
-    kwargs: dict = {name: float(data[name]) for name in _PERTURBATION_FLOATS}
-    kwargs.update({name: bool(data[name]) for name in _PERTURBATION_BOOLS})
-    return PerturbationReport(**kwargs)
-
-
-_ENCODERS = {
-    "classification": classification_to_dict,
-    "penrose": penrose_to_dict,
-    "douglas": douglas_to_dict,
-    "perturbation": perturbation_to_dict,
-}
-
-_DECODERS = {
-    "classification": classification_from_dict,
-    "penrose": penrose_from_dict,
-    "douglas": douglas_from_dict,
-    "perturbation": perturbation_from_dict,
-}
+    return _decode(TolerancePolicy, data)
 
 
 def make_document(kind: str, report, input_digest: str, tol: TolerancePolicy) -> dict:
     """Wrap a typed report (or an already JSON-safe payload) in a document."""
-    payload = _ENCODERS[kind](report) if kind in _ENCODERS else report
+    payload = _encode(_REPORT_TYPES[kind], report) if kind in _REPORT_TYPES else report
     return {
         "tool_version": __version__,
         "input_digest": input_digest,
@@ -151,7 +110,7 @@ def decode_document(doc: dict):
     """Recover (kind, typed report, digest, tolerance) from a document."""
     kind = doc["kind"]
     payload = doc["report"]
-    report = _DECODERS[kind](payload) if kind in _DECODERS else payload
+    report = _decode(_REPORT_TYPES[kind], payload) if kind in _REPORT_TYPES else payload
     return kind, report, doc["input_digest"], tolerance_from_dict(doc["tolerance"])
 
 

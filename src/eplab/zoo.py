@@ -149,11 +149,7 @@ class OperatorSpec:
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n-by-n unitary via phase-fixed QR of a Ginibre draw."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    phases = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    return q * phases
+    return haar_frame(n, n, rng)
 
 
 def haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from eplab.zoo import Family, OperatorSpec, corpus_matrix, generate
+from eplab.perturb import generate_admissible
+from eplab.zoo import Family, OperatorSpec, corpus_matrix, generate, random_ep
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +26,15 @@ def ep200():
 
 def random_complex(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def douglas_cases():
+    """``(name, A, B)`` for each outcome of inclusion R(A) <= R(B) and AA* <= BB*."""
+    a = random_ep(6, 4, np.random.default_rng(0))
+    b = generate_admissible(a, 0.5, 1)
+    return [
+        ("included_majorized", b, a),
+        ("included_not_majorized", a @ (3.0 * np.eye(6)), a),
+        ("not_included_not_majorized", np.diag([0.0, 1.0]), np.diag([1.0, 0.0])),
+        ("not_included_majorized", np.diag([0.0, 1e-5]), np.diag([1.0, 0.0])),
+    ]

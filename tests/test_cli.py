@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from eplab import TolerancePolicy, douglas_analysis
 from eplab.cli import main
-from eplab.matio import read_matrix, write_matrix
+from eplab.matio import file_digest, read_matrix, write_matrix
+from eplab.reports import dump_document, make_document
 from eplab.zoo import haar_unitary
+
+from conftest import douglas_cases
 
 
 @pytest.fixture()
@@ -191,3 +195,27 @@ def test_reports_byte_identical_across_runs(capsys, diag120):
     code1, out1, _ = run(capsys, "classify", diag120)
     code2, out2, _ = run(capsys, "classify", diag120)
     assert code1 == code2 == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("case", douglas_cases(), ids=lambda case: case[0])
+def test_douglas_command_is_douglas_analysis(capsys, tmp_path, case):
+    _, a, b = case
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, a)
+    write_matrix(b_path, b)
+    code, out, _ = run(capsys, "douglas", str(a_path), str(b_path), "--seed", "5")
+    assert code == 0
+    tol = TolerancePolicy()
+    report = douglas_analysis(read_matrix(a_path), read_matrix(b_path), tol, seed=5)
+    assert out == dump_document(make_document(
+        "douglas", report, file_digest([a_path, b_path]), tol))
+
+
+def test_douglas_overflowed_gram_exits_2(capsys, tmp_path):
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, np.diag([1e200, 3.0]))
+    write_matrix(b_path, np.diag([1e200, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "douglas", str(a_path), str(b_path))
+    assert code == 2 and not out
+    assert "NonFinite" in err

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint,
-                   null_basis, numerical_rank, op_norm, projector, range_basis,
-                   subspace_equal, subspace_included, svd)
+                   min_eigenvalue, null_basis, numerical_rank, op_norm,
+                   projector, range_basis, subspace_equal, subspace_included,
+                   svd, svdvals)
 from eplab.errors import DimensionMismatch, NonFinite
 
 from conftest import random_complex
@@ -168,6 +169,16 @@ def test_op_norm_examples():
     assert op_norm(np.eye(4)) == 1.0
     assert op_norm(np.diag([3.0, 0.0, 1.0])) == 3.0
     assert abs(op_norm(np.array([[0, 2], [0, 0]])) - 2.0) < 1e-14
+
+
+def test_svdvals_and_min_eigenvalue_examples():
+    np.testing.assert_array_equal(svdvals(np.diag([1.0, -3.0, 2.0])), [3.0, 2.0, 1.0])
+    # min_eigenvalue reads only the Hermitian part: [[1, 2], [0, 1]] -> [[1, 1], [1, 1]]
+    assert abs(min_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))) < 1e-15
+    assert min_eigenvalue(np.diag([2.0, -1.0])) == -1.0
+    for decomposition in (svdvals, min_eigenvalue):
+        with pytest.raises(NonFinite):
+            decomposition(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_range_null_duality():

@@ -1,12 +1,19 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from eplab import (closed_range_panel, douglas_factorize,
+from eplab import (DouglasReport, closed_range_panel, douglas_analysis,
+                   douglas_factorize, generate_admissible,
                    majorization_contraction, op_norm, pinv,
                    range_inclusion_check)
-from eplab.errors import DimensionMismatch, MajorizationFails, RangeNotIncluded
+from eplab import douglas as douglas_module
+from eplab.errors import (DimensionMismatch, MajorizationFails, NonFinite,
+                          RangeNotIncluded)
+from eplab.zoo import random_ep
 
-from conftest import random_complex
+from conftest import douglas_cases, random_complex
 
 
 def test_inclusion_into_identity():
@@ -161,3 +168,72 @@ def test_panel_gram_identities_always_hold():
                  for item in closed_range_panel(random_complex(rng, m, n))}
         assert items["range_matches_gram_right"].passed
         assert items["adjoint_range_matches_gram_left"].passed
+
+
+# (range_included, contraction_ok) per case of conftest.douglas_cases
+_DOUGLAS_VERDICTS = {
+    "included_majorized": (True, True),
+    "included_not_majorized": (True, None),
+    "not_included_not_majorized": (False, None),
+    "not_included_majorized": (False, True),
+}
+
+
+def _analysis_from_parts(a, b, seed):
+    """douglas_analysis spelled out through the three single-purpose calls."""
+    inclusion = range_inclusion_check(a, b)
+    if inclusion.ok:
+        expected = douglas_factorize(a, b, seed=seed)
+    else:
+        expected = DouglasReport(False, inclusion.residual, None, None, None, None)
+    try:
+        contraction_ok = majorization_contraction(a, b, seed=seed).contraction_ok
+    except MajorizationFails:
+        contraction_ok = None
+    return replace(expected, contraction_ok=contraction_ok)
+
+
+@pytest.mark.parametrize("case", douglas_cases(), ids=lambda case: case[0])
+def test_douglas_analysis_four_cases(case):
+    name, a, b = case
+    report = douglas_analysis(a, b, seed=3)
+    expected = _analysis_from_parts(a, b, seed=3)
+    assert (report.range_included, report.contraction_ok) == _DOUGLAS_VERDICTS[name]
+    assert report.range_included == expected.range_included
+    assert report.residual_range == expected.residual_range
+    assert report.residual_bc_a == expected.residual_bc_a
+    assert report.bound_k == expected.bound_k
+    assert report.contraction_ok == expected.contraction_ok
+    if report.range_included:
+        np.testing.assert_array_equal(report.factor_c, expected.factor_c)
+    else:
+        assert report.factor_c is None and expected.factor_c is None
+
+
+def test_douglas_analysis_decomposition_counts(monkeypatch):
+    a = random_ep(64, 48, np.random.default_rng(0))
+    b = generate_admissible(a, 0.5, 0)
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            values_only = name == "svd" and not kwargs.get("compute_uv", True)
+            counts["svdvals" if values_only else name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(douglas_module, "range_inclusion_check",
+                        counting("range_inclusion_check", range_inclusion_check))
+    report = douglas_analysis(b, a)
+    assert report.range_included and report.contraction_ok
+    assert counts["range_inclusion_check"] == 1
+    assert counts["svd"] <= 2
+    assert counts["eigvalsh"] == 1
+
+
+def test_majorization_rejects_overflowed_gram():
+    # B B* - A A* overflows to [[nan, 0], [0, -8]]; it must not pass as PSD.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+        majorization_contraction(np.diag([1e200, 3.0]), np.diag([1e200, 1.0]))

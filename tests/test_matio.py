@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,16 @@ def test_digests_stable(tmp_path):
     assert file_digest([p1]) == file_digest([p1])
     assert file_digest([p1]).startswith("sha256:")
     assert bytes_digest(b"abc") != bytes_digest(b"abd")
+
+
+def test_json_keeps_signed_zeros(tmp_path):
+    data = {"rows": 1, "cols": 2, "re": [-0.0, 1.0], "im": [0.0, -0.0]}
+    a = matrix_from_json_dict(data)
+    np.testing.assert_array_equal(np.signbit(a.real), [[True, False]])
+    np.testing.assert_array_equal(np.signbit(a.imag), [[False, True]])
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(data))
+    b = read_matrix(path)
+    np.testing.assert_array_equal(np.signbit(b.real), [[True, False]])
+    np.testing.assert_array_equal(np.signbit(b.imag), [[False, True]])
+    assert json.dumps(matrix_to_json_dict(b)) == json.dumps(data)

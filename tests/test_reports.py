@@ -3,8 +3,8 @@ import json
 import numpy as np
 
 import eplab
-from eplab import (TolerancePolicy, check_perturbation, classify,
-                   douglas_factorize, penrose_verify, pinv)
+from eplab import (DouglasReport, TolerancePolicy, check_perturbation,
+                   classify, douglas_factorize, penrose_verify, pinv)
 from eplab.reports import (decode_document, dump_document, make_document,
                            tolerance_from_dict, tolerance_to_dict)
 
@@ -77,3 +77,15 @@ def test_dump_document_deterministic():
     assert dump_document(doc) == dump_document(
         make_document("classification", classify(np.diag([1.0, 0.0])),
                       "sha256:s", TolerancePolicy()))
+
+
+def test_signed_zeros_round_trip_byte_exactly():
+    c = np.empty((2, 2), dtype=np.complex128)
+    c.real = [[-0.0, 1.0], [0.0, -2.0]]
+    c.imag = [[0.0, -0.0], [-0.0, 3.0]]
+    rep = DouglasReport(range_included=True, residual_range=0.0, factor_c=c,
+                        residual_bc_a=-0.0, bound_k=0.5, contraction_ok=None)
+    text = dump_document(make_document("douglas", rep, "sha256:z", TolerancePolicy()))
+    assert text.count("-0.0") == 4
+    kind, decoded, digest, tol = decode_document(json.loads(text))
+    assert dump_document(make_document(kind, decoded, digest, tol)) == text
