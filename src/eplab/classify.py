@@ -22,6 +22,7 @@ chain3 projector order A A+ <= A+ A  negative part of min eigenvalue
 chain4 sampled norm inequality       max(||A A+ x|| - ||A+ A x||) over x
 ====  =========================================================
 
+ep5 and ep7 are the same matrix up to sign and share one residual.
 ep1..ep7 are equivalent, as are hypo1/hypo2; chain2..chain4 are one-way
 consequences of hypo2 (and collapse back to the EP conditions in finite
 dimension).
@@ -34,13 +35,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SubspaceBasis,
-                   TolerancePolicy, adjoint, as_matrix, min_eigenvalue,
-                   null_basis, numerical_rank, op_norm, projector, range_basis,
-                   subspace_equal, subspace_included, svd, svdvals)
+from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SubspaceBasis, SvdFactors,
+                   TolerancePolicy, adjoint, as_matrix, factor_bases,
+                   min_eigenvalue, numerical_rank, op_norm, subspace_equal,
+                   subspace_included, svd, svdvals)
 from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
-from .pinv import pinv, pinv_from_factors
+from .pinv import pinv_from_factors
 
 # Fixed seed for the sampled conditions so classification is a pure function.
 _SAMPLE_SEED = 20240711
@@ -92,7 +93,10 @@ def modulus(a) -> np.ndarray:
     this keeps ``N(|A|) = N(A)`` at the rank-threshold level instead of
     inflating tiny eigenvalues through the squared Gram matrix.
     """
-    factors = svd(a)
+    return _modulus_from_factors(svd(a))
+
+
+def _modulus_from_factors(factors: SvdFactors) -> np.ndarray:
     m, n = factors.shape
     s_full = np.zeros(n)
     s_full[: min(m, n)] = factors.sigma
@@ -108,14 +112,38 @@ def _sampled_norm_violation(aad: np.ndarray, ada: np.ndarray, n: int) -> float:
     return float(np.max(lhs - rhs, initial=0.0))
 
 
-def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
-    """Evaluate every EP and hypo-EP condition; no short-circuiting.
+@dataclass(frozen=True)
+class _Analysis:
+    """One square matrix's SVD, what derives from it, and its classification."""
 
-    All seven EP formulations and both hypo-EP formulations are computed
-    independently even after a failure, since disagreement between the
-    routes indicates a tolerance or conditioning problem worth surfacing.
-    ``is_ep`` is the conjunction of ep1..ep7, ``is_hypo_ep`` of
-    hypo1/hypo2.
+    arr: np.ndarray
+    factors: SvdFactors
+    a_dag: np.ndarray
+    rng: SubspaceBasis
+    nul: SubspaceBasis
+    report: ClassificationReport
+
+    @property
+    def norm(self) -> float:
+        """``||A||_2``, the largest singular value."""
+        return float(self.factors.sigma[0])
+
+
+def _orthogonality(p: SubspaceBasis, q: SubspaceBasis) -> float:
+    """``||P_p P_q||_2 = ||p* q||_2``; 0 when either subspace is zero."""
+    if p.k == 0 or q.k == 0:
+        return 0.0
+    return op_norm(p.basis.conj().T @ q.basis)
+
+
+def _analyze(a, tol: TolerancePolicy) -> _Analysis:
+    """Classify ``A`` from three full SVDs: of ``A``, ``A*`` and ``A+``.
+
+    The rank, gamma, ``A+`` and the bases of ``R(A)`` and ``N(A)`` all come
+    from the SVD of ``A``.  ``A*`` and ``A+`` are decomposed separately
+    because their bases are what ep1, ep3, ep4 and ep6 compare against;
+    derived from ``A``'s factors those residuals would vanish by
+    construction.
     """
     arr = as_matrix(a)
     m, n = arr.shape
@@ -124,22 +152,18 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
 
     factors = svd(arr)
     r = numerical_rank(factors, tol)
-    gam = gamma(arr, tol)
+    gam = float(factors.sigma[r - 1]) if r else 0.0
     a_dag = pinv_from_factors(factors, tol)
-    star = adjoint(arr)
+    rng_a, nul_a = factor_bases(factors, tol)
+    rng_star, nul_star = factor_bases(svd(adjoint(arr)), tol)
+    rng_dag, nul_dag = factor_bases(svd(a_dag), tol)
 
-    rng_a = SubspaceBasis(n, factors.u[:, :r])
-    nul_a = SubspaceBasis(n, factors.v[:, r:])
-    rng_star = range_basis(star, tol)
-    nul_star = null_basis(star, tol)
-    rng_dag = range_basis(a_dag, tol)
-    nul_dag = null_basis(a_dag, tol)
-
-    eye = np.eye(n, dtype=np.complex128)
-    p_rng = projector(rng_a)
-    p_nul = projector(nul_a)
     aad = arr @ a_dag
     ada = a_dag @ arr
+    # ep5's (I - P_N(A)) - P_R(A) is minus ep7's P_R(A) + P_N(A) - I.  The
+    # complement of N(A) and R(A) each have dimension r, so its norm is the
+    # sine of their largest principal angle, ||P_N(A) P_R(A)||.
+    complement = _orthogonality(nul_a, rng_a)
 
     sub = tol.subspace_tol
     checks = []
@@ -151,9 +175,9 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     residual_check("ep2", op_norm(aad - ada), sub)
     residual_check("ep3", subspace_equal(nul_a, nul_dag, tol).residual, sub)
     residual_check("ep4", subspace_equal(nul_a, nul_star, tol).residual, sub)
-    residual_check("ep5", op_norm((eye - p_nul) - p_rng), sub)
+    residual_check("ep5", complement, sub)
     residual_check("ep6", subspace_equal(rng_dag, rng_a, tol).residual, sub)
-    residual_check("ep7", op_norm(p_rng + p_nul - eye), sub)
+    residual_check("ep7", complement, sub)
 
     residual_check("hypo1", subspace_included(nul_a, nul_star, tol).residual, sub)
     residual_check("hypo2", op_norm(ada @ arr @ a_dag - aad), sub)
@@ -168,8 +192,22 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     is_ep = all(by_id[f"ep{i}"].passed for i in range(1, 8))
     is_hypo_ep = by_id["hypo1"].passed and by_id["hypo2"].passed
 
-    return ClassificationReport(is_ep=is_ep, is_hypo_ep=is_hypo_ep, rank=r,
-                                gamma=gam, conditions=tuple(checks))
+    report = ClassificationReport(is_ep=is_ep, is_hypo_ep=is_hypo_ep, rank=r,
+                                  gamma=gam, conditions=tuple(checks))
+    return _Analysis(arr=arr, factors=factors, a_dag=a_dag, rng=rng_a, nul=nul_a,
+                     report=report)
+
+
+def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
+    """Evaluate every EP and hypo-EP condition; no short-circuiting.
+
+    All seven EP formulations and both hypo-EP formulations are computed
+    even after a failure, since disagreement between the routes indicates
+    a tolerance or conditioning problem worth surfacing.  ``is_ep`` is the
+    conjunction of ep1..ep7, ``is_hypo_ep`` of hypo1/hypo2.  ``A``, ``A*``
+    and ``A+`` are each decomposed once; ep5 and ep7 are one residual.
+    """
+    return _analyze(a, tol).report
 
 
 def ep_closure_suite(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[str, bool]]:
@@ -178,15 +216,20 @@ def ep_closure_suite(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[str, b
     For EP input ``A`` this returns the EP verdicts of ``A*``, ``A A*``,
     ``A* A`` and ``|A|``; all four must come back EP.
     """
-    arr = as_matrix(a)
-    if not classify(arr, tol).is_ep:
+    return _closure(_analyze(a, tol), tol)
+
+
+def _closure(source: _Analysis, tol: TolerancePolicy) -> list[tuple[str, bool]]:
+    """:func:`ep_closure_suite` for an analysed source; ``|A|`` comes from its SVD."""
+    if not source.report.is_ep:
         raise SourceNotEP("closure suite requires an EP input")
+    arr = source.arr
     star = adjoint(arr)
     members = (
         ("adjoint", star),
         ("aa_star", arr @ star),
         ("a_star_a", star @ arr),
-        ("modulus", modulus(arr)),
+        ("modulus", _modulus_from_factors(source.factors)),
     )
     return [(name, classify(mat, tol).is_ep) for name, mat in members]
 
@@ -215,15 +258,17 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     m, n = arr.shape
     if m != n:
         raise NotSquare(f"factor construction requires a square matrix, got {arr.shape}")
-    if not classify(arr, tol).is_ep:
+    source = _analyze(arr, tol)
+    if not source.report.is_ep:
         raise SourceNotEP("factor construction requires an EP input")
 
-    a_dag = pinv(arr, tol)
-    c = a_dag @ adjoint(arr) + (np.eye(n, dtype=np.complex128) - a_dag @ arr)
-    residual = op_norm(adjoint(arr) - arr @ c)
+    a_dag = source.a_dag
+    star = adjoint(arr)
+    c = a_dag @ star + (np.eye(n, dtype=np.complex128) - a_dag @ arr)
+    residual = op_norm(star - arr @ c)
     bijective = numerical_rank(svd(c), tol) == n
 
-    scale = max(1.0, op_norm(arr))
+    scale = max(1.0, source.norm)
     if not bijective or residual > RESIDUAL_SLACK * scale:
         raise SolveFailure(
             "carrier-restricted solve is numerically singular "
@@ -243,7 +288,8 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     m, n = arr.shape
     if m != n:
         raise NotSquare(f"majorization witness requires a square matrix, got {arr.shape}")
-    if not classify(arr, tol).is_hypo_ep:
+    source = _analyze(arr, tol)
+    if not source.report.is_hypo_ep:
         raise SourceNotHypoEP("majorization witness requires a hypo-EP input")
 
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
@@ -253,10 +299,10 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
 
     star = adjoint(arr)
     ax = arr @ vec
-    z = pinv(star, tol) @ ax
+    z = source.a_dag.conj().T @ ax  # pinv(A*) = pinv(A)*
     k = float(np.linalg.norm(z))
 
-    scale = max(1.0, op_norm(arr)) * max(1.0, float(np.linalg.norm(vec)))
+    scale = max(1.0, source.norm) * max(1.0, float(np.linalg.norm(vec)))
     if np.linalg.norm(star @ z - ax) > max(tol.subspace_tol, RESIDUAL_SLACK) * scale:
         raise SolveFailure("A* z = A x is not solvable at tolerance; input may not be hypo-EP")
 

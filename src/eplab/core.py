@@ -2,10 +2,11 @@
 
 Matrices are plain numpy arrays (dtype complex128, shape (m, n)); real input
 embeds.  Subspaces are carried as orthonormal bases and compared through
-their orthogonal projectors in the 2-norm, so set-level statements such as
-range equality or null-space inclusion reduce to residuals tested against a
-:class:`TolerancePolicy`.  Every function here is pure: no hidden state, no
-mutation of inputs, safe for concurrent use.
+the 2-norm distance of their orthogonal projectors, evaluated from the
+bases as the sine of the largest principal angle, so set-level statements
+such as range equality or null-space inclusion reduce to residuals tested
+against a :class:`TolerancePolicy`.  Every function here is pure: no hidden
+state, no mutation of inputs, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # solve residuals and the gamma perturbation bound.  Callers scale it by
 # max(1, ||A||).
 RESIDUAL_SLACK = 1e-9
-# Largest ||B* B - I||_2 accepted for the basis of a SubspaceBasis.
+# Largest ||B* B - I||_F accepted for the basis of a SubspaceBasis; the
+# Frobenius norm bounds the 2-norm from above.
 ORTHONORMAL_TOL = 1e-10
 
 
@@ -148,7 +150,7 @@ class SubspaceBasis:
             raise ValueError("subspace dimension exceeds ambient dimension")
         if k:
             gram = self.basis.conj().T @ self.basis
-            if np.linalg.norm(gram - np.eye(k), 2) > ORTHONORMAL_TOL:
+            if np.linalg.norm(gram - np.eye(k)) > ORTHONORMAL_TOL:
                 raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -161,18 +163,27 @@ class SubspaceComparison(NamedTuple):
     residual: float
 
 
+def factor_bases(factors: SvdFactors,
+                 tol: TolerancePolicy = DEFAULT_TOL) -> tuple[SubspaceBasis, SubspaceBasis]:
+    """Range and null-space bases of the decomposed matrix at one rank decision.
+
+    The range basis is the leading left singular vectors, the null basis
+    the trailing right singular vectors.
+    """
+    m, n = factors.shape
+    r = numerical_rank(factors, tol)
+    return (SubspaceBasis(m, _readonly(factors.u[:, :r])),
+            SubspaceBasis(n, _readonly(factors.v[:, r:])))
+
+
 def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space (leading left singular vectors)."""
-    factors = svd(a)
-    r = numerical_rank(factors, tol)
-    return SubspaceBasis(factors.shape[0], _readonly(factors.u[:, :r]))
+    return factor_bases(svd(a), tol)[0]
 
 
 def null_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the null space (trailing right singular vectors)."""
-    factors = svd(a)
-    r = numerical_rank(factors, tol)
-    return SubspaceBasis(factors.shape[1], _readonly(factors.v[:, r:]))
+    return factor_bases(svd(a), tol)[1]
 
 
 def projector(s: SubspaceBasis) -> np.ndarray:
@@ -180,24 +191,38 @@ def projector(s: SubspaceBasis) -> np.ndarray:
     return s.basis @ s.basis.conj().T
 
 
-def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
-    """Projector-distance equality test: ``||P_p - P_q||_2 <= subspace_tol``."""
+def _check_ambient(p: SubspaceBasis, q: SubspaceBasis) -> None:
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}")
-    residual = op_norm(projector(p) - projector(q))
+
+
+def _uncovered(p: SubspaceBasis, q: SubspaceBasis) -> float:
+    """``||(I - P_q) p||_2 = ||p - q (q* p)||_2``, the sine of the largest
+    principal angle from span(p) to span(q); 0 for the zero subspace p."""
+    if p.k == 0:
+        return 0.0
+    return op_norm(p.basis - q.basis @ (q.basis.conj().T @ p.basis))
+
+
+def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
+                   tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
+    """Projector-distance equality test: ``||P_p - P_q||_2 <= subspace_tol``.
+
+    The distance is exactly 1 when the dimensions differ.  For equal
+    dimensions it is the sine of the largest principal angle,
+    ``||q - p (p* q)||_2``, an n-by-k product instead of an n-by-n norm.
+    """
+    _check_ambient(p, q)
+    residual = 1.0 if p.k != q.k else _uncovered(q, p)
     return SubspaceComparison(residual <= tol.subspace_tol, residual)
 
 
 def subspace_included(p: SubspaceBasis, q: SubspaceBasis,
                       tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
-    """Inclusion test p <= q via ``||(I - P_q) P_p||_2 <= subspace_tol``."""
-    if p.ambient_dim != q.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}")
-    eye = np.eye(q.ambient_dim, dtype=np.complex128)
-    residual = op_norm((eye - projector(q)) @ projector(p))
+    """Inclusion test p <= q via ``||(I - P_q) P_p||_2 = ||p - q (q* p)||_2``."""
+    _check_ambient(p, q)
+    residual = _uncovered(p, q)
     return SubspaceComparison(residual <= tol.subspace_tol, residual)
 
 

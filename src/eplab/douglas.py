@@ -10,16 +10,16 @@ which witnesses all three statements in finite dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, SubspaceComparison, TolerancePolicy, adjoint,
-                   as_matrix, min_eigenvalue, numerical_rank, op_norm,
-                   projector, range_basis, subspace_equal, svd)
+                   as_matrix, factor_bases, min_eigenvalue, numerical_rank,
+                   op_norm, projector, range_basis, subspace_equal, svd)
 from .errors import DimensionMismatch, MajorizationFails, RangeNotIncluded
-from .pinv import pinv
+from .pinv import pinv, pinv_from_factors
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,10 @@ def _sampled_growth_bound(c: np.ndarray, a: np.ndarray, seed: int,
     return float(np.max(num / den, initial=0.0))
 
 
+def _contracts(c: np.ndarray, tol: TolerancePolicy) -> bool:
+    return op_norm(c) <= 1.0 + tol.subspace_tol
+
+
 def _factor(arr_a: np.ndarray, arr_b: np.ndarray, inclusion: SubspaceComparison,
             majorized: bool, tol: TolerancePolicy, seed: int) -> DouglasReport:
     """Report for the factor ``C = pinv(B) A``; ``contraction_ok`` only when majorized."""
@@ -82,7 +86,7 @@ def _factor(arr_a: np.ndarray, arr_b: np.ndarray, inclusion: SubspaceComparison,
         range_included=bool(inclusion.ok), residual_range=float(inclusion.residual),
         factor_c=c, residual_bc_a=float(op_norm(arr_b @ c - arr_a)),
         bound_k=_sampled_growth_bound(c, arr_a, seed),
-        contraction_ok=op_norm(c) <= 1.0 + tol.subspace_tol if majorized else None)
+        contraction_ok=_contracts(c, tol) if majorized else None)
 
 
 def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -131,14 +135,12 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     arr_b = as_matrix(b)
     inclusion = range_inclusion_check(arr_a, arr_b, tol)
     majorized = _majorization_gap(arr_a, arr_b) >= -tol.psd_tol
-    if not (inclusion.ok or majorized):
-        return DouglasReport(range_included=False,
-                             residual_range=float(inclusion.residual), factor_c=None,
-                             residual_bc_a=None, bound_k=None, contraction_ok=None)
-    report = _factor(arr_a, arr_b, inclusion, majorized, tol, seed)
     if inclusion.ok:
-        return report
-    return replace(report, factor_c=None, residual_bc_a=None, bound_k=None)
+        return _factor(arr_a, arr_b, inclusion, majorized, tol, seed)
+    contraction_ok = _contracts(pinv(arr_b, tol) @ arr_a, tol) if majorized else None
+    return DouglasReport(range_included=False, residual_range=float(inclusion.residual),
+                         factor_c=None, residual_bc_a=None, bound_k=None,
+                         contraction_ok=contraction_ok)
 
 
 class PanelItem(NamedTuple):
@@ -170,6 +172,7 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL,
     gram_left = star @ arr       # A* A
 
     factors = svd(arr)
+    gram_right_factors = svd(gram_right)
     r = numerical_rank(factors, tol)
     threshold = tol.rank_threshold(factors.sigma, factors.shape)
     gam = float(factors.sigma[r - 1]) if r else 0.0
@@ -183,7 +186,8 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL,
         PanelItem("gram_right_range_closed", True, 0.0, _TRIVIAL),
     ]
 
-    eq_right = subspace_equal(range_basis(arr, tol), range_basis(gram_right, tol), tol)
+    eq_right = subspace_equal(factor_bases(factors, tol)[0],
+                              factor_bases(gram_right_factors, tol)[0], tol)
     items.append(PanelItem("range_matches_gram_right", eq_right.ok,
                            eq_right.residual, "R(A) = R(A A*)"))
     eq_left = subspace_equal(range_basis(star, tol), range_basis(gram_left, tol), tol)
@@ -217,7 +221,7 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL,
                            max(0.0, viol2_max),
                            f"sampled ||A* x|| <= k ||A A* x||, k=1/gamma={k_wit:.6e} (sampled witness)"))
 
-    s_factor = pinv(gram_right, tol) @ arr
+    s_factor = pinv_from_factors(gram_right_factors, tol) @ arr
     res_s = op_norm(gram_right @ s_factor - arr)
     items.append(PanelItem("factors_through_gram",
                            res_s <= tol.subspace_tol * scale, float(res_s),

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, as_matrix,
-                   null_basis, op_norm, range_basis, subspace_equal)
+                   op_norm, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
-from .classify import classify, gamma
-from .pinv import pinv
+from .classify import _analyze
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,14 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     arr_b = as_matrix(b)
     if arr_a.shape != arr_b.shape:
         raise DimensionMismatch(f"shapes differ: {arr_a.shape} vs {arr_b.shape}")
-    if not classify(arr_a, tol).is_ep:
+    base = _analyze(arr_a, tol)
+    if not base.report.is_ep:
         raise SourceNotEP("perturbation analysis requires an EP base matrix")
 
-    a_dag = pinv(arr_a, tol)
+    a_dag = base.a_dag
+    gamma_a = base.report.gamma
     norm_b = op_norm(arr_b)
-    hyp_norm_product = norm_b * op_norm(a_dag)
+    hyp_norm_product = norm_b / gamma_a if gamma_a else 0.0  # ||A+|| = 1 / gamma
     hyp_b_adag_a = op_norm(arr_b @ (a_dag @ arr_a) - arr_b)
     hyp_a_adag_b = op_norm((arr_a @ a_dag) @ arr_b - arr_b)
 
@@ -73,14 +74,13 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
                        and hyp_b_adag_a <= tol.subspace_tol * scale_b
                        and hyp_a_adag_b <= tol.subspace_tol * scale_b)
 
-    total = arr_a + arr_b
-    concl_ep = classify(total, tol).is_ep
-    null_cmp = subspace_equal(null_basis(total, tol), null_basis(arr_a, tol), tol)
-    range_cmp = subspace_equal(range_basis(total, tol), range_basis(arr_a, tol), tol)
+    perturbed = _analyze(arr_a + arr_b, tol)
+    concl_ep = perturbed.report.is_ep
+    null_cmp = subspace_equal(perturbed.nul, base.nul, tol)
+    range_cmp = subspace_equal(perturbed.rng, base.rng, tol)
 
-    gamma_a = gamma(arr_a, tol)
-    gamma_perturbed = gamma(total, tol)
-    bound_slack = RESIDUAL_SLACK * max(1.0, op_norm(arr_a))
+    gamma_perturbed = perturbed.report.gamma
+    bound_slack = RESIDUAL_SLACK * max(1.0, base.norm)
     concl_gamma_bound = gamma_perturbed >= gamma_a - norm_b - bound_slack
 
     report = PerturbationReport(
@@ -106,21 +106,23 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     return report
 
 
-def generate_admissible(a, scale: float, seed: int) -> np.ndarray:
+def generate_admissible(a, scale: float, seed: int,
+                        tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Seeded perturbation with ``||B|| ||A+|| = scale`` and exact compressions.
 
     ``B = P M P`` where ``P = A A+`` projects onto the range of ``A`` (equal
     to ``A+ A`` for EP input) and ``M`` is a seeded random matrix; both
     compression hypotheses then hold by construction.  Returns the zero
     matrix when the compression degenerates (rank-0 input or a zero draw).
+    ``tol`` decides the EP verdict and the rank of ``A+``.
     """
     arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1] or not classify(arr).is_ep:
+    if arr.shape[0] != arr.shape[1] or not (source := _analyze(arr, tol)).report.is_ep:
         raise SourceNotEP("admissible perturbations are generated for EP matrices only")
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must lie in (0, 1), got {scale}")
 
-    a_dag = pinv(arr)
+    a_dag = source.a_dag
     dag_norm = op_norm(a_dag)
     if dag_norm == 0.0:
         return np.zeros_like(arr)

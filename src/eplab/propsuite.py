@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import classify, ep_closure_suite
+from .classify import _analyze, _closure
 from .core import DEFAULT_TOL, TolerancePolicy, op_norm
 from .douglas import douglas_factorize
 from .errors import RangeNotIncluded
@@ -65,10 +65,11 @@ def run_property_suite(count: int, seed: int = 0,
 
     for index in range(count):
         label, a = corpus_matrix(index, seed=seed)
-        scale = max(1.0, op_norm(a))
         rng = np.random.default_rng([seed, index, 1])
 
-        report = classify(a, tol)
+        analysis = _analyze(a, tol)
+        report = analysis.report
+        scale = max(1.0, analysis.norm)
         flags = [report.condition(f"ep{i}").passed for i in range(1, 8)]
         result.checks_run["seven_way"] += 1
         if len(set(flags)) > 1:
@@ -99,7 +100,7 @@ def run_property_suite(count: int, seed: int = 0,
 
         if report.is_ep:
             result.checks_run["closure"] += 1
-            for name, is_ep in ep_closure_suite(a, tol):
+            for name, is_ep in _closure(analysis, tol):
                 if not is_ep:
                     _record(result, index, label, "closure",
                             f"closure member {name} did not classify EP", a)

@@ -5,7 +5,9 @@ from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint,
                    min_eigenvalue, null_basis, numerical_rank, op_norm,
                    projector, range_basis, subspace_equal, subspace_included,
                    svd, svdvals)
+from eplab.core import factor_bases
 from eplab.errors import DimensionMismatch, NonFinite
+from eplab.zoo import haar_frame
 
 from conftest import random_complex
 
@@ -202,3 +204,67 @@ def test_subspace_basis_validation():
         SubspaceBasis(2, np.array([[1.0], [1.0]], dtype=complex))  # not unit
     with pytest.raises(ValueError):
         SubspaceBasis(3, np.eye(2, dtype=complex))  # wrong ambient
+
+
+# -- projector distance as a principal-angle sine ----------------------------
+
+def _projector_distance(p, q):
+    return np.linalg.norm(projector(p) - projector(q), 2)
+
+
+def test_subspace_equal_is_one_for_unequal_dimensions():
+    rng = np.random.default_rng(19)
+    frame = haar_frame(6, 6, rng)
+    for kp, kq in [(0, 1), (1, 0), (2, 3), (5, 6)]:
+        p = SubspaceBasis(6, frame[:, :kp])
+        q = SubspaceBasis(6, frame[:, :kq])  # nested, yet the distance is 1
+        ok, res = subspace_equal(p, q)
+        assert not ok and res == 1.0
+
+
+def test_subspace_equal_matches_projector_distance():
+    rng = np.random.default_rng(23)
+    for n, k in [(2, 1), (5, 2), (8, 4), (12, 11), (7, 7)]:
+        for _ in range(5):
+            p = SubspaceBasis(n, haar_frame(n, k, rng))
+            q = SubspaceBasis(n, haar_frame(n, k, rng))
+            assert abs(subspace_equal(p, q).residual - _projector_distance(p, q)) <= 1e-14
+
+
+def test_subspace_equal_at_tiny_angle():
+    # q turns p's last basis vector by theta towards a vector outside span(p),
+    # so the exact distance is sin(theta).
+    theta = 1e-10
+    frame = haar_frame(9, 4, np.random.default_rng(29))
+    tilted = frame[:, :3].copy()
+    tilted[:, 2] = np.cos(theta) * frame[:, 2] + np.sin(theta) * frame[:, 3]
+    p = SubspaceBasis(9, frame[:, :3])
+    q = SubspaceBasis(9, tilted)
+    res = subspace_equal(p, q).residual
+    assert abs(res - _projector_distance(p, q)) <= 1e-6 * np.sin(theta)
+    assert abs(res - np.sin(theta)) <= 1e-6 * np.sin(theta)
+
+
+def test_subspace_included_matches_projector_form():
+    rng = np.random.default_rng(31)
+    for kp, kq in [(1, 3), (3, 1), (2, 2), (4, 0)]:
+        p = SubspaceBasis(6, haar_frame(6, kp, rng))
+        q = SubspaceBasis(6, haar_frame(6, kq, rng))
+        expected = np.linalg.norm((np.eye(6) - projector(q)) @ projector(p), 2)
+        assert abs(subspace_included(p, q).residual - expected) <= 1e-14
+
+
+def test_subspace_basis_rejects_gram_error_2e_10():
+    basis = haar_frame(5, 3, np.random.default_rng(37))
+    basis[:, 0] *= np.sqrt(1.0 + 2e-10)  # (B* B - I)[0, 0] = 2e-10
+    with pytest.raises(ValueError):
+        SubspaceBasis(5, basis)
+
+
+def test_factor_bases_match_range_and_null_basis():
+    rng = np.random.default_rng(41)
+    for m, n, r in [(5, 5, 3), (4, 6, 2), (6, 3, 3), (3, 3, 0)]:
+        a = random_complex(rng, m, r) @ random_complex(rng, r, n)
+        rng_a, nul_a = factor_bases(svd(a))
+        np.testing.assert_array_equal(rng_a.basis, range_basis(a).basis)
+        np.testing.assert_array_equal(nul_a.basis, null_basis(a).basis)

@@ -1,0 +1,97 @@
+"""Upper bounds on the decompositions each entry point runs.
+
+The operands are those of ``perfbench/counts.py`` at n=16: an EP matrix of
+rank 12 and an admissible perturbation of it.  Both the public
+``numpy.linalg`` functions and the names that ``numpy.linalg.norm`` calls
+internally are counted, so a hidden SVD inside a matrix norm counts too.
+"""
+
+import inspect
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from eplab import (SubspaceBasis, check_perturbation, classify, closed_range_panel,
+                   douglas_analysis, ep_closure_suite, generate_admissible)
+from eplab import douglas as douglas_module
+from eplab.zoo import random_ep
+
+from conftest import douglas_cases
+
+N = 16
+
+
+@pytest.fixture(scope="module")
+def operands():
+    a = random_ep(N, 3 * N // 4, np.random.default_rng(0))
+    return a, generate_admissible(a, 0.5, 0)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counter of ``svd`` (full), ``("svdvals", shape)`` (values only) and
+    ``eigvalsh`` calls made while the test runs."""
+    tally = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "svd" and not kwargs.get("compute_uv", True):
+                tally["svdvals", np.shape(args[0])] += 1
+            else:
+                tally[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # The namespace numpy.linalg.norm resolves ``svd`` in.
+    internal = inspect.unwrap(np.linalg.norm).__globals__
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setitem(internal, name, counting(name, internal[name]))
+    return tally
+
+
+def test_classify_decompositions(operands, counts):
+    a, _ = operands
+    assert classify(a).is_ep
+    assert counts["svd"] == 3
+    assert counts["svdvals", (N, N)] <= 3
+    assert counts["eigvalsh"] == 1
+
+
+def test_check_perturbation_decompositions(operands, counts):
+    a, b = operands
+    assert check_perturbation(a, b).hypotheses_pass
+    assert counts["svd"] <= 6
+
+
+def test_ep_closure_suite_decompositions(operands, counts):
+    a, _ = operands
+    assert all(is_ep for _, is_ep in ep_closure_suite(a))
+    assert counts["svd"] <= 15
+
+
+def test_closed_range_panel_decompositions(operands, counts):
+    a, _ = operands
+    assert all(item.passed for item in closed_range_panel(a))
+    assert counts["svd"] <= 4
+
+
+def test_douglas_analysis_skips_factor_when_not_included(monkeypatch):
+    # Not included but majorized: only contraction_ok is reported, so the
+    # growth bound and ||B C - A|| must not be computed.
+    (_, a, b), = [case for case in douglas_cases() if case[0] == "not_included_majorized"]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("growth bound computed for a dropped factor")
+
+    monkeypatch.setattr(douglas_module, "_sampled_growth_bound", unused)
+    report = douglas_analysis(a, b)
+    assert (report.range_included, report.contraction_ok) == (False, True)
+    assert report.factor_c is None and report.bound_k is None
+
+
+def test_subspace_basis_check_runs_no_decomposition(counts):
+    basis = np.linalg.qr(np.random.default_rng(1).standard_normal((N, 5)))[0]
+    SubspaceBasis(N, basis.astype(complex))
+    assert not counts
