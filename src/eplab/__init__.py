@@ -9,10 +9,9 @@ sections of classical operator examples.
 __version__ = "0.1.0"
 
 from .core import (DEFAULT_TOL, SubspaceBasis, SubspaceComparison, SvdFactors,
-                   TolerancePolicy, adjoint, as_matrix, factor_bases,
-                   min_eigenvalue, null_basis, numerical_rank, op_norm,
-                   projector, range_basis, subspace_equal, subspace_included,
-                   svd, svdvals)
+                   TolerancePolicy, adjoint, as_matrix, min_eigenvalue,
+                   null_basis, numerical_rank, op_norm, projector, range_basis,
+                   subspace_equal, subspace_included, svd, svdvals)
 from .pinv import (IdentityResidual, PenroseReport, dagger_identities,
                    penrose_verify, pinv)
 from .classify import (ClassificationReport, ConditionCheck, FactorC,
@@ -30,9 +29,9 @@ from . import errors
 
 __all__ = [
     "DEFAULT_TOL", "SubspaceBasis", "SubspaceComparison", "SvdFactors",
-    "TolerancePolicy", "adjoint", "as_matrix", "factor_bases", "min_eigenvalue",
-    "null_basis", "numerical_rank", "op_norm", "projector", "range_basis",
-    "subspace_equal", "subspace_included", "svd", "svdvals",
+    "TolerancePolicy", "adjoint", "as_matrix", "min_eigenvalue", "null_basis",
+    "numerical_rank", "op_norm", "projector", "range_basis", "subspace_equal",
+    "subspace_included", "svd", "svdvals",
     "IdentityResidual", "PenroseReport", "dagger_identities", "penrose_verify",
     "pinv",
     "ClassificationReport", "ConditionCheck", "FactorC", "classify",

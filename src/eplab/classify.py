@@ -78,6 +78,8 @@ def gamma(a, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     complement of the null space) and ``1 / ||A+||``.  By convention 0 for a
     numerically rank-0 matrix, keeping reports free of infinities.  Uses the
     values-only SVD driver, which reproduces diagonal entries exactly.
+    ``classify(a).gamma`` is ``sigma_r`` of the full SVD instead and may
+    differ from this value in the last bits.
     """
     arr = as_matrix(a)
     sigma = svdvals(arr)

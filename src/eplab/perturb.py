@@ -106,18 +106,17 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     return report
 
 
-def generate_admissible(a, scale: float, seed: int,
-                        tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def generate_admissible(a, scale: float, seed: int) -> np.ndarray:
     """Seeded perturbation with ``||B|| ||A+|| = scale`` and exact compressions.
 
     ``B = P M P`` where ``P = A A+`` projects onto the range of ``A`` (equal
     to ``A+ A`` for EP input) and ``M`` is a seeded random matrix; both
     compression hypotheses then hold by construction.  Returns the zero
     matrix when the compression degenerates (rank-0 input or a zero draw).
-    ``tol`` decides the EP verdict and the rank of ``A+``.
     """
     arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1] or not (source := _analyze(arr, tol)).report.is_ep:
+    source = _analyze(arr, DEFAULT_TOL) if arr.shape[0] == arr.shape[1] else None
+    if source is None or not source.report.is_ep:
         raise SourceNotEP("admissible perturbations are generated for EP matrices only")
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must lie in (0, 1), got {scale}")

@@ -22,6 +22,15 @@ def test_gamma_examples():
     assert gamma(np.zeros((3, 3))) == 0.0
 
 
+def test_report_gamma_agrees_with_gamma_to_rounding():
+    # the report takes sigma_r from classify's full SVD, gamma() from the
+    # values-only driver; the two agree to rounding, not bit for bit
+    rng = np.random.default_rng(3)
+    for n in (1, 4, 9, 16):
+        for a in (np.diag(rng.uniform(1e-3, 1e3, n)), random_complex(rng, n, n)):
+            assert abs(classify(a).gamma - gamma(a)) <= 1e-14 * op_norm(a)
+
+
 def test_gamma_is_carrier_infimum():
     # brute force: gamma lower-bounds ||A x|| over unit carrier vectors and
     # is attained (here by e3)

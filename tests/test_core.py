@@ -233,7 +233,9 @@ def test_subspace_equal_matches_projector_distance():
 
 def test_subspace_equal_at_tiny_angle():
     # q turns p's last basis vector by theta towards a vector outside span(p),
-    # so the exact distance is sin(theta).
+    # so the exact distance is sin(theta).  Rounding the basis entries leaves
+    # an error of about eps / theta relative; the projector form is no
+    # reference here, since forming P_p - P_q rounds away the same digits.
     theta = 1e-10
     frame = haar_frame(9, 4, np.random.default_rng(29))
     tilted = frame[:, :3].copy()
@@ -241,8 +243,7 @@ def test_subspace_equal_at_tiny_angle():
     p = SubspaceBasis(9, frame[:, :3])
     q = SubspaceBasis(9, tilted)
     res = subspace_equal(p, q).residual
-    assert abs(res - _projector_distance(p, q)) <= 1e-6 * np.sin(theta)
-    assert abs(res - np.sin(theta)) <= 1e-6 * np.sin(theta)
+    assert abs(res - np.sin(theta)) <= 1e-5 * np.sin(theta)
 
 
 def test_subspace_included_matches_projector_form():

@@ -3,7 +3,6 @@ import pytest
 
 from eplab import (check_perturbation, classify, generate_admissible, op_norm,
                    pinv)
-from eplab.core import DEFAULT_TOL, TolerancePolicy
 from eplab.errors import DimensionMismatch, SourceNotEP
 from eplab.zoo import random_ep
 
@@ -104,16 +103,3 @@ def test_sharpness_probe_recorded_not_asserted():
     assert not rep.hypotheses_pass
     assert not rep.concl_null_equal  # N(A+B) = {0} != span{e2}
     assert isinstance(rep.concl_ep, bool)
-
-
-def test_generate_admissible_uses_the_callers_tolerance():
-    a = np.diag([1.0, 1e-6, 0.0])
-    coarse = TolerancePolicy(rank_abs=1e-3)  # rank 1 instead of 2
-    b = generate_admissible(a, 0.5, 4, coarse)
-    # B = P M P is compressed onto R(A) = span{e1} at this tolerance, and
-    # ||B|| ||A+|| = 0.5 with ||A+|| = 1.
-    assert np.count_nonzero(b) == 1 and b[0, 0] != 0
-    assert abs(op_norm(b) - 0.5) < 1e-12
-    fine = generate_admissible(a, 0.5, 4)
-    assert np.count_nonzero(fine[:2, :2]) == 4
-    np.testing.assert_array_equal(generate_admissible(a, 0.5, 4, DEFAULT_TOL), fine)
