@@ -256,15 +256,12 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     of the space into range and null space, acting invertibly on each part.
     The residual check is authoritative; the formula is not trusted blindly.
     """
-    arr = as_matrix(a)
-    m, n = arr.shape
-    if m != n:
-        raise NotSquare(f"factor construction requires a square matrix, got {arr.shape}")
-    source = _analyze(arr, tol)
+    source = _analyze(a, tol)
     if not source.report.is_ep:
         raise SourceNotEP("factor construction requires an EP input")
 
-    a_dag = source.a_dag
+    arr, a_dag = source.arr, source.a_dag
+    n = arr.shape[1]
     star = adjoint(arr)
     c = a_dag @ star + (np.eye(n, dtype=np.complex128) - a_dag @ arr)
     residual = op_norm(star - arr @ c)
@@ -286,13 +283,11 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     works; the bound is verified on a fixed batch of random unit vectors.
     Returns 0 when ``x`` is in the null space.
     """
-    arr = as_matrix(a)
-    m, n = arr.shape
-    if m != n:
-        raise NotSquare(f"majorization witness requires a square matrix, got {arr.shape}")
-    source = _analyze(arr, tol)
+    source = _analyze(a, tol)
     if not source.report.is_hypo_ep:
         raise SourceNotHypoEP("majorization witness requires a hypo-EP input")
+    arr = source.arr
+    n = arr.shape[1]
 
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != n:

@@ -197,12 +197,10 @@ def _check_ambient(p: SubspaceBasis, q: SubspaceBasis) -> None:
             f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}")
 
 
-def _uncovered(p: SubspaceBasis, q: SubspaceBasis) -> float:
-    """``||(I - P_q) p||_2 = ||p - q (q* p)||_2``, the sine of the largest
-    principal angle from span(p) to span(q); 0 for the zero subspace p."""
-    if p.k == 0:
-        return 0.0
-    return op_norm(p.basis - q.basis @ (q.basis.conj().T @ p.basis))
+def _uncovered(x: np.ndarray, q: SubspaceBasis) -> float:
+    """``||(I - P_q) x||_2 = ||x - q (q* x)||_2``, 0 for no columns; for an
+    orthonormal ``x`` the sine of the largest principal angle to span(q)."""
+    return op_norm(x - q.basis @ (q.basis.conj().T @ x)) if x.shape[1] else 0.0
 
 
 def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
@@ -214,7 +212,7 @@ def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
     ``||q - p (p* q)||_2``, an n-by-k product instead of an n-by-n norm.
     """
     _check_ambient(p, q)
-    residual = 1.0 if p.k != q.k else _uncovered(q, p)
+    residual = 1.0 if p.k != q.k else _uncovered(q.basis, p)
     return SubspaceComparison(residual <= tol.subspace_tol, residual)
 
 
@@ -222,7 +220,7 @@ def subspace_included(p: SubspaceBasis, q: SubspaceBasis,
                       tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
     """Inclusion test p <= q via ``||(I - P_q) P_p||_2 = ||p - q (q* p)||_2``."""
     _check_ambient(p, q)
-    residual = _uncovered(p, q)
+    residual = _uncovered(p.basis, q)
     return SubspaceComparison(residual <= tol.subspace_tol, residual)
 
 

@@ -15,11 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SubspaceComparison, TolerancePolicy, adjoint,
-                   as_matrix, factor_bases, min_eigenvalue, numerical_rank,
-                   op_norm, projector, range_basis, subspace_equal, svd)
+from .core import (DEFAULT_TOL, SubspaceComparison, SvdFactors, TolerancePolicy,
+                   _uncovered, adjoint, as_matrix, factor_bases, min_eigenvalue,
+                   numerical_rank, op_norm, range_basis, subspace_equal, svd)
 from .errors import DimensionMismatch, MajorizationFails, RangeNotIncluded
-from .pinv import pinv, pinv_from_factors
+from .pinv import pinv_from_factors
+
+# Random vectors behind the sampled growth bound ``bound_k``.
+_GROWTH_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -40,35 +43,36 @@ class DouglasReport:
     contraction_ok: bool | None
 
 
-def _check_rows(arr_a: np.ndarray, arr_b: np.ndarray) -> None:
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` and ``B`` as matrices; DimensionMismatch unless their row counts agree."""
+    arr_a, arr_b = as_matrix(a), as_matrix(b)
     if arr_a.shape[0] != arr_b.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {arr_a.shape[0]} vs {arr_b.shape[0]}")
+        raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {arr_b.shape[0]}")
+    return arr_a, arr_b
+
+
+def _inclusion(arr_a: np.ndarray, factors_b: SvdFactors,
+               tol: TolerancePolicy) -> SubspaceComparison:
+    """``||A - Q (Q* A)|| <= tol * max(1, ||A||)`` for ``Q`` the range basis of B's SVD."""
+    residual = _uncovered(arr_a, factor_bases(factors_b, tol)[0])
+    return SubspaceComparison(residual <= tol.subspace_tol * max(1.0, op_norm(arr_a)), residual)
 
 
 def range_inclusion_check(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
     """Test ``R(A) <= R(B)`` via ``||(I - P_R(B)) A|| <= tol * max(1, ||A||)``."""
-    arr_a = as_matrix(a)
-    arr_b = as_matrix(b)
-    _check_rows(arr_a, arr_b)
-    m = arr_a.shape[0]
-    p_b = projector(range_basis(arr_b, tol))
-    residual = op_norm((np.eye(m, dtype=np.complex128) - p_b) @ arr_a)
-    return SubspaceComparison(residual <= tol.subspace_tol * max(1.0, op_norm(arr_a)),
-                              residual)
+    arr_a, arr_b = _operands(a, b)
+    return _inclusion(arr_a, svd(arr_b), tol)
 
 
 def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
     """Minimum eigenvalue of ``B B* - A A*``; ``A A* <= B B*`` iff it is >= 0."""
-    _check_rows(arr_a, arr_b)
     return min_eigenvalue(arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a))
 
 
-def _sampled_growth_bound(c: np.ndarray, a: np.ndarray, seed: int,
-                          samples: int = 1000) -> float:
+def _sampled_growth_bound(c: np.ndarray, a: np.ndarray, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    n = a.shape[1]
-    x = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
+    shape = (a.shape[1], _GROWTH_SAMPLES)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     num = np.linalg.norm(c @ x, axis=0) ** 2
     den = np.linalg.norm(x, axis=0) ** 2 + np.linalg.norm(a @ x, axis=0) ** 2
     return float(np.max(num / den, initial=0.0))
@@ -78,15 +82,26 @@ def _contracts(c: np.ndarray, tol: TolerancePolicy) -> bool:
     return op_norm(c) <= 1.0 + tol.subspace_tol
 
 
-def _factor(arr_a: np.ndarray, arr_b: np.ndarray, inclusion: SubspaceComparison,
-            majorized: bool, tol: TolerancePolicy, seed: int) -> DouglasReport:
+def _factor(arr_a: np.ndarray, arr_b: np.ndarray, factors_b: SvdFactors,
+            inclusion: SubspaceComparison, majorized: bool, tol: TolerancePolicy,
+            seed: int) -> DouglasReport:
     """Report for the factor ``C = pinv(B) A``; ``contraction_ok`` only when majorized."""
-    c = pinv(arr_b, tol) @ arr_a
+    c = pinv_from_factors(factors_b, tol) @ arr_a
     return DouglasReport(
         range_included=bool(inclusion.ok), residual_range=float(inclusion.residual),
         factor_c=c, residual_bc_a=float(op_norm(arr_b @ c - arr_a)),
         bound_k=_sampled_growth_bound(c, arr_a, seed),
         contraction_ok=_contracts(c, tol) if majorized else None)
+
+
+def _factorize(arr_a: np.ndarray, arr_b: np.ndarray, factors_b: SvdFactors,
+               tol: TolerancePolicy, seed: int) -> DouglasReport:
+    """:func:`douglas_factorize` for checked operands and the SVD of ``B``."""
+    inclusion = _inclusion(arr_a, factors_b, tol)
+    if not inclusion.ok:
+        raise RangeNotIncluded(
+            f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
+    return _factor(arr_a, arr_b, factors_b, inclusion, False, tol, seed)
 
 
 def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -96,13 +111,8 @@ def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     Raises RangeNotIncluded when the inclusion test fails.  ``seed`` feeds
     the sampled growth bound so reports are reproducible.
     """
-    arr_a = as_matrix(a)
-    arr_b = as_matrix(b)
-    inclusion = range_inclusion_check(arr_a, arr_b, tol)
-    if not inclusion.ok:
-        raise RangeNotIncluded(
-            f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
-    return _factor(arr_a, arr_b, inclusion, False, tol, seed)
+    arr_a, arr_b = _operands(a, b)
+    return _factorize(arr_a, arr_b, svd(arr_b), tol, seed)
 
 
 def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -112,14 +122,12 @@ def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     The PSD hypothesis is checked through the minimum eigenvalue of
     ``B B* - A A*`` with floor ``-psd_tol``; MajorizationFails otherwise.
     """
-    arr_a = as_matrix(a)
-    arr_b = as_matrix(b)
+    arr_a, arr_b = _operands(a, b)
     lam_min = _majorization_gap(arr_a, arr_b)
     if lam_min < -tol.psd_tol:
-        raise MajorizationFails(
-            f"B B* - A A* has negative eigenvalue {lam_min:.3e}")
-    return _factor(arr_a, arr_b, range_inclusion_check(arr_a, arr_b, tol), True,
-                   tol, seed)
+        raise MajorizationFails(f"B B* - A A* has negative eigenvalue {lam_min:.3e}")
+    factors_b = svd(arr_b)
+    return _factor(arr_a, arr_b, factors_b, _inclusion(arr_a, factors_b, tol), True, tol, seed)
 
 
 def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -130,14 +138,16 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     ``R(A) <= R(B)`` and None otherwise.  ``contraction_ok`` is that of
     :func:`majorization_contraction` when ``A A* <= B B*`` holds, whether
     or not the inclusion does, and None otherwise.  Neither failure raises.
+    One SVD of ``B`` gives both the inclusion basis and ``pinv(B)``.
     """
-    arr_a = as_matrix(a)
-    arr_b = as_matrix(b)
-    inclusion = range_inclusion_check(arr_a, arr_b, tol)
+    arr_a, arr_b = _operands(a, b)
+    factors_b = svd(arr_b)
+    inclusion = _inclusion(arr_a, factors_b, tol)
     majorized = _majorization_gap(arr_a, arr_b) >= -tol.psd_tol
     if inclusion.ok:
-        return _factor(arr_a, arr_b, inclusion, majorized, tol, seed)
-    contraction_ok = _contracts(pinv(arr_b, tol) @ arr_a, tol) if majorized else None
+        return _factor(arr_a, arr_b, factors_b, inclusion, majorized, tol, seed)
+    contraction_ok = (_contracts(pinv_from_factors(factors_b, tol) @ arr_a, tol)
+                      if majorized else None)
     return DouglasReport(range_included=False, residual_range=float(inclusion.residual),
                          factor_c=None, residual_bc_a=None, bound_k=None,
                          contraction_ok=contraction_ok)

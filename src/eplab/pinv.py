@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SvdFactors, TolerancePolicy, adjoint,
-                   as_matrix, min_eigenvalue, null_basis, numerical_rank,
+from .core import (DEFAULT_TOL, SvdFactors, TolerancePolicy, adjoint, as_matrix,
+                   factor_bases, min_eigenvalue, null_basis, numerical_rank,
                    op_norm, projector, range_basis, subspace_equal, svd)
 from .errors import DimensionMismatch
 
@@ -84,10 +84,11 @@ def penrose_verify(a, a_dag, tol: TolerancePolicy = DEFAULT_TOL) -> PenroseRepor
     r2 = op_norm(aad @ arr - arr)
     r3 = op_norm(ada - ada.conj().T)
     r4 = op_norm(aad - aad.conj().T)
-    r5 = op_norm(aad - projector(range_basis(arr, tol)))
+    factors = svd(arr)
+    r5 = op_norm(aad - projector(factor_bases(factors, tol)[0]))
     r6 = op_norm(ada - projector(range_basis(cand, tol)))
 
-    scale = max(1.0, op_norm(arr))
+    scale = max(1.0, float(factors.sigma[0]))
     residuals = (r1, r2, r3, r4, r5, r6)
     passed = all(r <= tol.subspace_tol * scale for r in residuals)
     return PenroseReport(*residuals, passed=passed)
@@ -105,11 +106,12 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[IdentityRes
     factorizations ``(A*A)+ = A+ A*+`` and ``(AA*)+ = A*+ A+``, the
     null-space match ``N(A*+) = N(A)``, and positivity of both Gram
     matrices (reported as the magnitude of any negative eigenvalue).
-    Each side of an identity is computed by its own SVD.
+    Each side is computed by its own SVD; ``A+`` and ``N(A)`` share A's.
     """
     arr = as_matrix(a)
     star = adjoint(arr)
-    a_dag = pinv(arr, tol)
+    factors = svd(arr)
+    a_dag = pinv_from_factors(factors, tol)
     star_dag = pinv(star, tol)
 
     out = [
@@ -121,7 +123,7 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[IdentityRes
                          op_norm(pinv(arr @ star, tol) - star_dag @ a_dag)),
         IdentityResidual("null_space_match",
                          subspace_equal(null_basis(star_dag, tol),
-                                        null_basis(arr, tol), tol).residual),
+                                        factor_bases(factors, tol)[1], tol).residual),
     ]
     for name, gram in (("gram_left_psd", star @ arr), ("gram_right_psd", arr @ star)):
         out.append(IdentityResidual(name, max(0.0, -min_eigenvalue(gram))))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import _analyze, _closure
 from .core import DEFAULT_TOL, TolerancePolicy, op_norm
-from .douglas import douglas_factorize
+from .douglas import _factorize
 from .errors import RangeNotIncluded
 from .matio import matrix_to_json_dict
 from .pinv import dagger_identities
@@ -111,7 +111,7 @@ def run_property_suite(count: int, seed: int = 0,
         c = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         product = a @ c
         try:
-            factorization = douglas_factorize(product, a, tol, seed=index)
+            factorization = _factorize(product, analysis.arr, analysis.factors, tol, index)
         except RangeNotIncluded as exc:
             _record(result, index, label, "douglas",
                     f"range_inclusion_check(A C, A) failed: {exc}", a)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -324,19 +324,20 @@ _CORPUS_KINDS = (
     "random", "hermitian", "hermitian_rank_def", "normal", "nilpotent",
     "ep_construction", "rank_deficient", "zero", "rank_one", "scaled",
 )
+_CORPUS_MAX_N = 32
 
 
-def corpus_matrix(index: int, seed: int = 0, max_n: int = 32) -> CorpusEntry:
+def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
     """Deterministic mixed-family square matrix for property sweeps.
 
     Cycles through random full-rank, Hermitian, rank-deficient Hermitian,
     normal, nilpotent, EP-by-construction, rank-deficient, zero, rank-one
-    and rescaled draws, with sizes up to ``max_n``.  Spectra are kept in
+    and rescaled draws, with sizes from 1 to 32.  Spectra are kept in
     [1/2, 2] (before rescaling) so residual criteria stated as absolute
     bounds remain meaningful across the whole corpus.
     """
     rng = np.random.default_rng([seed, index])
-    n = int(rng.integers(1, max_n + 1))
+    n = int(rng.integers(1, _CORPUS_MAX_N + 1))
     kind = _CORPUS_KINDS[index % len(_CORPUS_KINDS)]
 
     if kind == "random":
@@ -382,9 +383,3 @@ def corpus_matrix(index: int, seed: int = 0, max_n: int = 32) -> CorpusEntry:
         a = factor * random_conditioned(n, n, rng)
 
     return CorpusEntry(label=f"{kind}-n{n}-i{index}", matrix=a)
-
-
-def corpus(count: int, seed: int = 0, max_n: int = 32) -> Iterator[CorpusEntry]:
-    """Iterate the first ``count`` corpus entries for a seed."""
-    for index in range(count):
-        yield corpus_matrix(index, seed=seed, max_n=max_n)

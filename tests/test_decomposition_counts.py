@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from eplab import (SubspaceBasis, check_perturbation, classify, closed_range_panel,
-                   douglas_analysis, ep_closure_suite, generate_admissible)
+                   dagger_identities, douglas_analysis, douglas_factorize,
+                   ep_closure_suite, generate_admissible, majorization_contraction,
+                   range_inclusion_check)
 from eplab import douglas as douglas_module
+from eplab.propsuite import run_property_suite
 from eplab.zoo import random_ep
 
 from conftest import douglas_cases
@@ -75,6 +78,26 @@ def test_closed_range_panel_decompositions(operands, counts):
     a, _ = operands
     assert all(item.passed for item in closed_range_panel(a))
     assert counts["svd"] <= 4
+
+
+@pytest.mark.parametrize("entry", [range_inclusion_check, douglas_factorize,
+                                   majorization_contraction, douglas_analysis])
+def test_douglas_entry_points_decompose_b_once(operands, counts, entry):
+    # R(b) <= R(a) and b b* <= a a*, so every entry point runs to the end.
+    a, b = operands
+    entry(b, a)
+    assert counts["svd"] == 1
+
+
+def test_dagger_identities_decompositions(operands, counts):
+    a, _ = operands
+    dagger_identities(a)
+    assert counts["svd"] <= 6
+
+
+def test_property_suite_decompositions(counts):
+    assert run_property_suite(10, seed=0).ok
+    assert counts["svd"] <= 174
 
 
 def test_douglas_analysis_skips_factor_when_not_included(monkeypatch):
