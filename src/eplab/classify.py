@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SubspaceBasis, SvdFactors,
-                   TolerancePolicy, adjoint, as_matrix, factor_bases,
+                   TolerancePolicy, _cross_norm, adjoint, as_matrix, factor_bases,
                    min_eigenvalue, numerical_rank, op_norm, subspace_equal,
                    subspace_included, svd, svdvals)
 from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
@@ -81,10 +81,14 @@ def gamma(a, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     ``classify(a).gamma`` is ``sigma_r`` of the full SVD instead and may
     differ from this value in the last bits.
     """
-    arr = as_matrix(a)
+    return _gamma_and_rank(as_matrix(a), tol)[0]
+
+
+def _gamma_and_rank(arr: np.ndarray, tol: TolerancePolicy) -> tuple[float, int]:
+    """:func:`gamma` and the numerical rank, both from one values-only SVD."""
     sigma = svdvals(arr)
     kept = sigma[sigma > tol.rank_threshold(sigma, arr.shape)]
-    return float(kept[-1]) if len(kept) else 0.0
+    return (float(kept[-1]) if len(kept) else 0.0), len(kept)
 
 
 def modulus(a) -> np.ndarray:
@@ -131,13 +135,6 @@ class _Analysis:
         return float(self.factors.sigma[0])
 
 
-def _orthogonality(p: SubspaceBasis, q: SubspaceBasis) -> float:
-    """``||P_p P_q||_2 = ||p* q||_2``; 0 when either subspace is zero."""
-    if p.k == 0 or q.k == 0:
-        return 0.0
-    return op_norm(p.basis.conj().T @ q.basis)
-
-
 def _analyze(a, tol: TolerancePolicy) -> _Analysis:
     """Classify ``A`` from three full SVDs: of ``A``, ``A*`` and ``A+``.
 
@@ -164,8 +161,9 @@ def _analyze(a, tol: TolerancePolicy) -> _Analysis:
     ada = a_dag @ arr
     # ep5's (I - P_N(A)) - P_R(A) is minus ep7's P_R(A) + P_N(A) - I.  The
     # complement of N(A) and R(A) each have dimension r, so its norm is the
-    # sine of their largest principal angle, ||P_N(A) P_R(A)||.
-    complement = _orthogonality(nul_a, rng_a)
+    # sine of their largest principal angle; N(A) is the complement of the
+    # first, so that sine is ||N(A)* R(A)||.
+    complement = _cross_norm(nul_a.basis, rng_a.basis)
 
     sub = tol.subspace_tol
     checks = []
@@ -182,8 +180,9 @@ def _analyze(a, tol: TolerancePolicy) -> _Analysis:
     residual_check("ep7", complement, sub)
 
     residual_check("hypo1", subspace_included(nul_a, nul_star, tol).residual, sub)
-    residual_check("hypo2", op_norm(ada @ arr @ a_dag - aad), sub)
-    residual_check("chain2", op_norm(arr @ a_dag @ a_dag @ arr - aad), sub)
+    # A+ A A A+ = (A+ A)(A A+) and A A+ A+ A = (A A+)(A+ A).
+    residual_check("hypo2", op_norm(ada @ aad - aad), sub)
+    residual_check("chain2", op_norm(aad @ ada - aad), sub)
 
     lam_min = min_eigenvalue(ada - aad)
     checks.append(ConditionCheck("chain3", max(0.0, -lam_min), lam_min >= -tol.psd_tol))

@@ -1,12 +1,13 @@
 """Dense complex linear-algebra substrate: SVD, numerical rank, subspaces.
 
 Matrices are plain numpy arrays (dtype complex128, shape (m, n)); real input
-embeds.  Subspaces are carried as orthonormal bases and compared through
-the 2-norm distance of their orthogonal projectors, evaluated from the
-bases as the sine of the largest principal angle, so set-level statements
-such as range equality or null-space inclusion reduce to residuals tested
-against a :class:`TolerancePolicy`.  Every function here is pure: no hidden
-state, no mutation of inputs, safe for concurrent use.
+embeds.  Subspaces are carried as orthonormal bases together with a basis
+of their orthogonal complement, and compared through the 2-norm distance
+of their orthogonal projectors, evaluated as the norm of one complement-side
+cross product (the sine of the largest principal angle), so set-level
+statements such as range equality or null-space inclusion reduce to
+residuals tested against a :class:`TolerancePolicy`.  Every function here
+is pure: no hidden state, no mutation of inputs, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -47,6 +48,23 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
     return out
+
+
+def _trusted(cls, **fields):
+    """Instance of a frozen dataclass built without its ``__post_init__``
+    checks, for values this module computed itself; objects built by
+    callers are checked on construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_orthonormal(x: np.ndarray, what: str) -> None:
+    """ValueError unless ``||x* x - I||_F <= ORTHONORMAL_TOL``; runs no decomposition."""
+    k = x.shape[1]
+    if k and np.linalg.norm(x.conj().T @ x - np.eye(k)) > ORTHONORMAL_TOL:
+        raise ValueError(f"{what} columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -91,7 +109,8 @@ class SvdFactors:
     """Full decomposition ``a = u @ diag(sigma) @ v.conj().T``.
 
     ``u`` is m-by-m unitary, ``v`` is n-by-n unitary and ``sigma`` holds the
-    min(m, n) singular values sorted non-increasing.
+    min(m, n) singular values sorted non-increasing.  Factors built by a
+    caller are checked for all of this; those from :func:`svd` are not.
     """
 
     u: np.ndarray
@@ -107,6 +126,8 @@ class SvdFactors:
         s = np.asarray(self.sigma)
         if len(s) and (np.any(s < 0) or np.any(s[:-1] < s[1:]) or not np.all(np.isfinite(s))):
             raise ValueError("sigma must be non-negative, finite and non-increasing")
+        _check_orthonormal(self.u, "u")
+        _check_orthonormal(self.v, "v")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -120,7 +141,7 @@ def svd(a) -> SvdFactors:
         u, s, vh = np.linalg.svd(arr, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    return SvdFactors(u=_readonly(u), sigma=_readonly(s), v=_readonly(vh.conj().T))
+    return _trusted(SvdFactors, u=_readonly(u), sigma=_readonly(s), v=_readonly(vh.conj().T))
 
 
 def numerical_rank(factors: SvdFactors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -136,7 +157,9 @@ class SubspaceBasis:
     """Orthonormal basis of a subspace of C^ambient_dim.
 
     ``basis`` is ambient_dim-by-k with orthonormal columns; k = 0 encodes the
-    zero subspace via an empty basis (never a null value).
+    zero subspace via an empty basis (never a null value).  A basis built
+    by a caller is checked on construction; those from :func:`factor_bases`
+    are not.
     """
 
     ambient_dim: int
@@ -145,17 +168,27 @@ class SubspaceBasis:
     def __post_init__(self):
         if self.basis.shape[0] != self.ambient_dim:
             raise ValueError("basis rows must equal ambient_dim")
-        k = self.basis.shape[1]
-        if k > self.ambient_dim:
+        if self.basis.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension exceeds ambient dimension")
-        if k:
-            gram = self.basis.conj().T @ self.basis
-            if np.linalg.norm(gram - np.eye(k)) > ORTHONORMAL_TOL:
-                raise ValueError("basis columns are not orthonormal")
+        _check_orthonormal(self.basis, "basis")
 
     @property
     def k(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def complement(self) -> np.ndarray:
+        """Orthonormal basis of the orthogonal complement, ambient_dim-by-(ambient_dim - k).
+
+        A basis from :func:`factor_bases` carries the other singular vectors
+        of its decomposition; any other gets it from one complete QR of
+        ``basis`` on first use.
+        """
+        comp = self.__dict__.get("_complement")
+        if comp is None:
+            comp = _readonly(np.linalg.qr(self.basis, mode="complete")[0][:, self.k:])
+            object.__setattr__(self, "_complement", comp)
+        return comp
 
 
 class SubspaceComparison(NamedTuple):
@@ -168,12 +201,18 @@ def factor_bases(factors: SvdFactors,
     """Range and null-space bases of the decomposed matrix at one rank decision.
 
     The range basis is the leading left singular vectors, the null basis
-    the trailing right singular vectors.
+    the trailing right singular vectors; each carries the remaining
+    vectors of the same factor as its complement.
     """
     m, n = factors.shape
     r = numerical_rank(factors, tol)
-    return (SubspaceBasis(m, _readonly(factors.u[:, :r])),
-            SubspaceBasis(n, _readonly(factors.v[:, r:])))
+    u, v = factors.u, factors.v
+    return _split(m, u[:, :r], u[:, r:]), _split(n, v[:, r:], v[:, :r])
+
+
+def _split(ambient_dim: int, basis: np.ndarray, complement: np.ndarray) -> SubspaceBasis:
+    return _trusted(SubspaceBasis, ambient_dim=ambient_dim, basis=_readonly(basis),
+                    _complement=_readonly(complement))
 
 
 def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
@@ -197,10 +236,16 @@ def _check_ambient(p: SubspaceBasis, q: SubspaceBasis) -> None:
             f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}")
 
 
-def _uncovered(x: np.ndarray, q: SubspaceBasis) -> float:
-    """``||(I - P_q) x||_2 = ||x - q (q* x)||_2``, 0 for no columns; for an
-    orthonormal ``x`` the sine of the largest principal angle to span(q)."""
-    return op_norm(x - q.basis @ (q.basis.conj().T @ x)) if x.shape[1] else 0.0
+def _cross_norm(x: np.ndarray, y: np.ndarray) -> float:
+    """``||x* y||_2``, 0 when the product is empty.
+
+    For ``x`` an orthonormal basis of the complement of a subspace U,
+    ``x x* = I - P_U``, so this is ``||(I - P_U) y||_2``; for an orthonormal
+    ``y`` spanning V with dim V = dim U it is the sine of the largest
+    principal angle, ``||P_U - P_V||_2`` (Björck & Golub 1973).
+    """
+    product = x.conj().T @ y
+    return op_norm(product) if product.size else 0.0
 
 
 def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
@@ -208,19 +253,19 @@ def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
     """Projector-distance equality test: ``||P_p - P_q||_2 <= subspace_tol``.
 
     The distance is exactly 1 when the dimensions differ.  For equal
-    dimensions it is the sine of the largest principal angle,
-    ``||q - p (p* q)||_2``, an n-by-k product instead of an n-by-n norm.
+    dimensions k it is the sine of the largest principal angle,
+    ``||p_perp* q||_2``, an (n-k)-by-k product instead of an n-by-n norm.
     """
     _check_ambient(p, q)
-    residual = 1.0 if p.k != q.k else _uncovered(q.basis, p)
+    residual = 1.0 if p.k != q.k else _cross_norm(p.complement, q.basis)
     return SubspaceComparison(residual <= tol.subspace_tol, residual)
 
 
 def subspace_included(p: SubspaceBasis, q: SubspaceBasis,
                       tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
-    """Inclusion test p <= q via ``||(I - P_q) P_p||_2 = ||p - q (q* p)||_2``."""
+    """Inclusion test p <= q via ``||(I - P_q) P_p||_2 = ||q_perp* p||_2``."""
     _check_ambient(p, q)
-    residual = _uncovered(p.basis, q)
+    residual = _cross_norm(q.complement, p.basis)
     return SubspaceComparison(residual <= tol.subspace_tol, residual)
 
 

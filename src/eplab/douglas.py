@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (DEFAULT_TOL, SubspaceComparison, SvdFactors, TolerancePolicy,
-                   _uncovered, adjoint, as_matrix, factor_bases, min_eigenvalue,
+                   _cross_norm, adjoint, as_matrix, factor_bases, min_eigenvalue,
                    numerical_rank, op_norm, range_basis, subspace_equal, svd)
 from .errors import DimensionMismatch, MajorizationFails, RangeNotIncluded
 from .pinv import pinv_from_factors
@@ -51,17 +51,21 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     return arr_a, arr_b
 
 
-def _inclusion(arr_a: np.ndarray, factors_b: SvdFactors,
+def _inclusion(arr_a: np.ndarray, norm_a: float, factors_b: SvdFactors,
                tol: TolerancePolicy) -> SubspaceComparison:
-    """``||A - Q (Q* A)|| <= tol * max(1, ||A||)`` for ``Q`` the range basis of B's SVD."""
-    residual = _uncovered(arr_a, factor_bases(factors_b, tol)[0])
-    return SubspaceComparison(residual <= tol.subspace_tol * max(1.0, op_norm(arr_a)), residual)
+    """``||U_perp* A|| <= tol * max(1, ||A||)``, ``norm_a`` being ``||A||``.
+
+    ``U_perp``, the left singular vectors of B's SVD past the rank, spans
+    ``R(B)``'s complement, so the residual is ``||(I - P_R(B)) A||``.
+    """
+    residual = _cross_norm(factor_bases(factors_b, tol)[0].complement, arr_a)
+    return SubspaceComparison(residual <= tol.subspace_tol * max(1.0, norm_a), residual)
 
 
 def range_inclusion_check(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
     """Test ``R(A) <= R(B)`` via ``||(I - P_R(B)) A|| <= tol * max(1, ||A||)``."""
     arr_a, arr_b = _operands(a, b)
-    return _inclusion(arr_a, svd(arr_b), tol)
+    return _inclusion(arr_a, op_norm(arr_a), svd(arr_b), tol)
 
 
 def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
@@ -94,10 +98,10 @@ def _factor(arr_a: np.ndarray, arr_b: np.ndarray, factors_b: SvdFactors,
         contraction_ok=_contracts(c, tol) if majorized else None)
 
 
-def _factorize(arr_a: np.ndarray, arr_b: np.ndarray, factors_b: SvdFactors,
-               tol: TolerancePolicy, seed: int) -> DouglasReport:
-    """:func:`douglas_factorize` for checked operands and the SVD of ``B``."""
-    inclusion = _inclusion(arr_a, factors_b, tol)
+def _factorize(arr_a: np.ndarray, norm_a: float, arr_b: np.ndarray,
+               factors_b: SvdFactors, tol: TolerancePolicy, seed: int) -> DouglasReport:
+    """:func:`douglas_factorize` for checked operands, ``||A||`` and the SVD of ``B``."""
+    inclusion = _inclusion(arr_a, norm_a, factors_b, tol)
     if not inclusion.ok:
         raise RangeNotIncluded(
             f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
@@ -112,7 +116,7 @@ def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     the sampled growth bound so reports are reproducible.
     """
     arr_a, arr_b = _operands(a, b)
-    return _factorize(arr_a, arr_b, svd(arr_b), tol, seed)
+    return _factorize(arr_a, op_norm(arr_a), arr_b, svd(arr_b), tol, seed)
 
 
 def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -127,7 +131,8 @@ def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     if lam_min < -tol.psd_tol:
         raise MajorizationFails(f"B B* - A A* has negative eigenvalue {lam_min:.3e}")
     factors_b = svd(arr_b)
-    return _factor(arr_a, arr_b, factors_b, _inclusion(arr_a, factors_b, tol), True, tol, seed)
+    inclusion = _inclusion(arr_a, op_norm(arr_a), factors_b, tol)
+    return _factor(arr_a, arr_b, factors_b, inclusion, True, tol, seed)
 
 
 def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -142,7 +147,7 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     """
     arr_a, arr_b = _operands(a, b)
     factors_b = svd(arr_b)
-    inclusion = _inclusion(arr_a, factors_b, tol)
+    inclusion = _inclusion(arr_a, op_norm(arr_a), factors_b, tol)
     majorized = _majorization_gap(arr_a, arr_b) >= -tol.psd_tol
     if inclusion.ok:
         return _factor(arr_a, arr_b, factors_b, inclusion, majorized, tol, seed)

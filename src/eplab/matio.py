@@ -13,8 +13,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .core import as_matrix
 from .errors import ParseError
@@ -49,15 +47,23 @@ def matrix_to_json_dict(a) -> dict:
     }
 
 
+def _dimension(data: dict, key: str) -> int:
+    """``data[key]`` if it is a positive integer; ParseError otherwise."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParseError(f"dense JSON matrix {key} must be a positive integer, got {value!r}")
+    return value
+
+
 def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict):
         raise ParseError("dense JSON matrix must be an object")
     try:
-        rows, cols = int(data["rows"]), int(data["cols"])
+        rows, cols = _dimension(data, "rows"), _dimension(data, "cols")
         re = np.asarray(data["re"], dtype=np.float64)
+        im = np.asarray(data["im"], dtype=np.float64) if "im" in data else np.zeros_like(re)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed dense JSON matrix: {exc}") from exc
-    im = np.asarray(data.get("im", np.zeros(rows * cols)), dtype=np.float64)
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ParseError(
             f"entry arrays must hold rows*cols={rows * cols} values, "
@@ -73,6 +79,10 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
     """Load a dense complex matrix from a Matrix Market or JSON file."""
     fmt = fmt or sniff_format(path)
     if fmt == FORMAT_MATRIXMARKET:
+        # Imported here: scipy.io is most of the package's start-up time and
+        # only Matrix Market files need it.
+        import scipy.io
+        import scipy.sparse
         try:
             loaded = scipy.io.mmread(str(path))
         except (ValueError, TypeError) as exc:
@@ -95,6 +105,7 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
     arr = as_matrix(a)
     fmt = fmt or sniff_format(path)
     if fmt == FORMAT_MATRIXMARKET:
+        import scipy.io
         scipy.io.mmwrite(str(path), arr, precision=17)
     elif fmt == FORMAT_JSON:
         with open(path, "w", encoding="utf-8") as handle:

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import gamma
-from .core import numerical_rank, svd
+from .classify import _gamma_and_rank
+from .core import DEFAULT_TOL
 from .errors import BadSpec
 
 
@@ -310,8 +310,7 @@ def gamma_sweep(family: Family, sizes: list[int]) -> list[SweepPoint]:
     points = []
     for n in sizes:
         matrix, _ = generate(OperatorSpec(family=family, n=int(n)))
-        factors = svd(matrix)
-        points.append(SweepPoint(int(n), gamma(matrix), numerical_rank(factors)))
+        points.append(SweepPoint(int(n), *_gamma_and_rank(matrix, DEFAULT_TOL)))
     return points
 
 

@@ -219,3 +219,17 @@ def test_douglas_overflowed_gram_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, "douglas", str(a_path), str(b_path))
     assert code == 2 and not out
     assert "NonFinite" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"rows": -1, "cols": -1, "re": [1]}',
+    '{"rows": 0, "cols": 0, "re": []}',
+    '{"rows": 1e400, "cols": 1, "re": [1]}',
+    '{"rows": 1, "cols": 1, "re": [1], "im": ["x"]}',
+], ids=["negative", "empty", "overflow", "bad_im"])
+def test_classify_malformed_json_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 2 and not out
+    assert "ParseError" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint,
+from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint, classify,
                    min_eigenvalue, null_basis, numerical_rank, op_norm,
                    projector, range_basis, subspace_equal, subspace_included,
                    svd, svdvals)
@@ -269,3 +269,74 @@ def test_factor_bases_match_range_and_null_basis():
         rng_a, nul_a = factor_bases(svd(a))
         np.testing.assert_array_equal(rng_a.basis, range_basis(a).basis)
         np.testing.assert_array_equal(nul_a.basis, null_basis(a).basis)
+
+
+# -- complement-side residuals ------------------------------------------------
+
+def _haar_subspace(n, k, rng):
+    """A Haar subspace of dimension k, as a caller-built and as a factor_bases basis."""
+    frame = haar_frame(n, k, rng)
+    return SubspaceBasis(n, frame), factor_bases(svd(frame @ random_complex(rng, k, n)))[0]
+
+
+def test_complement_residuals_match_projector_forms():
+    n = 6
+    rng = np.random.default_rng(43)
+    for kp in range(n + 1):
+        for kq in range(n + 1):
+            p_user, p_svd = _haar_subspace(n, kp, rng)
+            q_user, q_svd = _haar_subspace(n, kq, rng)
+            distance = _projector_distance(p_user, q_user)
+            inclusion = np.linalg.norm((np.eye(n) - projector(q_user)) @ projector(p_user), 2)
+            for p, q in [(p_user, q_user), (p_svd, q_svd), (p_user, q_svd), (p_svd, q_user)]:
+                res = subspace_equal(p, q).residual
+                if kp != kq:
+                    assert res == 1.0
+                else:
+                    assert abs(res - distance) <= 1e-14
+                assert abs(subspace_included(p, q).residual - inclusion) <= 1e-14
+
+
+def test_zero_and_whole_space_residuals_are_zero():
+    n = 5
+    zero = SubspaceBasis(n, np.zeros((n, 0), dtype=complex))
+    whole = SubspaceBasis(n, haar_frame(n, n, np.random.default_rng(47)))
+    line = SubspaceBasis(n, np.eye(n, 1, dtype=complex))
+    for p, q in [(zero, zero), (whole, whole), (whole, SubspaceBasis(n, np.eye(n)))]:
+        assert subspace_equal(p, q) == (True, 0.0)
+    for p, q in [(zero, line), (zero, whole), (line, whole), (whole, whole)]:
+        assert subspace_included(p, q) == (True, 0.0)
+
+
+def test_complement_is_orthonormal_and_orthogonal():
+    rng = np.random.default_rng(53)
+    a = random_complex(rng, 7, 3) @ random_complex(rng, 3, 5)
+    rng_a, nul_a = factor_bases(svd(a))
+    for s in (rng_a, nul_a, SubspaceBasis(7, rng_a.basis.copy())):
+        comp = s.complement
+        assert comp.shape == (s.ambient_dim, s.ambient_dim - s.k)
+        assert np.linalg.norm(comp.conj().T @ comp - np.eye(comp.shape[1]), 2) <= 1e-14
+        assert np.linalg.norm(comp.conj().T @ s.basis, 2) <= 1e-14
+
+
+def test_factor_bases_and_svd_skip_construction_checks(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("construction check ran on an internal object")
+
+    monkeypatch.setattr("eplab.core._check_orthonormal", unexpected)
+    a = random_complex(np.random.default_rng(59), 6, 4) @ random_complex(
+        np.random.default_rng(61), 4, 6)
+    rng_a, nul_a = factor_bases(svd(a))
+    assert (rng_a.k, nul_a.k) == (4, 2)
+    assert classify(a).rank == 4
+    with pytest.raises(AssertionError):
+        SubspaceBasis(6, rng_a.basis)  # a caller-built basis is still checked
+
+
+def test_svd_factors_rejects_non_unitary_factor():
+    with pytest.raises(ValueError):
+        SvdFactors(u=2.0 * np.eye(2, dtype=complex), sigma=np.array([1.0, 0.5]),
+                   v=np.eye(2, dtype=complex))
+    with pytest.raises(ValueError):
+        SvdFactors(u=np.eye(2, dtype=complex), sigma=np.array([1.0, 0.5]),
+                   v=np.ones((2, 2), dtype=complex))

@@ -118,3 +118,12 @@ def test_subspace_basis_check_runs_no_decomposition(counts):
     basis = np.linalg.qr(np.random.default_rng(1).standard_normal((N, 5)))[0]
     SubspaceBasis(N, basis.astype(complex))
     assert not counts
+
+
+def test_classify_subspace_products_avoid_n(operands, counts):
+    # Rank 12 of 16: every subspace residual is a 4 x 12 or 12 x 4 product.
+    a, _ = operands
+    classify(a)
+    other = [key[1] for key in counts
+             if key[0] == "svdvals" and key[1] != (N, N) and N in key[1]]
+    assert not other

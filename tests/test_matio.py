@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eplab
 from eplab.errors import ParseError
 from eplab.matio import (bytes_digest, file_digest, matrix_from_json_dict,
                          matrix_to_json_dict, read_matrix, sniff_format,
@@ -101,3 +106,13 @@ def test_json_keeps_signed_zeros(tmp_path):
     np.testing.assert_array_equal(np.signbit(b.real), [[True, False]])
     np.testing.assert_array_equal(np.signbit(b.imag), [[False, True]])
     assert json.dumps(matrix_to_json_dict(b)) == json.dumps(data)
+
+
+def test_import_leaves_scipy_io_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(eplab.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    probe = "import sys, eplab; print('scipy.io' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
