@@ -6,7 +6,7 @@ never affect exit codes, only operational failures do, except for propsuite
 whose verdict is its exit code.
 
 Exit codes: 0 success, 1 propsuite found disagreements, 2 I/O, parse or
-precondition failure, 64 usage error.
+precondition failure, 64 usage error (argparse's own errors included).
 
 The environment variable EPLAB_TOL_SUBSPACE overrides the default subspace
 tolerance; an explicit ``--tol-subspace`` flag wins over it.
@@ -18,23 +18,40 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .classify import classify
 from .core import TolerancePolicy
 from .douglas import douglas_analysis
 from .errors import OperatorAnalysisError, ParseError
-from .matio import (FORMAT_MATRIXMARKET, bytes_digest, file_digest,
+from .matio import (FORMAT_MATRIXMARKET, _encode, bytes_digest, file_digest,
                     read_matrix, sniff_format, write_matrix)
 from .perturb import check_perturbation
 from .pinv import penrose_verify, pinv
 from .propsuite import run_property_suite
 from .reports import dump_document, make_document
-from .zoo import DETERMINISTIC_FAMILIES, Family, OperatorSpec, gamma_sweep, generate
+from .zoo import (DETERMINISTIC_FAMILIES, ExpectedTraits, Family, OperatorSpec,
+                  gamma_sweep, generate)
 
 
 class UsageError(Exception):
     """Bad command usage, distinct from analysis failures (exit 64)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would exit 2, the code of I/O failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value; numpy's generators take only non-negative seeds."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
@@ -152,7 +169,7 @@ def _cmd_zoo(args) -> int:
     canonical = json.dumps(spec.to_json_dict(), sort_keys=True).encode()
     payload = {
         "spec": spec.to_json_dict(),
-        "expected": traits.to_json_dict(),
+        "expected": _encode(ExpectedTraits, traits),
         "written": str(args.out),
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
@@ -188,7 +205,7 @@ def _cmd_propsuite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eplab",
         description="EP / hypo-EP operator analysis on dense complex matrices. "
                     "Matrix files are Matrix Market (.mtx/.mm) or dense JSON "
@@ -220,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_douglas.add_argument("a", help="matrix file for A")
     p_douglas.add_argument("b", help="matrix file for B")
     p_douglas.add_argument("--format", choices=["matrixmarket", "json"], default=None)
-    p_douglas.add_argument("--seed", type=int, default=0,
+    p_douglas.add_argument("--seed", type=_seed, default=0,
                            help="seed for the sampled growth bound (default 0)")
     p_douglas.add_argument("--out", default=None)
     _add_tolerance_flags(p_douglas)
@@ -253,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         "propsuite",
         help="run the consistency suites over seeded corpus matrices; "
              "exit 0 iff zero disagreements")
-    p_suite.add_argument("--seed", type=int, default=0)
+    p_suite.add_argument("--seed", type=_seed, default=0)
     p_suite.add_argument("--count", type=int, default=100,
                          help="number of corpus matrices (default 100)")
     p_suite.add_argument("--out", default=None)
@@ -263,10 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

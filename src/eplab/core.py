@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NonFinite
+from .errors import BadShape, ConvergenceFailure, DimensionMismatch, NonFinite
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -34,10 +34,10 @@ def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-D complex128 array, rejecting NaN/Inf entries."""
     arr = np.asarray(a)
     if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+        raise BadShape(f"expected a 2-D matrix, got ndim={arr.ndim}")
     m, n = arr.shape
     if m < 1 or n < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {arr.shape}")
+        raise BadShape(f"matrix dimensions must be positive, got {arr.shape}")
     arr = arr.astype(np.complex128, copy=False)
     if not np.all(np.isfinite(arr)):
         raise NonFinite("matrix contains NaN or Inf entries")

@@ -9,6 +9,10 @@ class NonFinite(OperatorAnalysisError):
     """A matrix contains NaN or Inf entries."""
 
 
+class BadShape(OperatorAnalysisError, ValueError):
+    """An input is not a 2-D matrix with at least one row and one column."""
+
+
 class ConvergenceFailure(OperatorAnalysisError):
     """An iterative decomposition (SVD, eigensolver) failed to converge."""
 

@@ -1,16 +1,32 @@
-"""Matrix file I/O: Matrix Market and a dense JSON format.
+"""Matrix file I/O (Matrix Market and a dense JSON format) and the JSON
+record codec.
 
 The JSON format stores complex entries as parallel row-major ``re``/``im``
 arrays: ``{"rows": m, "cols": n, "re": [...], "im": [...]}``.  Formats are
-sniffed from the extension (.mtx/.mm vs .json) and can be forced.
+sniffed from the extension (.mtx/.mm vs .json) and can be forced.  Either
+format may declare at most :data:`MAX_DIMENSION` rows and columns; a Matrix
+Market header is checked before its body is read.
+
+One codec serves every JSON record of the package: report documents, the
+tolerance policy and operator specs.  It walks the fields of a dataclass or
+NamedTuple in declaration order and converts each value by its type hint:
+``bool``, ``int``, ``float`` and ``str`` as themselves, a ``str`` enum by
+its value, ``np.ndarray`` through the dense JSON matrix format, ``tuple[X,
+...]`` as a list, ``X | None`` as X or null, and any other class as a
+nested record.  Decoding is strict: an ``int`` takes only a non-bool JSON
+integer, a ``float`` any JSON number, ``bool`` and ``str`` only their own
+JSON type, and a record only a JSON object; anything else is a ParseError.
+A missing key takes the field's default, or None for an optional field.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
+from functools import cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -19,6 +35,10 @@ from .errors import ParseError
 
 FORMAT_MATRIXMARKET = "matrixmarket"
 FORMAT_JSON = "json"
+
+# Largest row or column count of a matrix input or a zoo section.  A dense
+# complex 4096 x 4096 matrix takes 268 MB.
+MAX_DIMENSION = 4096
 
 _EXTENSIONS = {
     ".mtx": FORMAT_MATRIXMARKET,
@@ -48,10 +68,11 @@ def matrix_to_json_dict(a) -> dict:
 
 
 def _dimension(data: dict, key: str) -> int:
-    """``data[key]`` if it is a positive integer; ParseError otherwise."""
+    """``data[key]`` if it is an integer in [1, MAX_DIMENSION]; ParseError otherwise."""
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ParseError(f"dense JSON matrix {key} must be a positive integer, got {value!r}")
+    if type(value) is not int or not 1 <= value <= MAX_DIMENSION:
+        raise ParseError(f"dense JSON matrix {key} must be an integer in "
+                         f"[1, {MAX_DIMENSION}], got {value!r}")
     return value
 
 
@@ -84,6 +105,13 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         import scipy.io
         import scipy.sparse
         try:
+            rows, cols, entries = scipy.io.mminfo(str(path))[:3]
+            if not (1 <= rows <= MAX_DIMENSION and 1 <= cols <= MAX_DIMENSION
+                    and entries <= rows * cols):
+                raise ParseError(
+                    f"Matrix Market header of {path!r} declares {rows}x{cols} with "
+                    f"{entries} entries; rows and cols must lie in [1, {MAX_DIMENSION}] "
+                    "and entries cannot exceed rows*cols")
             loaded = scipy.io.mmread(str(path))
         except (ValueError, TypeError) as exc:
             raise ParseError(f"invalid Matrix Market file {path!r}: {exc}") from exc
@@ -126,3 +154,71 @@ def file_digest(paths: Iterable) -> str:
 
 def bytes_digest(data: bytes) -> str:
     return f"sha256:{hashlib.sha256(data).hexdigest()}"
+
+
+_SCALARS = (bool, int, float, str)
+_NONE = type(None)
+# Record keys that differ from the field name.
+_KEYS = {"condition_id": "id"}
+
+_hints = cache(get_type_hints)
+
+
+def _split_optional(hint) -> tuple[object, bool]:
+    """``(X, True)`` for the hint ``X | None``, else ``(hint, False)``."""
+    args = get_args(hint)
+    if _NONE in args:
+        return next(arg for arg in args if arg is not _NONE), True
+    return hint, False
+
+
+def _json(kind: type, data):
+    """``data`` if it has the JSON type ``kind`` (a JSON integer below 2^1023
+    also serves as a float, a bool never as a number); ParseError otherwise."""
+    if kind is float and type(data) is int and abs(data) < 2.0 ** 1023:
+        data = float(data)
+    if type(data) is not kind:
+        raise ParseError(f"expected {kind.__name__}, got {data!r:.40}")
+    return data
+
+
+def _encode(hint, value):
+    hint, optional = _split_optional(hint)
+    if optional and value is None:
+        return None
+    if get_origin(hint) is tuple:
+        return [_encode(get_args(hint)[0], item) for item in value]
+    if hint is np.ndarray:
+        return matrix_to_json_dict(value)
+    if hint in _SCALARS:
+        return hint(value)
+    if issubclass(hint, enum.Enum):
+        return value.value
+    return {_KEYS.get(name, name): _encode(field_hint, getattr(value, name))
+            for name, field_hint in _hints(hint).items()}
+
+
+def _decode(hint, data):
+    hint, optional = _split_optional(hint)
+    if optional and data is None:
+        return None
+    if get_origin(hint) is tuple:
+        return tuple(_decode(get_args(hint)[0], item) for item in _json(list, data))
+    if hint is np.ndarray:
+        return matrix_from_json_dict(data)
+    if hint in _SCALARS:
+        return _json(hint, data)
+    try:
+        if issubclass(hint, enum.Enum):
+            return hint(_json(str, data))
+        data = _json(dict, data)
+        kwargs = {}
+        for name, field_hint in _hints(hint).items():
+            key = _KEYS.get(name, name)
+            if key in data:
+                kwargs[name] = _decode(field_hint, data[key])
+            elif _split_optional(field_hint)[1]:
+                kwargs[name] = None
+        return hint(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{hint.__name__}: {exc}") from exc

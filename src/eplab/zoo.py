@@ -39,7 +39,8 @@ import numpy as np
 
 from .classify import _gamma_and_rank
 from .core import DEFAULT_TOL
-from .errors import BadSpec
+from .errors import BadSpec, ParseError
+from .matio import MAX_DIMENSION, _decode, _encode
 
 
 class Family(str, enum.Enum):
@@ -81,23 +82,11 @@ class ExpectedTraits:
 
     ep: Expectation
     hypo_ep: Expectation
-    note: str
+    note: str = ""
 
     def __post_init__(self):
         if Expectation.DIVERGES in (self.ep, self.hypo_ep) and not self.note:
             raise ValueError("a divergence marker requires a non-empty note")
-
-    def to_json_dict(self) -> dict:
-        return {"ep": self.ep.value, "hypo_ep": self.hypo_ep.value, "note": self.note}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExpectedTraits":
-        try:
-            return cls(ep=Expectation(data["ep"]),
-                       hypo_ep=Expectation(data["hypo_ep"]),
-                       note=str(data.get("note", "")))
-        except (KeyError, ValueError) as exc:
-            raise BadSpec(f"malformed expected-traits object: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -111,40 +100,23 @@ class OperatorSpec:
     expected: ExpectedTraits | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise BadSpec(f"section size must be positive, got {self.n}")
+        if not 1 <= self.n <= MAX_DIMENSION:
+            raise BadSpec(f"section size must lie in [1, {MAX_DIMENSION}], got {self.n}")
         if self.rank is not None and not 0 <= self.rank <= self.n:
             raise BadSpec(f"rank must lie in [0, n], got rank={self.rank} n={self.n}")
+        if self.seed is not None and self.seed < 0:
+            raise BadSpec(f"seed must be non-negative, got {self.seed}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "n": self.n,
-            "rank": self.rank,
-            "seed": self.seed,
-            "expected": self.expected.to_json_dict() if self.expected else None,
-        }
+        return _encode(type(self), self)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "OperatorSpec":
-        if not isinstance(data, dict):
-            raise BadSpec("operator spec must be a JSON object")
+    def from_json_dict(cls, data) -> "OperatorSpec":
+        """Decode a spec object; any malformed field raises BadSpec."""
         try:
-            family = Family(data["family"])
-        except KeyError as exc:
-            raise BadSpec("operator spec requires a 'family' field") from exc
-        except ValueError as exc:
-            raise BadSpec(f"unknown family {data.get('family')!r}") from exc
-        if "n" not in data:
-            raise BadSpec("operator spec requires an 'n' field")
-        expected = data.get("expected")
-        return cls(
-            family=family,
-            n=int(data["n"]),
-            rank=None if data.get("rank") is None else int(data["rank"]),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-            expected=ExpectedTraits.from_json_dict(expected) if expected else None,
-        )
+            return _decode(cls, data)
+        except ParseError as exc:
+            raise BadSpec(f"malformed operator spec: {exc}") from exc
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

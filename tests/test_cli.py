@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eplab import TolerancePolicy, douglas_analysis
+from eplab import cli
 from eplab.cli import main
 from eplab.matio import file_digest, read_matrix, write_matrix
 from eplab.reports import dump_document, make_document
@@ -233,3 +234,66 @@ def test_classify_malformed_json_exits_2(capsys, tmp_path, text):
     code, out, err = run(capsys, "classify", str(path))
     assert code == 2 and not out
     assert "ParseError" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nosuch"],
+    ["classify"],
+    ["classify", "a.mtx", "--tol-rank-rel", "1", "--tol-rank-abs", "1"],
+    ["propsuite", "--count", "abc"],
+    ["propsuite", "--seed", "-1"],
+    ["douglas", "a.json", "b.json", "--seed", "-1"],
+], ids=["no_command", "unknown_command", "no_input", "exclusive_flags", "bad_int",
+        "propsuite_negative_seed", "douglas_negative_seed"])
+def test_argparse_errors_exit_64(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and not out
+    assert "usage error" in err and "usage: eplab" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    assert "usage: eplab" in capsys.readouterr().out
+
+
+def test_parser_built_once(capsys, monkeypatch, diag120):
+    run(capsys, "classify", diag120)
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert run(capsys, "classify", diag120)[0] == 0
+
+
+# The first nine were coerced (3.7 -> 3, true -> 1) or escaped as a raw
+# exception before specs went through the strict record codec.
+@pytest.mark.parametrize("spec", [
+    '{"family":"DiagHarmonic","n":"abc"}',
+    '{"family":"DiagHarmonic","n":1e400}',
+    '{"family":"DiagHarmonic","n":[3]}',
+    '{"family":"RandomEP","n":4,"rank":"x"}',
+    '{"family":"DiagHarmonic","n":3,"expected":"Yes"}',
+    '{"family":"RandomEP","n":4,"rank":2,"seed":-1}',
+    '{"family":"DiagHarmonic","n":3.7}',
+    '{"family":"DiagHarmonic","n":true}',
+    '{"family":"RandomEP","n":4,"rank":2,"seed":1.5}',
+    '{"family":"DiagHarmonic","n":4097}',
+    '{"family":3,"n":3}',
+    '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes"}}',
+    '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes","hypo_ep":"Yes","note":5}}',
+    '{"family":"WeightedShift","n":3,"expected":{"ep":"No","hypo_ep":"DivergesFromPaper"}}',
+])
+def test_zoo_malformed_spec_exits_2(capsys, tmp_path, spec):
+    out_path = tmp_path / "z.json"
+    code, out, err = run(capsys, "zoo", spec, "--out", str(out_path))
+    assert code == 2 and not out and not out_path.exists()
+    assert "BadSpec" in err
+
+
+def test_zoo_expected_without_note_exits_0(capsys, tmp_path):
+    code, out, _ = run(capsys, "zoo", '{"family":"DiagHarmonic","n":3,'
+                       '"expected":{"ep":"Yes","hypo_ep":"Yes"}}',
+                       "--out", str(tmp_path / "z.json"))
+    assert code == 0
+    assert json.loads(out)["report"]["spec"]["expected"] == {
+        "ep": "Yes", "hypo_ep": "Yes", "note": ""}

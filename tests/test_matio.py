@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import eplab
-from eplab.errors import ParseError
-from eplab.matio import (bytes_digest, file_digest, matrix_from_json_dict,
-                         matrix_to_json_dict, read_matrix, sniff_format,
-                         write_matrix)
+from eplab.core import as_matrix
+from eplab.errors import BadShape, OperatorAnalysisError, ParseError
+from eplab.matio import (MAX_DIMENSION, bytes_digest, file_digest,
+                         matrix_from_json_dict, matrix_to_json_dict, read_matrix,
+                         sniff_format, write_matrix)
 
 from conftest import random_complex
 
@@ -116,3 +117,54 @@ def test_import_leaves_scipy_io_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(eplab.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    return env
+
+
+# scipy's reader dies with SIGFPE on these headers, so they run in a child
+# process: a missing check fails the test instead of killing the run.
+@pytest.mark.parametrize("size", ["0 0", "0 3"])
+def test_matrix_market_empty_array_header_exits_2(tmp_path, size):
+    path = tmp_path / "empty.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{size}\n")
+    run = subprocess.run([sys.executable, "-m", "eplab.cli", "classify", str(path)],
+                         env=_subprocess_env(), capture_output=True, text=True)
+    assert run.returncode == 2 and "ParseError" in run.stderr
+
+
+@pytest.mark.parametrize("size", ["0 0 0", f"{MAX_DIMENSION + 1} 1 0", "2 2 5"],
+                         ids=["empty", "over_cap", "entries_over_rows_cols"])
+def test_matrix_market_header_checked_before_read(tmp_path, size):
+    path = tmp_path / "header.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n"
+                    + "1 1 1.0\n" * 5)
+    with pytest.raises(ParseError, match="header"):
+        read_matrix(path)
+
+
+def test_matrix_market_at_cap_is_read(tmp_path):
+    path = tmp_path / "column.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{MAX_DIMENSION} 1 1\n"
+                    "2 1 4.0\n")
+    a = read_matrix(path)
+    assert a.shape == (MAX_DIMENSION, 1) and a[1, 0] == 4.0
+
+
+def test_json_dimension_cap():
+    column = {"rows": MAX_DIMENSION, "cols": 1, "re": [0.0] * MAX_DIMENSION}
+    assert matrix_from_json_dict(column).shape == (MAX_DIMENSION, 1)
+    column.update(rows=MAX_DIMENSION + 1, re=[0.0] * (MAX_DIMENSION + 1))
+    with pytest.raises(ParseError, match="rows"):
+        matrix_from_json_dict(column)
+
+
+def test_as_matrix_shape_error_is_typed():
+    assert issubclass(BadShape, ValueError) and issubclass(BadShape, OperatorAnalysisError)
+    for bad in (np.zeros(3), np.zeros((0, 3)), np.zeros((2, 0))):
+        with pytest.raises(BadShape):
+            as_matrix(bad)

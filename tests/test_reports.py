@@ -1,10 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 import eplab
 from eplab import (DouglasReport, TolerancePolicy, check_perturbation,
                    classify, douglas_factorize, penrose_verify, pinv)
+from eplab.errors import ParseError
 from eplab.reports import (decode_document, dump_document, make_document,
                            tolerance_from_dict, tolerance_to_dict)
 
@@ -89,3 +91,17 @@ def test_signed_zeros_round_trip_byte_exactly():
     assert text.count("-0.0") == 4
     kind, decoded, digest, tol = decode_document(json.loads(text))
     assert dump_document(make_document(kind, decoded, digest, tol)) == text
+
+
+def test_decoding_is_strict_about_json_types():
+    assert tolerance_from_dict({"subspace_tol": 1}).subspace_tol == 1.0
+    for bad in ({"subspace_tol": True}, {"subspace_tol": "1e-8"}, {"subspace_tol": 10**400},
+                {"subspace_tol": [1e-8]}, [1e-8]):
+        with pytest.raises(ParseError):
+            tolerance_from_dict(bad)
+    doc = json.loads(dump_document(make_document(
+        "classification", classify(np.eye(2)), "sha256:t", TolerancePolicy())))
+    for value in (2.0, True, "2"):
+        doc["report"]["rank"] = value
+        with pytest.raises(ParseError):
+            decode_document(doc)

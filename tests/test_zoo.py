@@ -3,6 +3,7 @@ import pytest
 
 from eplab import classify, gamma, numerical_rank, op_norm, projector, range_basis, svd
 from eplab.errors import BadSpec
+from eplab.matio import MAX_DIMENSION
 from eplab.zoo import (Expectation, ExpectedTraits, Family, OperatorSpec,
                        corpus_matrix, gamma_sweep, generate)
 
@@ -172,6 +173,12 @@ def test_spec_json_validation():
         OperatorSpec.from_json_dict({"family": "DiagHarmonic"})
     with pytest.raises(BadSpec):
         OperatorSpec.from_json_dict({"family": "DiagHarmonic", "n": 0})
+
+
+def test_spec_size_cap():
+    assert OperatorSpec(family=Family.DIAG_HARMONIC, n=MAX_DIMENSION).n == MAX_DIMENSION
+    with pytest.raises(BadSpec):
+        OperatorSpec(family=Family.DIAG_HARMONIC, n=MAX_DIMENSION + 1)
 
 
 def test_traits_divergence_requires_note():
