@@ -35,13 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SubspaceBasis, SvdFactors,
-                   TolerancePolicy, _cross_norm, adjoint, as_matrix, factor_bases,
-                   min_eigenvalue, numerical_rank, op_norm, subspace_equal,
-                   subspace_included, svd, svdvals)
+from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SvdFactors, TolerancePolicy,
+                   _cross_norm, _Operand, as_matrix, min_eigenvalue, op_norm,
+                   subspace_equal, subspace_included, svdvals)
 from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
-from .pinv import pinv_from_factors
 
 # Fixed seed for the sampled conditions so classification is a pure function.
 _SAMPLE_SEED = 20240711
@@ -99,7 +97,7 @@ def modulus(a) -> np.ndarray:
     this keeps ``N(|A|) = N(A)`` at the rank-threshold level instead of
     inflating tiny eigenvalues through the squared Gram matrix.
     """
-    return _modulus_from_factors(svd(a))
+    return _modulus_from_factors(_Operand(a).factors)
 
 
 def _modulus_from_factors(factors: SvdFactors) -> np.ndarray:
@@ -118,47 +116,24 @@ def _sampled_norm_violation(aad: np.ndarray, ada: np.ndarray, n: int) -> float:
     return float(np.max(lhs - rhs, initial=0.0))
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """One square matrix's SVD, what derives from it, and its classification."""
-
-    arr: np.ndarray
-    factors: SvdFactors
-    a_dag: np.ndarray
-    rng: SubspaceBasis
-    nul: SubspaceBasis
-    report: ClassificationReport
-
-    @property
-    def norm(self) -> float:
-        """``||A||_2``, the largest singular value."""
-        return float(self.factors.sigma[0])
-
-
-def _analyze(a, tol: TolerancePolicy) -> _Analysis:
-    """Classify ``A`` from three full SVDs: of ``A``, ``A*`` and ``A+``.
+def _classify(op: _Operand) -> ClassificationReport:
+    """Classify ``A`` from the SVDs of the operands of ``A``, ``A*`` and ``A+``.
 
     The rank, gamma, ``A+`` and the bases of ``R(A)`` and ``N(A)`` all come
-    from the SVD of ``A``.  ``A*`` and ``A+`` are decomposed separately
-    because their bases are what ep1, ep3, ep4 and ep6 compare against;
-    derived from ``A``'s factors those residuals would vanish by
-    construction.
+    from the SVD of ``A``; ep1, ep3, ep4 and ep6 compare them with the
+    bases of ``A*`` and ``A+`` from their own SVDs.
     """
-    arr = as_matrix(a)
+    arr, tol = op.arr, op.tol
     m, n = arr.shape
     if m != n:
         raise NotSquare(f"EP classification requires a square matrix, got {arr.shape}")
 
-    factors = svd(arr)
-    r = numerical_rank(factors, tol)
-    gam = float(factors.sigma[r - 1]) if r else 0.0
-    a_dag = pinv_from_factors(factors, tol)
-    rng_a, nul_a = factor_bases(factors, tol)
-    rng_star, nul_star = factor_bases(svd(adjoint(arr)), tol)
-    rng_dag, nul_dag = factor_bases(svd(a_dag), tol)
+    rng_a, nul_a = op.bases
+    rng_star, nul_star = op.adjoint.bases
+    rng_dag, nul_dag = op.dagger.bases
 
-    aad = arr @ a_dag
-    ada = a_dag @ arr
+    aad = arr @ op.pinv
+    ada = op.pinv @ arr
     # ep5's (I - P_N(A)) - P_R(A) is minus ep7's P_R(A) + P_N(A) - I.  The
     # complement of N(A) and R(A) each have dimension r, so its norm is the
     # sine of their largest principal angle; N(A) is the complement of the
@@ -193,10 +168,8 @@ def _analyze(a, tol: TolerancePolicy) -> _Analysis:
     is_ep = all(by_id[f"ep{i}"].passed for i in range(1, 8))
     is_hypo_ep = by_id["hypo1"].passed and by_id["hypo2"].passed
 
-    report = ClassificationReport(is_ep=is_ep, is_hypo_ep=is_hypo_ep, rank=r,
-                                  gamma=gam, conditions=tuple(checks))
-    return _Analysis(arr=arr, factors=factors, a_dag=a_dag, rng=rng_a, nul=nul_a,
-                     report=report)
+    return ClassificationReport(is_ep=is_ep, is_hypo_ep=is_hypo_ep, rank=op.rank,
+                                gamma=op.gamma, conditions=tuple(checks))
 
 
 def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
@@ -208,7 +181,7 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     conjunction of ep1..ep7, ``is_hypo_ep`` of hypo1/hypo2.  ``A``, ``A*``
     and ``A+`` are each decomposed once; ep5 and ep7 are one residual.
     """
-    return _analyze(a, tol).report
+    return _classify(_Operand(a, tol))
 
 
 def ep_closure_suite(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[str, bool]]:
@@ -217,22 +190,21 @@ def ep_closure_suite(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[str, b
     For EP input ``A`` this returns the EP verdicts of ``A*``, ``A A*``,
     ``A* A`` and ``|A|``; all four must come back EP.
     """
-    return _closure(_analyze(a, tol), tol)
-
-
-def _closure(source: _Analysis, tol: TolerancePolicy) -> list[tuple[str, bool]]:
-    """:func:`ep_closure_suite` for an analysed source; ``|A|`` comes from its SVD."""
-    if not source.report.is_ep:
+    op = _Operand(a, tol)
+    if not _classify(op).is_ep:
         raise SourceNotEP("closure suite requires an EP input")
-    arr = source.arr
-    star = adjoint(arr)
+    return _closure(op)
+
+
+def _closure(op: _Operand) -> list[tuple[str, bool]]:
+    """:func:`ep_closure_suite` for an EP operand; ``|A|`` comes from its SVD."""
     members = (
-        ("adjoint", star),
-        ("aa_star", arr @ star),
-        ("a_star_a", star @ arr),
-        ("modulus", _modulus_from_factors(source.factors)),
+        ("adjoint", op.adjoint),
+        ("aa_star", op.gram_right),
+        ("a_star_a", op.gram_left),
+        ("modulus", _Operand(_modulus_from_factors(op.factors), op.tol)),
     )
-    return [(name, classify(mat, tol).is_ep) for name, mat in members]
+    return [(name, _classify(member).is_ep) for name, member in members]
 
 
 @dataclass(frozen=True)
@@ -255,19 +227,17 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     of the space into range and null space, acting invertibly on each part.
     The residual check is authoritative; the formula is not trusted blindly.
     """
-    source = _analyze(a, tol)
-    if not source.report.is_ep:
+    source = _Operand(a, tol)
+    if not _classify(source).is_ep:
         raise SourceNotEP("factor construction requires an EP input")
 
-    arr, a_dag = source.arr, source.a_dag
+    arr, a_dag, star = source.arr, source.pinv, source.adjoint.arr
     n = arr.shape[1]
-    star = adjoint(arr)
     c = a_dag @ star + (np.eye(n, dtype=np.complex128) - a_dag @ arr)
     residual = op_norm(star - arr @ c)
-    bijective = numerical_rank(svd(c), tol) == n
+    bijective = _Operand(c, tol).rank == n
 
-    scale = max(1.0, source.norm)
-    if not bijective or residual > RESIDUAL_SLACK * scale:
+    if not bijective or residual > RESIDUAL_SLACK * source.scale:
         raise SolveFailure(
             "carrier-restricted solve is numerically singular "
             f"(residual={residual:.3e}, bijective={bijective}); gamma may be ~0")
@@ -282,10 +252,10 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     works; the bound is verified on a fixed batch of random unit vectors.
     Returns 0 when ``x`` is in the null space.
     """
-    source = _analyze(a, tol)
-    if not source.report.is_hypo_ep:
+    source = _Operand(a, tol)
+    if not _classify(source).is_hypo_ep:
         raise SourceNotHypoEP("majorization witness requires a hypo-EP input")
-    arr = source.arr
+    arr, star = source.arr, source.adjoint.arr
     n = arr.shape[1]
 
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
@@ -293,12 +263,11 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
         raise DimensionMismatch(
             f"vector length {vec.shape[0]} does not match matrix size {n}")
 
-    star = adjoint(arr)
     ax = arr @ vec
-    z = source.a_dag.conj().T @ ax  # pinv(A*) = pinv(A)*
+    z = source.pinv.conj().T @ ax  # pinv(A*) = pinv(A)*
     k = float(np.linalg.norm(z))
 
-    scale = max(1.0, source.norm) * max(1.0, float(np.linalg.norm(vec)))
+    scale = source.scale * max(1.0, float(np.linalg.norm(vec)))
     if np.linalg.norm(star @ z - ax) > max(tol.subspace_tol, RESIDUAL_SLACK) * scale:
         raise SolveFailure("A* z = A x is not solvable at tolerance; input may not be hypo-EP")
 

@@ -22,13 +22,13 @@ from functools import cache
 from pathlib import Path
 
 from .classify import classify
-from .core import TolerancePolicy
+from .core import TolerancePolicy, _Operand
 from .douglas import douglas_analysis
 from .errors import OperatorAnalysisError, ParseError
 from .matio import (FORMAT_MATRIXMARKET, _encode, bytes_digest, file_digest,
                     read_matrix, sniff_format, write_matrix)
 from .perturb import check_perturbation
-from .pinv import penrose_verify, pinv
+from .pinv import _penrose
 from .propsuite import run_property_suite
 from .reports import dump_document, make_document
 from .zoo import (DETERMINISTIC_FAMILIES, ExpectedTraits, Family, OperatorSpec,
@@ -112,10 +112,9 @@ def _cmd_classify(args) -> int:
 def _cmd_pinv(args) -> int:
     tol = _tolerance(args)
     fmt = args.format or sniff_format(args.input)
-    matrix = read_matrix(args.input, fmt)
-    a_dag = pinv(matrix, tol)
-    write_matrix(args.out, a_dag, fmt)
-    report = penrose_verify(matrix, a_dag, tol)
+    op = _Operand(read_matrix(args.input, fmt), tol)
+    write_matrix(args.out, op.pinv, fmt)
+    report = _penrose(op, op.dagger)
     doc = make_document("penrose", report, file_digest([args.input]), tol)
     sys.stdout.write(dump_document(doc))
     return 0

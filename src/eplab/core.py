@@ -8,11 +8,14 @@ cross product (the sine of the largest principal angle), so set-level
 statements such as range equality or null-space inclusion reduce to
 residuals tested against a :class:`TolerancePolicy`.  Every function here
 is pure: no hidden state, no mutation of inputs, safe for concurrent use.
+The private ``_Operand`` is the exception: it caches one matrix's SVD and
+what derives from it, so that each operand is decomposed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -201,8 +204,8 @@ def factor_bases(factors: SvdFactors,
     """Range and null-space bases of the decomposed matrix at one rank decision.
 
     The range basis is the leading left singular vectors, the null basis
-    the trailing right singular vectors; each carries the remaining
-    vectors of the same factor as its complement.
+    the trailing right singular vectors; each carries a view of the
+    remaining vectors of the same factor as its complement.
     """
     m, n = factors.shape
     r = numerical_rank(factors, tol)
@@ -212,7 +215,73 @@ def factor_bases(factors: SvdFactors,
 
 def _split(ambient_dim: int, basis: np.ndarray, complement: np.ndarray) -> SubspaceBasis:
     return _trusted(SubspaceBasis, ambient_dim=ambient_dim, basis=_readonly(basis),
-                    _complement=_readonly(complement))
+                    _complement=complement)
+
+
+class _Operand:
+    """A matrix and its tolerance policy; each thing derived from it is computed once.
+
+    The SVD and what it gives (rank, scale, gamma, ``A+``, bases) and the
+    operands of ``A*``, ``A+``, ``A* A`` and ``A A*`` are made on first use
+    and kept.  Each derived operand runs its own SVD, which ep1, ep3, ep4
+    and ep6 need: bases taken from ``A``'s factors would agree by
+    construction.  None refers back to its maker, so reference counting
+    frees an operand once dropped; the cycle collector does not count numpy
+    arrays, so cyclic garbage holding them would be freed late.
+    """
+
+    def __init__(self, a, tol: TolerancePolicy = DEFAULT_TOL):
+        self.arr = as_matrix(a)
+        self.tol = tol
+
+    @cached_property
+    def factors(self) -> SvdFactors:
+        return svd(self.arr)
+
+    @cached_property
+    def rank(self) -> int:
+        return numerical_rank(self.factors, self.tol)
+
+    @property
+    def scale(self) -> float:
+        """``max(1, ||A||_2)``, the scale of residual bounds on ``A``."""
+        return max(1.0, float(self.factors.sigma[0]))
+
+    @property
+    def gamma(self) -> float:
+        """Smallest singular value above the rank cut; 0 at rank 0."""
+        return float(self.factors.sigma[self.rank - 1]) if self.rank else 0.0
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """``V diag(1/sigma_kept) U*``, truncated at the rank cut."""
+        r, f = self.rank, self.factors
+        if r == 0:
+            return np.zeros(self.arr.shape[::-1], dtype=np.complex128)
+        return (f.v[:, :r] * (1.0 / f.sigma[:r])) @ f.u[:, :r].conj().T
+
+    @cached_property
+    def bases(self) -> tuple[SubspaceBasis, SubspaceBasis]:
+        """Bases of ``R(A)`` and ``N(A)``, as :func:`factor_bases` gives them."""
+        return factor_bases(self.factors, self.tol)
+
+    @cached_property
+    def adjoint(self) -> _Operand:
+        return _Operand(self.arr.conj().T, self.tol)
+
+    @cached_property
+    def dagger(self) -> _Operand:
+        return _Operand(self.pinv, self.tol)
+
+    @cached_property
+    def gram_left(self) -> _Operand:
+        """``A* A``."""
+        return _Operand(self.arr.conj().T @ self.arr, self.tol)
+
+    @cached_property
+    def gram_right(self) -> _Operand:
+        """``A A*``."""
+        return _Operand(self.arr @ self.arr.conj().T, self.tol)
 
 
 def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:

@@ -15,11 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SubspaceComparison, SvdFactors, TolerancePolicy,
-                   _cross_norm, adjoint, as_matrix, factor_bases, min_eigenvalue,
-                   numerical_rank, op_norm, range_basis, subspace_equal, svd)
+from .core import (DEFAULT_TOL, SubspaceComparison, TolerancePolicy, _cross_norm,
+                   _Operand, adjoint, as_matrix, min_eigenvalue, op_norm, subspace_equal)
 from .errors import DimensionMismatch, MajorizationFails, RangeNotIncluded
-from .pinv import pinv_from_factors
 
 # Random vectors behind the sampled growth bound ``bound_k``.
 _GROWTH_SAMPLES = 1000
@@ -43,29 +41,28 @@ class DouglasReport:
     contraction_ok: bool | None
 
 
-def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``A`` and ``B`` as matrices; DimensionMismatch unless their row counts agree."""
-    arr_a, arr_b = as_matrix(a), as_matrix(b)
-    if arr_a.shape[0] != arr_b.shape[0]:
-        raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {arr_b.shape[0]}")
-    return arr_a, arr_b
+def _operands(a, b, tol: TolerancePolicy) -> tuple[np.ndarray, _Operand]:
+    """``A`` as a matrix and B's operand; DimensionMismatch unless their row counts agree."""
+    arr_a, op_b = as_matrix(a), _Operand(b, tol)
+    if arr_a.shape[0] != op_b.arr.shape[0]:
+        raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {op_b.arr.shape[0]}")
+    return arr_a, op_b
 
 
-def _inclusion(arr_a: np.ndarray, norm_a: float, factors_b: SvdFactors,
-               tol: TolerancePolicy) -> SubspaceComparison:
+def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> SubspaceComparison:
     """``||U_perp* A|| <= tol * max(1, ||A||)``, ``norm_a`` being ``||A||``.
 
     ``U_perp``, the left singular vectors of B's SVD past the rank, spans
     ``R(B)``'s complement, so the residual is ``||(I - P_R(B)) A||``.
     """
-    residual = _cross_norm(factor_bases(factors_b, tol)[0].complement, arr_a)
-    return SubspaceComparison(residual <= tol.subspace_tol * max(1.0, norm_a), residual)
+    residual = _cross_norm(op_b.bases[0].complement, arr_a)
+    return SubspaceComparison(residual <= op_b.tol.subspace_tol * max(1.0, norm_a), residual)
 
 
 def range_inclusion_check(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
     """Test ``R(A) <= R(B)`` via ``||(I - P_R(B)) A|| <= tol * max(1, ||A||)``."""
-    arr_a, arr_b = _operands(a, b)
-    return _inclusion(arr_a, op_norm(arr_a), svd(arr_b), tol)
+    arr_a, op_b = _operands(a, b, tol)
+    return _inclusion(arr_a, op_norm(arr_a), op_b)
 
 
 def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
@@ -86,26 +83,24 @@ def _contracts(c: np.ndarray, tol: TolerancePolicy) -> bool:
     return op_norm(c) <= 1.0 + tol.subspace_tol
 
 
-def _factor(arr_a: np.ndarray, arr_b: np.ndarray, factors_b: SvdFactors,
-            inclusion: SubspaceComparison, majorized: bool, tol: TolerancePolicy,
-            seed: int) -> DouglasReport:
+def _factor(arr_a: np.ndarray, op_b: _Operand, inclusion: SubspaceComparison,
+            majorized: bool, seed: int) -> DouglasReport:
     """Report for the factor ``C = pinv(B) A``; ``contraction_ok`` only when majorized."""
-    c = pinv_from_factors(factors_b, tol) @ arr_a
+    c = op_b.pinv @ arr_a
     return DouglasReport(
         range_included=bool(inclusion.ok), residual_range=float(inclusion.residual),
-        factor_c=c, residual_bc_a=float(op_norm(arr_b @ c - arr_a)),
+        factor_c=c, residual_bc_a=float(op_norm(op_b.arr @ c - arr_a)),
         bound_k=_sampled_growth_bound(c, arr_a, seed),
-        contraction_ok=_contracts(c, tol) if majorized else None)
+        contraction_ok=_contracts(c, op_b.tol) if majorized else None)
 
 
-def _factorize(arr_a: np.ndarray, norm_a: float, arr_b: np.ndarray,
-               factors_b: SvdFactors, tol: TolerancePolicy, seed: int) -> DouglasReport:
-    """:func:`douglas_factorize` for checked operands, ``||A||`` and the SVD of ``B``."""
-    inclusion = _inclusion(arr_a, norm_a, factors_b, tol)
+def _factorize(arr_a: np.ndarray, norm_a: float, op_b: _Operand, seed: int) -> DouglasReport:
+    """:func:`douglas_factorize` for a checked ``A``, its norm ``||A||`` and B's operand."""
+    inclusion = _inclusion(arr_a, norm_a, op_b)
     if not inclusion.ok:
         raise RangeNotIncluded(
             f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
-    return _factor(arr_a, arr_b, factors_b, inclusion, False, tol, seed)
+    return _factor(arr_a, op_b, inclusion, False, seed)
 
 
 def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -115,8 +110,8 @@ def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     Raises RangeNotIncluded when the inclusion test fails.  ``seed`` feeds
     the sampled growth bound so reports are reproducible.
     """
-    arr_a, arr_b = _operands(a, b)
-    return _factorize(arr_a, op_norm(arr_a), arr_b, svd(arr_b), tol, seed)
+    arr_a, op_b = _operands(a, b, tol)
+    return _factorize(arr_a, op_norm(arr_a), op_b, seed)
 
 
 def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -126,13 +121,12 @@ def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     The PSD hypothesis is checked through the minimum eigenvalue of
     ``B B* - A A*`` with floor ``-psd_tol``; MajorizationFails otherwise.
     """
-    arr_a, arr_b = _operands(a, b)
-    lam_min = _majorization_gap(arr_a, arr_b)
+    arr_a, op_b = _operands(a, b, tol)
+    lam_min = _majorization_gap(arr_a, op_b.arr)
     if lam_min < -tol.psd_tol:
         raise MajorizationFails(f"B B* - A A* has negative eigenvalue {lam_min:.3e}")
-    factors_b = svd(arr_b)
-    inclusion = _inclusion(arr_a, op_norm(arr_a), factors_b, tol)
-    return _factor(arr_a, arr_b, factors_b, inclusion, True, tol, seed)
+    inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
+    return _factor(arr_a, op_b, inclusion, True, seed)
 
 
 def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -145,14 +139,12 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     or not the inclusion does, and None otherwise.  Neither failure raises.
     One SVD of ``B`` gives both the inclusion basis and ``pinv(B)``.
     """
-    arr_a, arr_b = _operands(a, b)
-    factors_b = svd(arr_b)
-    inclusion = _inclusion(arr_a, op_norm(arr_a), factors_b, tol)
-    majorized = _majorization_gap(arr_a, arr_b) >= -tol.psd_tol
+    arr_a, op_b = _operands(a, b, tol)
+    inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
+    majorized = _majorization_gap(arr_a, op_b.arr) >= -tol.psd_tol
     if inclusion.ok:
-        return _factor(arr_a, arr_b, factors_b, inclusion, majorized, tol, seed)
-    contraction_ok = (_contracts(pinv_from_factors(factors_b, tol) @ arr_a, tol)
-                      if majorized else None)
+        return _factor(arr_a, op_b, inclusion, majorized, seed)
+    contraction_ok = _contracts(op_b.pinv @ arr_a, tol) if majorized else None
     return DouglasReport(range_included=False, residual_range=float(inclusion.residual),
                          factor_c=None, residual_bc_a=None, bound_k=None,
                          contraction_ok=contraction_ok)
@@ -181,17 +173,10 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL,
     ``k = 1/gamma`` together with the factorization ``A = A A* S`` for
     ``S = pinv(A A*) A``.
     """
-    arr = as_matrix(a)
-    star = adjoint(arr)
-    gram_right = arr @ star      # A A*
-    gram_left = star @ arr       # A* A
-
-    factors = svd(arr)
-    gram_right_factors = svd(gram_right)
-    r = numerical_rank(factors, tol)
+    op = _Operand(a, tol)
+    arr, star, gram_right = op.arr, op.adjoint.arr, op.gram_right.arr
+    factors, r, gam, scale = op.factors, op.rank, op.gamma, op.scale
     threshold = tol.rank_threshold(factors.sigma, factors.shape)
-    gam = float(factors.sigma[r - 1]) if r else 0.0
-    scale = max(1.0, float(factors.sigma[0]) if len(factors.sigma) else 0.0)
     rng = np.random.default_rng(seed)
 
     items = [
@@ -201,11 +186,10 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL,
         PanelItem("gram_right_range_closed", True, 0.0, _TRIVIAL),
     ]
 
-    eq_right = subspace_equal(factor_bases(factors, tol)[0],
-                              factor_bases(gram_right_factors, tol)[0], tol)
+    eq_right = subspace_equal(op.bases[0], op.gram_right.bases[0], tol)
     items.append(PanelItem("range_matches_gram_right", eq_right.ok,
                            eq_right.residual, "R(A) = R(A A*)"))
-    eq_left = subspace_equal(range_basis(star, tol), range_basis(gram_left, tol), tol)
+    eq_left = subspace_equal(op.adjoint.bases[0], op.gram_left.bases[0], tol)
     items.append(PanelItem("adjoint_range_matches_gram_left", eq_left.ok,
                            eq_left.residual, "R(A*) = R(A* A)"))
 
@@ -236,7 +220,7 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL,
                            max(0.0, viol2_max),
                            f"sampled ||A* x|| <= k ||A A* x||, k=1/gamma={k_wit:.6e} (sampled witness)"))
 
-    s_factor = pinv_from_factors(gram_right_factors, tol) @ arr
+    s_factor = op.gram_right.pinv @ arr
     res_s = op_norm(gram_right @ s_factor - arr)
     items.append(PanelItem("factors_through_gram",
                            res_s <= tol.subspace_tol * scale, float(res_s),

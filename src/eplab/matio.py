@@ -16,7 +16,8 @@ its value, ``np.ndarray`` through the dense JSON matrix format, ``tuple[X,
 nested record.  Decoding is strict: an ``int`` takes only a non-bool JSON
 integer, a ``float`` any JSON number, ``bool`` and ``str`` only their own
 JSON type, and a record only a JSON object; anything else is a ParseError.
-A missing key takes the field's default, or None for an optional field.
+A missing key takes the field's default, or None for an optional field; a
+key the record does not declare is a ParseError, in specs and documents.
 """
 
 from __future__ import annotations
@@ -212,6 +213,9 @@ def _decode(hint, data):
         if issubclass(hint, enum.Enum):
             return hint(_json(str, data))
         data = _json(dict, data)
+        unknown = set(data) - {_KEYS.get(name, name) for name in _hints(hint)}
+        if unknown:
+            raise ParseError(f"{hint.__name__}: unknown keys {sorted(unknown)}")
         kwargs = {}
         for name, field_hint in _hints(hint).items():
             key = _KEYS.get(name, name)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, as_matrix,
+from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, _Operand, as_matrix,
                    op_norm, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
-from .classify import _analyze
+from .classify import _classify
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,15 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     same shape.  The compression hypotheses are full matrix identities here
     because finite sections have total domains.
     """
-    arr_a = as_matrix(a)
-    arr_b = as_matrix(b)
+    base, arr_b = _Operand(a, tol), as_matrix(b)
+    arr_a = base.arr
     if arr_a.shape != arr_b.shape:
         raise DimensionMismatch(f"shapes differ: {arr_a.shape} vs {arr_b.shape}")
-    base = _analyze(arr_a, tol)
-    if not base.report.is_ep:
+    if not _classify(base).is_ep:
         raise SourceNotEP("perturbation analysis requires an EP base matrix")
 
-    a_dag = base.a_dag
-    gamma_a = base.report.gamma
+    a_dag = base.pinv
+    gamma_a = base.gamma
     norm_b = op_norm(arr_b)
     hyp_norm_product = norm_b / gamma_a if gamma_a else 0.0  # ||A+|| = 1 / gamma
     hyp_b_adag_a = op_norm(arr_b @ (a_dag @ arr_a) - arr_b)
@@ -74,13 +73,13 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
                        and hyp_b_adag_a <= tol.subspace_tol * scale_b
                        and hyp_a_adag_b <= tol.subspace_tol * scale_b)
 
-    perturbed = _analyze(arr_a + arr_b, tol)
-    concl_ep = perturbed.report.is_ep
-    null_cmp = subspace_equal(perturbed.nul, base.nul, tol)
-    range_cmp = subspace_equal(perturbed.rng, base.rng, tol)
+    perturbed = _Operand(arr_a + arr_b, tol)
+    concl_ep = _classify(perturbed).is_ep
+    null_cmp = subspace_equal(perturbed.bases[1], base.bases[1], tol)
+    range_cmp = subspace_equal(perturbed.bases[0], base.bases[0], tol)
 
-    gamma_perturbed = perturbed.report.gamma
-    bound_slack = RESIDUAL_SLACK * max(1.0, base.norm)
+    gamma_perturbed = perturbed.gamma
+    bound_slack = RESIDUAL_SLACK * base.scale
     concl_gamma_bound = gamma_perturbed >= gamma_a - norm_b - bound_slack
 
     report = PerturbationReport(
@@ -114,14 +113,14 @@ def generate_admissible(a, scale: float, seed: int) -> np.ndarray:
     compression hypotheses then hold by construction.  Returns the zero
     matrix when the compression degenerates (rank-0 input or a zero draw).
     """
-    arr = as_matrix(a)
-    source = _analyze(arr, DEFAULT_TOL) if arr.shape[0] == arr.shape[1] else None
-    if source is None or not source.report.is_ep:
+    source = _Operand(a)
+    arr = source.arr
+    if arr.shape[0] != arr.shape[1] or not _classify(source).is_ep:
         raise SourceNotEP("admissible perturbations are generated for EP matrices only")
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must lie in (0, 1), got {scale}")
 
-    a_dag = source.a_dag
+    a_dag = source.pinv
     dag_norm = op_norm(a_dag)
     if dag_norm == 0.0:
         return np.zeros_like(arr)

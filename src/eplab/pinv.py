@@ -10,30 +10,19 @@ candidate pseudoinverse without trusting its construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SvdFactors, TolerancePolicy, adjoint, as_matrix,
-                   factor_bases, min_eigenvalue, null_basis, numerical_rank,
-                   op_norm, projector, range_basis, subspace_equal, svd)
+from .core import (DEFAULT_TOL, TolerancePolicy, _Operand, min_eigenvalue, op_norm,
+                   projector, subspace_equal)
 from .errors import DimensionMismatch
 
 
 def pinv(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse ``V diag(1/sigma_kept) U*`` with threshold truncation."""
-    return pinv_from_factors(svd(a), tol)
-
-
-def pinv_from_factors(factors: SvdFactors, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Pseudoinverse from precomputed factors (keeps rank decisions shared)."""
-    m, n = factors.shape
-    r = numerical_rank(factors, tol)
-    if r == 0:
-        return np.zeros((n, m), dtype=np.complex128)
-    inv = 1.0 / factors.sigma[:r]
-    return (factors.v[:, :r] * inv) @ factors.u[:, :r].conj().T
+    return _Operand(a, tol).pinv
 
 
 @dataclass(frozen=True)
@@ -53,14 +42,8 @@ class PenroseReport:
     passed: bool
 
     def residuals(self) -> dict[str, float]:
-        return {
-            "residual_a_dag_a_a_dag": self.residual_a_dag_a_a_dag,
-            "residual_a_a_dag_a": self.residual_a_a_dag_a,
-            "residual_sym_a_dag_a": self.residual_sym_a_dag_a,
-            "residual_sym_a_a_dag": self.residual_sym_a_a_dag,
-            "residual_proj_range": self.residual_proj_range,
-            "residual_proj_carrier": self.residual_proj_carrier,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name.startswith("residual_")}
 
 
 def penrose_verify(a, a_dag, tol: TolerancePolicy = DEFAULT_TOL) -> PenroseReport:
@@ -68,11 +51,16 @@ def penrose_verify(a, a_dag, tol: TolerancePolicy = DEFAULT_TOL) -> PenroseRepor
 
     The projector conditions compare ``a @ a_dag`` with the orthogonal
     projector onto the range of ``a`` and ``a_dag @ a`` with the projector
-    onto the range of ``a_dag`` (the carrier), each computed independently
-    of the candidate.
+    onto the range of ``a_dag`` (the carrier), each from an SVD of its own
+    operand, never from the candidate's construction.  ``eplab pinv``
+    checks the ``A+`` it built from A's SVD against a separate SVD of ``A+``.
     """
-    arr = as_matrix(a)
-    cand = as_matrix(a_dag)
+    return _penrose(_Operand(a, tol), _Operand(a_dag, tol))
+
+
+def _penrose(op: _Operand, a_dag: _Operand) -> PenroseReport:
+    """:func:`penrose_verify` for the operands of ``A`` and the candidate."""
+    arr, cand = op.arr, a_dag.arr
     m, n = arr.shape
     if cand.shape != (n, m):
         raise DimensionMismatch(
@@ -84,13 +72,11 @@ def penrose_verify(a, a_dag, tol: TolerancePolicy = DEFAULT_TOL) -> PenroseRepor
     r2 = op_norm(aad @ arr - arr)
     r3 = op_norm(ada - ada.conj().T)
     r4 = op_norm(aad - aad.conj().T)
-    factors = svd(arr)
-    r5 = op_norm(aad - projector(factor_bases(factors, tol)[0]))
-    r6 = op_norm(ada - projector(range_basis(cand, tol)))
+    r5 = op_norm(aad - projector(op.bases[0]))
+    r6 = op_norm(ada - projector(a_dag.bases[0]))
 
-    scale = max(1.0, float(factors.sigma[0]))
     residuals = (r1, r2, r3, r4, r5, r6)
-    passed = all(r <= tol.subspace_tol * scale for r in residuals)
+    passed = all(r <= op.tol.subspace_tol * op.scale for r in residuals)
     return PenroseReport(*residuals, passed=passed)
 
 
@@ -106,25 +92,26 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[IdentityRes
     factorizations ``(A*A)+ = A+ A*+`` and ``(AA*)+ = A*+ A+``, the
     null-space match ``N(A*+) = N(A)``, and positivity of both Gram
     matrices (reported as the magnitude of any negative eigenvalue).
-    Each side is computed by its own SVD; ``A+`` and ``N(A)`` share A's.
+    Six operands run one SVD each: ``A`` (for ``A+`` and ``N(A)``), ``A*``,
+    ``A+``, ``A*+`` (for ``N(A*+)``), ``A* A`` and ``A A*``; ``A*``'s and
+    ``A+``'s SVDs stay separate from ``A``'s.  The propsuite passes the
+    operand it classified, so only the last three SVDs are new there.
     """
-    arr = as_matrix(a)
-    star = adjoint(arr)
-    factors = svd(arr)
-    a_dag = pinv_from_factors(factors, tol)
-    star_dag = pinv(star, tol)
+    return _identities(_Operand(a, tol))
 
+
+def _identities(op: _Operand) -> list[IdentityResidual]:
+    """:func:`dagger_identities` for an operand, reusing what it holds."""
+    arr, a_dag, star_dag = op.arr, op.pinv, op.adjoint.pinv
     out = [
-        IdentityResidual("double_pinv", op_norm(pinv(a_dag, tol) - arr)),
+        IdentityResidual("double_pinv", op_norm(op.dagger.pinv - arr)),
         IdentityResidual("adjoint_pinv_swap", op_norm(star_dag - a_dag.conj().T)),
-        IdentityResidual("gram_left_pinv",
-                         op_norm(pinv(star @ arr, tol) - a_dag @ star_dag)),
-        IdentityResidual("gram_right_pinv",
-                         op_norm(pinv(arr @ star, tol) - star_dag @ a_dag)),
+        IdentityResidual("gram_left_pinv", op_norm(op.gram_left.pinv - a_dag @ star_dag)),
+        IdentityResidual("gram_right_pinv", op_norm(op.gram_right.pinv - star_dag @ a_dag)),
         IdentityResidual("null_space_match",
-                         subspace_equal(null_basis(star_dag, tol),
-                                        factor_bases(factors, tol)[1], tol).residual),
+                         subspace_equal(op.adjoint.dagger.bases[1], op.bases[1],
+                                        op.tol).residual),
     ]
-    for name, gram in (("gram_left_psd", star @ arr), ("gram_right_psd", arr @ star)):
-        out.append(IdentityResidual(name, max(0.0, -min_eigenvalue(gram))))
+    for name, gram in (("gram_left_psd", op.gram_left), ("gram_right_psd", op.gram_right)):
+        out.append(IdentityResidual(name, max(0.0, -min_eigenvalue(gram.arr))))
     return out

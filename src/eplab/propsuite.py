@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _analyze, _closure
-from .core import DEFAULT_TOL, TolerancePolicy, op_norm
+from .classify import _classify, _closure
+from .core import DEFAULT_TOL, TolerancePolicy, _Operand, op_norm
 from .douglas import _factorize
 from .errors import RangeNotIncluded
 from .matio import matrix_to_json_dict
-from .pinv import dagger_identities
+from .pinv import _identities
 from .zoo import corpus_matrix
 
 _CHECKS = ("seven_way", "collapse", "chain", "dagger", "closure", "douglas")
@@ -67,9 +67,8 @@ def run_property_suite(count: int, seed: int = 0,
         label, a = corpus_matrix(index, seed=seed)
         rng = np.random.default_rng([seed, index, 1])
 
-        analysis = _analyze(a, tol)
-        report = analysis.report
-        scale = max(1.0, analysis.norm)
+        op = _Operand(a, tol)
+        report = _classify(op)
         flags = [report.condition(f"ep{i}").passed for i in range(1, 8)]
         result.checks_run["seven_way"] += 1
         if len(set(flags)) > 1:
@@ -92,15 +91,15 @@ def run_property_suite(count: int, seed: int = 0,
                 break
 
         result.checks_run["dagger"] += 1
-        for name, residual in dagger_identities(a, tol):
-            if residual > tol.subspace_tol * scale:
+        for name, residual in _identities(op):
+            if residual > tol.subspace_tol * op.scale:
                 _record(result, index, label, "dagger",
                         f"identity {name} residual {residual:.3e} exceeds "
-                        f"{tol.subspace_tol * scale:.3e}", a)
+                        f"{tol.subspace_tol * op.scale:.3e}", a)
 
         if report.is_ep:
             result.checks_run["closure"] += 1
-            for name, is_ep in _closure(analysis, tol):
+            for name, is_ep in _closure(op):
                 if not is_ep:
                     _record(result, index, label, "closure",
                             f"closure member {name} did not classify EP", a)
@@ -112,8 +111,7 @@ def run_property_suite(count: int, seed: int = 0,
         product = a @ c
         norm_product = op_norm(product)
         try:
-            factorization = _factorize(product, norm_product, analysis.arr,
-                                       analysis.factors, tol, index)
+            factorization = _factorize(product, norm_product, op, index)
         except RangeNotIncluded as exc:
             _record(result, index, label, "douglas",
                     f"range_inclusion_check(A C, A) failed: {exc}", a)

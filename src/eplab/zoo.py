@@ -26,7 +26,6 @@ FourierDerivative Hermitian compression of i d/dt with periodic boundary,
 RandomClosedRange prescribed-rank matrix with singular values in [1/2, 2].
 RandomEP          V M V* with an orthonormal frame V and invertible M, so
                   range and adjoint range both equal span(V).
-Custom            placeholder for user-supplied matrices; not generatable.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class Family(str, enum.Enum):
     FOURIER_DERIVATIVE = "FourierDerivative"
     RANDOM_CLOSED_RANGE = "RandomClosedRange"
     RANDOM_EP = "RandomEP"
-    CUSTOM = "Custom"
 
 
 DETERMINISTIC_FAMILIES = (
@@ -248,21 +246,18 @@ def generate(spec: OperatorSpec) -> tuple[np.ndarray, ExpectedTraits]:
         return _fourier_derivative(n), ExpectedTraits(Expectation.YES, Expectation.YES,
                                                       _FOURIER_NOTE)
 
-    if family in RANDOM_FAMILIES:
-        if spec.rank is None:
-            raise BadSpec(f"{family.value} requires an explicit rank")
-        rng = np.random.default_rng(0 if spec.seed is None else spec.seed)
-        if family is Family.RANDOM_CLOSED_RANGE:
-            full = spec.rank in (0, n)
-            traits = ExpectedTraits(
-                Expectation.YES if full else Expectation.NO,
-                Expectation.YES if full else Expectation.NO,
-                _RANDOM_CR_NOTE)
-            return random_conditioned(n, spec.rank, rng), traits
-        traits = ExpectedTraits(Expectation.YES, Expectation.YES, _RANDOM_EP_NOTE)
-        return random_ep(n, spec.rank, rng), traits
-
-    raise BadSpec(f"family {family.value} has no generator")
+    if spec.rank is None:  # one of RANDOM_FAMILIES
+        raise BadSpec(f"{family.value} requires an explicit rank")
+    rng = np.random.default_rng(0 if spec.seed is None else spec.seed)
+    if family is Family.RANDOM_CLOSED_RANGE:
+        full = spec.rank in (0, n)
+        traits = ExpectedTraits(
+            Expectation.YES if full else Expectation.NO,
+            Expectation.YES if full else Expectation.NO,
+            _RANDOM_CR_NOTE)
+        return random_conditioned(n, spec.rank, rng), traits
+    traits = ExpectedTraits(Expectation.YES, Expectation.YES, _RANDOM_EP_NOTE)
+    return random_ep(n, spec.rank, rng), traits
 
 
 class SweepPoint(NamedTuple):

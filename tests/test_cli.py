@@ -282,6 +282,9 @@ def test_parser_built_once(capsys, monkeypatch, diag120):
     '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes"}}',
     '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes","hypo_ep":"Yes","note":5}}',
     '{"family":"WeightedShift","n":3,"expected":{"ep":"No","hypo_ep":"DivergesFromPaper"}}',
+    '{"family":"RandomEP","n":4,"rank":2,"sede":7}',
+    '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes","hypo_ep":"Yes","nte":"x"}}',
+    '{"family":"Custom","n":3}',
 ])
 def test_zoo_malformed_spec_exits_2(capsys, tmp_path, spec):
     out_path = tmp_path / "z.json"

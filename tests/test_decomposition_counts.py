@@ -6,6 +6,7 @@ rank 12 and an admissible perturbation of it.  Both the public
 internally are counted, so a hidden SVD inside a matrix norm counts too.
 """
 
+import gc
 import inspect
 from collections import Counter
 
@@ -16,7 +17,9 @@ from eplab import (SubspaceBasis, check_perturbation, classify, closed_range_pan
                    dagger_identities, douglas_analysis, douglas_factorize,
                    ep_closure_suite, generate_admissible, majorization_contraction,
                    range_inclusion_check)
+from eplab import cli, write_matrix
 from eplab import douglas as douglas_module
+from eplab.core import _Operand
 from eplab.propsuite import run_property_suite
 from eplab.zoo import random_ep
 
@@ -71,7 +74,7 @@ def test_check_perturbation_decompositions(operands, counts):
 def test_ep_closure_suite_decompositions(operands, counts):
     a, _ = operands
     assert all(is_ep for _, is_ep in ep_closure_suite(a))
-    assert counts["svd"] <= 15
+    assert counts["svd"] <= 14
 
 
 def test_closed_range_panel_decompositions(operands, counts):
@@ -97,7 +100,33 @@ def test_dagger_identities_decompositions(operands, counts):
 
 def test_property_suite_decompositions(counts):
     assert run_property_suite(10, seed=0).ok
-    assert counts["svd"] <= 174
+    assert counts["svd"] <= 116
+
+
+def test_cli_pinv_decomposes_a_and_its_pinv_once(operands, counts, tmp_path, capsys):
+    a, _ = operands
+    write_matrix(tmp_path / "a.json", a)
+    assert cli.main(["pinv", str(tmp_path / "a.json"), "--out", str(tmp_path / "p.json")]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert counts["svd"] == 2
+
+
+def test_operands_are_freed_without_the_cycle_collector(operands):
+    # An operand in a reference cycle keeps its arrays until the cycle
+    # collector runs, which numpy allocations do not trigger.
+    a, _ = operands
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        classify(a)
+        run_property_suite(10, seed=0)
+        dagger_identities(a)
+        gc.collect()
+        cyclic = [obj for obj in gc.garbage if isinstance(obj, _Operand)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not cyclic
 
 
 def test_douglas_analysis_skips_factor_when_not_included(monkeypatch):

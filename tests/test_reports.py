@@ -96,7 +96,7 @@ def test_signed_zeros_round_trip_byte_exactly():
 def test_decoding_is_strict_about_json_types():
     assert tolerance_from_dict({"subspace_tol": 1}).subspace_tol == 1.0
     for bad in ({"subspace_tol": True}, {"subspace_tol": "1e-8"}, {"subspace_tol": 10**400},
-                {"subspace_tol": [1e-8]}, [1e-8]):
+                {"subspace_tol": [1e-8]}, [1e-8], {"subspace_tol": 1e-8, "subspace": 1e-8}):
         with pytest.raises(ParseError):
             tolerance_from_dict(bad)
     doc = json.loads(dump_document(make_document(
@@ -105,3 +105,10 @@ def test_decoding_is_strict_about_json_types():
         doc["report"]["rank"] = value
         with pytest.raises(ParseError):
             decode_document(doc)
+    doc["report"]["rank"] = 2
+    decode_document(doc)
+    for record in (doc["report"], doc["report"]["conditions"][0]):
+        record["extra"] = 0
+        with pytest.raises(ParseError, match="unknown keys"):
+            decode_document(doc)
+        del record["extra"]

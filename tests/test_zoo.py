@@ -90,9 +90,9 @@ def test_random_closed_range_rank():
         assert traits.ep is expected
 
 
-def test_custom_family_not_generatable():
+def test_custom_family_spec_is_rejected():
     with pytest.raises(BadSpec):
-        make(Family.CUSTOM, 3)
+        OperatorSpec.from_json_dict({"family": "Custom", "n": 3})
 
 
 def test_generate_deterministic_in_seed():
