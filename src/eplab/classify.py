@@ -250,7 +250,7 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     For hypo-EP ``A`` the vector ``A x`` lies in the range of ``A*``, so the
     minimal-norm solution ``z`` of ``A* z = A x`` exists and ``k = ||z||``
     works; the bound is verified on a fixed batch of random unit vectors.
-    Returns 0 when ``x`` is in the null space.
+    Returns 0 when ``x`` is in the null space; NaN or Inf in ``x`` is NonFinite.
     """
     source = _Operand(a, tol)
     if not _classify(source).is_hypo_ep:
@@ -258,7 +258,7 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     arr, star = source.arr, source.adjoint.arr
     n = arr.shape[1]
 
-    vec = np.asarray(x, dtype=np.complex128).reshape(-1)
+    vec = as_matrix(np.reshape(x, (-1, 1))).ravel()
     if vec.shape[0] != n:
         raise DimensionMismatch(
             f"vector length {vec.shape[0]} does not match matrix size {n}")

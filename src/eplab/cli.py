@@ -7,6 +7,9 @@ whose verdict is its exit code.
 
 Exit codes: 0 success, 1 propsuite found disagreements, 2 I/O, parse or
 precondition failure, 64 usage error (argparse's own errors included).
+Any failure to decode a matrix file or a spec is a ParseError with exit 2:
+bad UTF-8, bad JSON syntax or nesting depth, or a number out of range.
+Flag values are checked by their argparse types and TolerancePolicy only.
 
 The environment variable EPLAB_TOL_SUBSPACE overrides the default subspace
 tolerance; an explicit ``--tol-subspace`` flag wins over it.
@@ -25,8 +28,8 @@ from .classify import classify
 from .core import TolerancePolicy, _Operand
 from .douglas import douglas_analysis
 from .errors import OperatorAnalysisError, ParseError
-from .matio import (FORMAT_MATRIXMARKET, _encode, bytes_digest, file_digest,
-                    read_matrix, sniff_format, write_matrix)
+from .matio import (_EXTENSIONS, FORMAT_JSON, FORMAT_MATRIXMARKET, _encode, _malformed,
+                    bytes_digest, file_digest, read_matrix, sniff_format, write_matrix)
 from .perturb import check_perturbation
 from .pinv import _penrose
 from .propsuite import run_property_suite
@@ -47,50 +50,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value; numpy's generators take only non-negative seeds."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
-    return int(text)
+def _at_least(least: int):
+    """argparse type of a decimal integer flag of at least ``least``; a seed
+    takes 0, since numpy's generators take only non-negative seeds."""
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit()) or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--tol-rank-rel", type=float, default=None,
-                       help="rank threshold factor relative to sigma_max "
-                            "(default: max(m,n)*eps)")
-    group.add_argument("--tol-rank-abs", type=float, default=None,
-                       help="absolute rank threshold on singular values")
-    parser.add_argument("--tol-subspace", type=float, default=None,
-                        help="projector-distance tolerance for subspace tests "
-                             "(default 1e-8; env EPLAB_TOL_SUBSPACE overrides)")
-    parser.add_argument("--tol-psd", type=float, default=None,
-                        help="floor for minimum-eigenvalue positivity checks "
-                             "(default 1e-9)")
+def _sizes(text: str) -> list[int]:
+    """A ``--sizes`` value: a non-empty comma-separated list of integers."""
+    try:
+        sizes = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list: {exc}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError("expected at least one section size")
+    return sizes
 
 
 def _tolerance(args) -> TolerancePolicy:
-    kwargs = {}
-    if args.tol_rank_rel is not None:
-        kwargs["rank_rel"] = args.tol_rank_rel
-    if args.tol_rank_abs is not None:
-        kwargs["rank_abs"] = args.tol_rank_abs
-    subspace = args.tol_subspace
-    if subspace is None:
-        env = os.environ.get("EPLAB_TOL_SUBSPACE")
-        if env:
-            try:
-                subspace = float(env)
-            except ValueError as exc:
-                raise UsageError(f"EPLAB_TOL_SUBSPACE is not a number: {env!r}") from exc
-    if subspace is not None:
-        kwargs["subspace_tol"] = subspace
-    if args.tol_psd is not None:
-        kwargs["psd_tol"] = args.tol_psd
+    """The policy of the tolerance flags; EPLAB_TOL_SUBSPACE stands in for an
+    absent ``--tol-subspace``."""
+    fields = {"rank_rel": args.tol_rank_rel, "rank_abs": args.tol_rank_abs,
+              "subspace_tol": args.tol_subspace, "psd_tol": args.tol_psd}
+    if fields["subspace_tol"] is None:
+        fields["subspace_tol"] = os.environ.get("EPLAB_TOL_SUBSPACE") or None
     try:
-        return TolerancePolicy(**kwargs)
+        return TolerancePolicy(**{name: float(value) for name, value in fields.items()
+                                  if value is not None})
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"invalid tolerance (flags or EPLAB_TOL_SUBSPACE): {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -100,13 +94,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_document(kind: str, report, digest: str, tol: TolerancePolicy,
+                    out_path: str | None = None) -> int:
+    """Write the ``kind`` document of ``report``; 0 is the command's exit code."""
+    _emit(dump_document(make_document(kind, report, digest, tol)), out_path)
+    return 0
+
+
 def _cmd_classify(args) -> int:
     tol = _tolerance(args)
-    matrix = read_matrix(args.input, args.format)
-    report = classify(matrix, tol)
-    doc = make_document("classification", report, file_digest([args.input]), tol)
-    _emit(dump_document(doc), args.out)
-    return 0
+    report = classify(read_matrix(args.input, args.format), tol)
+    return _write_document("classification", report, file_digest([args.input]), tol,
+                           args.out)
 
 
 def _cmd_pinv(args) -> int:
@@ -114,78 +113,57 @@ def _cmd_pinv(args) -> int:
     fmt = args.format or sniff_format(args.input)
     op = _Operand(read_matrix(args.input, fmt), tol)
     write_matrix(args.out, op.pinv, fmt)
-    report = _penrose(op, op.dagger)
-    doc = make_document("penrose", report, file_digest([args.input]), tol)
-    sys.stdout.write(dump_document(doc))
-    return 0
+    return _write_document("penrose", _penrose(op, op.dagger), file_digest([args.input]),
+                           tol)
 
 
 def _cmd_douglas(args) -> int:
     tol = _tolerance(args)
-    a = read_matrix(args.a, args.format)
-    b = read_matrix(args.b, args.format)
+    a, b = read_matrix(args.a, args.format), read_matrix(args.b, args.format)
     report = douglas_analysis(a, b, tol, seed=args.seed)
-    doc = make_document("douglas", report, file_digest([args.a, args.b]), tol)
-    _emit(dump_document(doc), args.out)
-    return 0
+    return _write_document("douglas", report, file_digest([args.a, args.b]), tol, args.out)
 
 
 def _cmd_perturb(args) -> int:
     tol = _tolerance(args)
-    a = read_matrix(args.a, args.format)
-    b = read_matrix(args.b, args.format)
+    a, b = read_matrix(args.a, args.format), read_matrix(args.b, args.format)
     report = check_perturbation(a, b, tol)
-    doc = make_document("perturbation", report, file_digest([args.a, args.b]), tol)
-    _emit(dump_document(doc), args.out)
-    return 0
+    return _write_document("perturbation", report, file_digest([args.a, args.b]), tol,
+                           args.out)
 
 
 def _parse_spec_argument(text: str) -> dict:
     candidate = text.strip()
     if candidate.startswith("{"):
-        try:
+        with _malformed("invalid inline spec JSON"):
             return json.loads(candidate)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid inline spec JSON: {exc}") from exc
     try:
-        with open(candidate, "r", encoding="utf-8") as handle:
+        with open(candidate, "r", encoding="utf-8") as handle, \
+                _malformed(f"invalid spec file {candidate!r}"):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"spec is neither inline JSON nor a readable file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid spec file {candidate!r}: {exc}") from exc
 
 
 def _cmd_zoo(args) -> int:
-    data = _parse_spec_argument(args.spec)
-    spec = OperatorSpec.from_json_dict(data)
+    spec = OperatorSpec.from_json_dict(_parse_spec_argument(args.spec))
     matrix, traits = generate(spec)
-    try:
-        fmt = sniff_format(args.out)
-    except ParseError:
-        fmt = FORMAT_MATRIXMARKET
-    write_matrix(args.out, matrix, fmt)
-    canonical = json.dumps(spec.to_json_dict(), sort_keys=True).encode()
+    write_matrix(args.out, matrix, _EXTENSIONS.get(Path(args.out).suffix.lower(),
+                                                   FORMAT_MATRIXMARKET))
+    spec_dict = spec.to_json_dict()
     payload = {
-        "spec": spec.to_json_dict(),
+        "spec": spec_dict,
         "expected": _encode(ExpectedTraits, traits),
         "written": str(args.out),
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
     }
-    doc = make_document("zoo", payload, bytes_digest(canonical), TolerancePolicy())
-    sys.stdout.write(dump_document(doc))
-    return 0
+    digest = bytes_digest(json.dumps(spec_dict, sort_keys=True).encode())
+    return _write_document("zoo", payload, digest, TolerancePolicy())
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"--sizes must be a comma-separated integer list: {exc}") from exc
-    if not sizes:
-        raise UsageError("--sizes must name at least one section size")
-    points = gamma_sweep(Family(args.family), sizes)
+    points = gamma_sweep(Family(args.family), args.sizes)
     lines = ["n,gamma,rank"]
     lines += [f"{p.n},{format(p.gamma, '.10g')},{p.rank}" for p in points]
     _emit("\n".join(lines) + "\n", args.out)
@@ -193,14 +171,39 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_propsuite(args) -> int:
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
     tol = _tolerance(args)
     result = run_property_suite(args.count, seed=args.seed, tol=tol)
     digest = bytes_digest(f"seed={args.seed},count={args.count}".encode())
-    doc = make_document("propsuite", result.to_json_dict(), digest, tol)
-    _emit(dump_document(doc), args.out)
+    _write_document("propsuite", result.to_json_dict(), digest, tol, args.out)
     return 0 if result.ok else 1
+
+
+def _command(sub, name: str, func, help: str, matrices: dict | None = None,
+             tolerance: bool = True) -> argparse.ArgumentParser:
+    """Subcommand ``name`` running ``func``.  ``matrices`` maps each matrix
+    file positional to its help and brings ``--format``; ``tolerance``
+    brings the tolerance flags."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func)
+    if matrices:
+        for dest, text in matrices.items():
+            parser.add_argument(dest, help=text)
+        parser.add_argument("--format", choices=[FORMAT_MATRIXMARKET, FORMAT_JSON],
+                            default=None)
+    if tolerance:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--tol-rank-rel", type=float, default=None,
+                           help="rank threshold factor relative to sigma_max "
+                                "(default: max(m,n)*eps)")
+        group.add_argument("--tol-rank-abs", type=float, default=None,
+                           help="absolute rank threshold on singular values")
+        parser.add_argument("--tol-subspace", type=float, default=None,
+                            help="projector-distance tolerance for subspace tests "
+                                 "(default 1e-8; env EPLAB_TOL_SUBSPACE overrides)")
+        parser.add_argument("--tol-psd", type=float, default=None,
+                            help="floor for minimum-eigenvalue positivity checks "
+                                 "(default 1e-9)")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,70 +214,58 @@ def build_parser() -> argparse.ArgumentParser:
                     "(.json with rows/cols/re/im).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser(
-        "classify",
-        help="evaluate every EP / hypo-EP condition for a square matrix; "
-             "gamma is reported as 0 for numerically rank-0 matrices "
-             "rather than +inf")
-    p_classify.add_argument("input", help="matrix file")
-    p_classify.add_argument("--format", choices=["matrixmarket", "json"], default=None)
+    p_classify = _command(
+        sub, "classify", _cmd_classify,
+        "evaluate every EP / hypo-EP condition for a square matrix; "
+        "gamma is reported as 0 for numerically rank-0 matrices rather than +inf",
+        {"input": "matrix file"})
     p_classify.add_argument("--out", default=None, help="write the JSON report here")
-    _add_tolerance_flags(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
 
-    p_pinv = sub.add_parser(
-        "pinv", help="compute the pseudoinverse and verify its defining conditions")
-    p_pinv.add_argument("input", help="matrix file")
+    p_pinv = _command(
+        sub, "pinv", _cmd_pinv,
+        "compute the pseudoinverse and verify its defining conditions",
+        {"input": "matrix file"})
     p_pinv.add_argument("--out", required=True,
                         help="write the pseudoinverse here (same format as input)")
-    p_pinv.add_argument("--format", choices=["matrixmarket", "json"], default=None)
-    _add_tolerance_flags(p_pinv)
-    p_pinv.set_defaults(func=_cmd_pinv)
 
-    p_douglas = sub.add_parser(
-        "douglas", help="range inclusion, factorization and contraction checks for (A, B)")
-    p_douglas.add_argument("a", help="matrix file for A")
-    p_douglas.add_argument("b", help="matrix file for B")
-    p_douglas.add_argument("--format", choices=["matrixmarket", "json"], default=None)
-    p_douglas.add_argument("--seed", type=_seed, default=0,
+    p_douglas = _command(
+        sub, "douglas", _cmd_douglas,
+        "range inclusion, factorization and contraction checks for (A, B)",
+        {"a": "matrix file for A", "b": "matrix file for B"})
+    p_douglas.add_argument("--seed", type=_at_least(0), default=0,
                            help="seed for the sampled growth bound (default 0)")
     p_douglas.add_argument("--out", default=None)
-    _add_tolerance_flags(p_douglas)
-    p_douglas.set_defaults(func=_cmd_douglas)
 
-    p_perturb = sub.add_parser(
-        "perturb", help="perturbation hypotheses and conclusions for an EP matrix A and B")
-    p_perturb.add_argument("a", help="matrix file for the EP base matrix A")
-    p_perturb.add_argument("b", help="matrix file for the perturbation B")
-    p_perturb.add_argument("--format", choices=["matrixmarket", "json"], default=None)
+    p_perturb = _command(
+        sub, "perturb", _cmd_perturb,
+        "perturbation hypotheses and conclusions for an EP matrix A and B",
+        {"a": "matrix file for the EP base matrix A", "b": "matrix file for the perturbation B"})
     p_perturb.add_argument("--out", default=None)
-    _add_tolerance_flags(p_perturb)
-    p_perturb.set_defaults(func=_cmd_perturb)
 
-    p_zoo = sub.add_parser(
-        "zoo", help="generate an operator-zoo matrix from an inline JSON spec or spec file")
+    p_zoo = _command(
+        sub, "zoo", _cmd_zoo,
+        "generate an operator-zoo matrix from an inline JSON spec or spec file",
+        tolerance=False)
     p_zoo.add_argument("spec", help='inline JSON like {"family":"DiagHarmonic","n":4} '
                                     "or a path to a spec file")
     p_zoo.add_argument("--out", required=True, help="matrix output path")
-    p_zoo.set_defaults(func=_cmd_zoo)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="gamma and rank across section sizes for a deterministic family")
+    p_sweep = _command(
+        sub, "sweep", _cmd_sweep,
+        "gamma and rank across section sizes for a deterministic family", tolerance=False)
     p_sweep.add_argument("family", choices=[f.value for f in DETERMINISTIC_FAMILIES])
-    p_sweep.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 3,5,7")
+    p_sweep.add_argument("--sizes", type=_sizes, required=True,
+                         help="comma-separated sizes, e.g. 3,5,7")
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_suite = sub.add_parser(
-        "propsuite",
-        help="run the consistency suites over seeded corpus matrices; "
-             "exit 0 iff zero disagreements")
-    p_suite.add_argument("--seed", type=_seed, default=0)
-    p_suite.add_argument("--count", type=int, default=100,
+    p_suite = _command(
+        sub, "propsuite", _cmd_propsuite,
+        "run the consistency suites over seeded corpus matrices; "
+        "exit 0 iff zero disagreements")
+    p_suite.add_argument("--seed", type=_at_least(0), default=0)
+    p_suite.add_argument("--count", type=_at_least(1), default=100,
                          help="number of corpus matrices (default 100)")
     p_suite.add_argument("--out", default=None)
-    _add_tolerance_flags(p_suite)
-    p_suite.set_defaults(func=_cmd_propsuite)
 
     return parser
 

@@ -5,7 +5,8 @@ The JSON format stores complex entries as parallel row-major ``re``/``im``
 arrays: ``{"rows": m, "cols": n, "re": [...], "im": [...]}``.  Formats are
 sniffed from the extension (.mtx/.mm vs .json) and can be forced.  Either
 format may declare at most :data:`MAX_DIMENSION` rows and columns; a Matrix
-Market header is checked before its body is read.
+Market header is checked before its body is read.  :func:`_malformed` alone
+decides which failures to decode a file, spec or record are a ParseError.
 
 One codec serves every JSON record of the package: report documents, the
 tolerance policy and operator specs.  It walks the fields of a dataclass or
@@ -25,6 +26,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 from typing import Iterable, get_args, get_origin, get_type_hints
@@ -46,6 +48,16 @@ _EXTENSIONS = {
     ".mm": FORMAT_MATRIXMARKET,
     ".json": FORMAT_JSON,
 }
+
+
+@contextmanager
+def _malformed(what: str):
+    """ParseError for a missing key, a value of the wrong type or out of range,
+    bad UTF-8, bad JSON syntax or nesting too deep while decoding ``what``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def sniff_format(path) -> str:
@@ -80,12 +92,10 @@ def _dimension(data: dict, key: str) -> int:
 def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict):
         raise ParseError("dense JSON matrix must be an object")
-    try:
+    with _malformed("malformed dense JSON matrix"):
         rows, cols = _dimension(data, "rows"), _dimension(data, "cols")
         re = np.asarray(data["re"], dtype=np.float64)
         im = np.asarray(data["im"], dtype=np.float64) if "im" in data else np.zeros_like(re)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed dense JSON matrix: {exc}") from exc
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ParseError(
             f"entry arrays must hold rows*cols={rows * cols} values, "
@@ -105,7 +115,7 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         # only Matrix Market files need it.
         import scipy.io
         import scipy.sparse
-        try:
+        with _malformed(f"invalid Matrix Market file {path!r}"):
             rows, cols, entries = scipy.io.mminfo(str(path))[:3]
             if not (1 <= rows <= MAX_DIMENSION and 1 <= cols <= MAX_DIMENSION
                     and entries <= rows * cols):
@@ -114,17 +124,13 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
                     f"{entries} entries; rows and cols must lie in [1, {MAX_DIMENSION}] "
                     "and entries cannot exceed rows*cols")
             loaded = scipy.io.mmread(str(path))
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"invalid Matrix Market file {path!r}: {exc}") from exc
         if scipy.sparse.issparse(loaded):
             loaded = loaded.toarray()
         return as_matrix(loaded)
     if fmt == FORMAT_JSON:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON matrix file {path!r}: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as handle, \
+                _malformed(f"invalid JSON matrix file {path!r}"):
+            data = json.load(handle)
         return as_matrix(matrix_from_json_dict(data))
     raise ParseError(f"unknown matrix format {fmt!r}")
 
@@ -209,7 +215,7 @@ def _decode(hint, data):
         return matrix_from_json_dict(data)
     if hint in _SCALARS:
         return _json(hint, data)
-    try:
+    with _malformed(hint.__name__):
         if issubclass(hint, enum.Enum):
             return hint(_json(str, data))
         data = _json(dict, data)
@@ -224,5 +230,3 @@ def _decode(hint, data):
             elif _split_optional(field_hint)[1]:
                 kwargs[name] = None
         return hint(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{hint.__name__}: {exc}") from exc

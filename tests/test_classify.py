@@ -4,7 +4,7 @@ import pytest
 from eplab import (TolerancePolicy, adjoint, classify, construct_factor_c,
                    ep_closure_suite, gamma, majorization_witness, modulus,
                    null_basis, op_norm, pinv, range_basis, subspace_equal)
-from eplab.errors import NotSquare, SourceNotEP, SourceNotHypoEP
+from eplab.errors import NonFinite, NotSquare, SourceNotEP, SourceNotHypoEP
 from eplab.zoo import corpus_matrix, haar_unitary, random_ep
 
 from conftest import random_complex
@@ -246,6 +246,12 @@ def test_majorization_witness_bound_holds():
     for _ in range(200):
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         assert abs(np.vdot(y, a @ x)) <= (k + 1e-8) * np.linalg.norm(a @ y) + 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_majorization_witness_rejects_non_finite_vector(bad):
+    with pytest.raises(NonFinite):
+        majorization_witness(np.diag([1.0, 2.0, 3.0]), [bad, 0.0, 0.0])
 
 
 def test_majorization_witness_requires_hypo_ep():

@@ -222,18 +222,25 @@ def test_douglas_overflowed_gram_exits_2(capsys, tmp_path):
     assert "NonFinite" in err
 
 
+# Bytes are written as they are: the first is not UTF-8.
 @pytest.mark.parametrize("text", [
     '{"rows": -1, "cols": -1, "re": [1]}',
     '{"rows": 0, "cols": 0, "re": []}',
     '{"rows": 1e400, "cols": 1, "re": [1]}',
     '{"rows": 1, "cols": 1, "re": [1], "im": ["x"]}',
-], ids=["negative", "empty", "overflow", "bad_im"])
+    b'\xff\xfe{"rows":1}',
+    "[" * 100_000,
+    f'{{"rows": 1, "cols": 1, "re": [{10**400}]}}',
+    f'{{"rows": 1, "cols": 1, "re": [1], "im": [{10**400}]}}',
+    f'{{"rows": 1, "cols": 1, "re": [{"7" * 5001}]}}',
+], ids=["negative", "empty", "overflow", "bad_im", "bad_utf8", "deep_nesting",
+        "re_int_overflow", "im_int_overflow", "int_digit_limit"])
 def test_classify_malformed_json_exits_2(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, "classify", str(path))
     assert code == 2 and not out
-    assert "ParseError" in err
+    assert "ParseError" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -300,3 +307,45 @@ def test_zoo_expected_without_note_exits_0(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["report"]["spec"]["expected"] == {
         "ep": "Yes", "hypo_ep": "Yes", "note": ""}
+
+
+@pytest.mark.parametrize("data", [
+    b'\xff\xfe{"family":"DiagHarmonic","n":3}',
+    b"[" * 100_000,
+    b'{"family":"DiagHarmonic","n":' + b"7" * 5001 + b"}",
+], ids=["bad_utf8", "deep_nesting", "int_digit_limit"])
+def test_zoo_undecodable_spec_file_exits_2(capsys, tmp_path, data):
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "z.mtx"
+    spec_path.write_bytes(data)
+    code, out, err = run(capsys, "zoo", str(spec_path), "--out", str(out_path))
+    assert code == 2 and not out and not out_path.exists()
+    assert "ParseError" in err and "Traceback" not in err
+
+
+def test_zoo_unreadable_spec_file_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "z.mtx"
+    code, out, err = run(capsys, "zoo", str(tmp_path / "missing.json"),
+                         "--out", str(out_path))
+    assert code == 2 and not out and not out_path.exists()
+    assert "ParseError" in err
+
+
+TOLERANCE_FLAGS = ["--tol-rank-rel", "--tol-rank-abs", "--tol-subspace", "--tol-psd"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("classify", ["--format", "--out", *TOLERANCE_FLAGS]),
+    ("pinv", ["--format", "--out", *TOLERANCE_FLAGS]),
+    ("douglas", ["--format", "--out", "--seed", *TOLERANCE_FLAGS]),
+    ("perturb", ["--format", "--out", *TOLERANCE_FLAGS]),
+    ("zoo", ["--out"]),
+    ("sweep", ["--sizes", "--out"]),
+    ("propsuite", ["--seed", "--count", "--out", *TOLERANCE_FLAGS]),
+])
+def test_subcommand_help_lists_its_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    listed = {word.strip("[],") for word in capsys.readouterr().out.split()
+              if word.lstrip("[").startswith("--")}
+    assert listed == {"--help", *flags}

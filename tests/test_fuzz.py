@@ -1,10 +1,11 @@
 """Hypothesis fuzzing of the CLI's input boundary.
 
-Malformed dense JSON matrices, Matrix Market files and operator specs go
-through ``cli.main`` in process; each must end in exit 0 or in a typed
-error with exit 2, never in an exception escaping ``main``.  Every generated
-dimension is at most 8 or exactly ``MAX_DIMENSION + 1``, so an input that
-slipped past a size check could not allocate much.
+Malformed dense JSON matrices, Matrix Market files and operator specs, and
+arbitrary bytes as a matrix or spec file, go through ``cli.main`` in
+process; each must end in exit 0 or in a typed error with exit 2, never in
+an exception escaping ``main``.  Every generated dimension is at most 8 or
+exactly ``MAX_DIMENSION + 1``, so an input that slipped past a size check
+could not allocate much.
 """
 
 import contextlib
@@ -29,7 +30,7 @@ JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=True),
                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 INTEGER_OR_JUNK = st.one_of(DIMENSIONS, JUNK)
 ENTRY = st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5),
-                  st.sampled_from([0.0, -0.0, float("inf"), float("nan"), 1e308]))
+                  st.sampled_from([0.0, -0.0, float("inf"), float("nan"), 1e308, 10**400]))
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,24 @@ def dense_json_matrices(draw):
 @fuzz
 @given(dense_json_matrices())
 def test_dense_json_input_exits_0_or_2(workdir, data):
+    path = workdir / "matrix.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("classify", path) in (0, 2)
+
+
+@st.composite
+def well_shaped_dense_json_matrices(draw):
+    """Valid ``rows`` and ``cols`` with ENTRY values, so every example
+    reaches the conversion of the entries, which the shape-fuzzing
+    generator above seldom does."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.lists(ENTRY, min_size=rows * cols, max_size=rows * cols)
+    return {"rows": rows, "cols": cols, "re": draw(entries), "im": draw(entries)}
+
+
+@fuzz
+@given(well_shaped_dense_json_matrices())
+def test_dense_json_entries_exit_0_or_2(workdir, data):
     path = workdir / "matrix.json"
     path.write_text(json.dumps(data))
     assert run_cli("classify", path) in (0, 2)
@@ -114,3 +133,13 @@ def test_zoo_spec_exits_0_or_2(workdir, spec):
     path = workdir / "spec.json"
     path.write_text(json.dumps(spec))
     assert run_cli("zoo", path, "--out", workdir / "zoo.mtx") in (0, 2)
+
+
+@fuzz
+@given(st.binary(max_size=64))
+def test_arbitrary_bytes_exit_0_or_2(workdir, data):
+    matrix_path, spec_path = workdir / "bytes.json", workdir / "bytes_spec.json"
+    matrix_path.write_bytes(data)
+    spec_path.write_bytes(data)
+    assert run_cli("classify", matrix_path) in (0, 2)
+    assert run_cli("zoo", spec_path, "--out", workdir / "zoo.mtx") in (0, 2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eplab
+from eplab.cli import main
 from eplab.core import as_matrix
 from eplab.errors import BadShape, OperatorAnalysisError, ParseError
 from eplab.matio import (MAX_DIMENSION, bytes_digest, file_digest,
@@ -168,3 +169,16 @@ def test_as_matrix_shape_error_is_typed():
     for bad in (np.zeros(3), np.zeros((0, 3)), np.zeros((2, 0))):
         with pytest.raises(BadShape):
             as_matrix(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix array integer general\n1 1\n99999999999999999999\n",
+    "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 99999999999999999999\n",
+], ids=["array", "coordinate"])
+def test_matrix_market_integer_beyond_int64_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "big.mtx"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "ParseError" in captured.err and "Traceback" not in captured.err
