@@ -22,8 +22,8 @@ from .douglas import (DouglasReport, PanelItem, closed_range_panel,
                       majorization_contraction, range_inclusion_check)
 from .perturb import PerturbationReport, check_perturbation, generate_admissible
 from .zoo import (CorpusEntry, ExpectedTraits, Expectation, Family,
-                  OperatorSpec, SweepPoint, corpus_matrix, gamma_sweep,
-                  generate)
+                  OperatorSpec, SweepPoint, ZooReport, corpus_matrix,
+                  gamma_sweep, generate)
 from .matio import read_matrix, write_matrix
 from . import errors
 
@@ -42,7 +42,7 @@ __all__ = [
     "majorization_contraction", "range_inclusion_check",
     "PerturbationReport", "check_perturbation", "generate_admissible",
     "CorpusEntry", "ExpectedTraits", "Expectation", "Family", "OperatorSpec",
-    "SweepPoint", "corpus_matrix", "gamma_sweep", "generate",
+    "SweepPoint", "ZooReport", "corpus_matrix", "gamma_sweep", "generate",
     "read_matrix", "write_matrix",
     "errors",
     "__version__",

@@ -28,14 +28,14 @@ from .classify import classify
 from .core import TolerancePolicy, _Operand
 from .douglas import douglas_analysis
 from .errors import OperatorAnalysisError, ParseError
-from .matio import (_EXTENSIONS, FORMAT_JSON, FORMAT_MATRIXMARKET, _encode, _malformed,
-                    bytes_digest, file_digest, read_matrix, sniff_format, write_matrix)
+from .matio import (_EXTENSIONS, FORMAT_JSON, FORMAT_MATRIXMARKET, _malformed, bytes_digest,
+                    file_digest, read_matrix, sniff_format, write_matrix)
 from .perturb import check_perturbation
 from .pinv import _penrose
 from .propsuite import run_property_suite
 from .reports import dump_document, make_document
-from .zoo import (DETERMINISTIC_FAMILIES, ExpectedTraits, Family, OperatorSpec,
-                  gamma_sweep, generate)
+from .zoo import (DETERMINISTIC_FAMILIES, Family, OperatorSpec, ZooReport, gamma_sweep,
+                  generate)
 
 
 class UsageError(Exception):
@@ -150,16 +150,9 @@ def _cmd_zoo(args) -> int:
     matrix, traits = generate(spec)
     write_matrix(args.out, matrix, _EXTENSIONS.get(Path(args.out).suffix.lower(),
                                                    FORMAT_MATRIXMARKET))
-    spec_dict = spec.to_json_dict()
-    payload = {
-        "spec": spec_dict,
-        "expected": _encode(ExpectedTraits, traits),
-        "written": str(args.out),
-        "rows": int(matrix.shape[0]),
-        "cols": int(matrix.shape[1]),
-    }
-    digest = bytes_digest(json.dumps(spec_dict, sort_keys=True).encode())
-    return _write_document("zoo", payload, digest, TolerancePolicy())
+    report = ZooReport(spec, traits, str(args.out), *matrix.shape)
+    digest = bytes_digest(json.dumps(spec.to_json_dict(), sort_keys=True).encode())
+    return _write_document("zoo", report, digest, TolerancePolicy())
 
 
 def _cmd_sweep(args) -> int:

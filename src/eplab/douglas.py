@@ -94,15 +94,6 @@ def _factor(arr_a: np.ndarray, op_b: _Operand, inclusion: SubspaceComparison,
         contraction_ok=_contracts(c, op_b.tol) if majorized else None)
 
 
-def _factorize(arr_a: np.ndarray, norm_a: float, op_b: _Operand, seed: int) -> DouglasReport:
-    """:func:`douglas_factorize` for a checked ``A``, its norm ``||A||`` and B's operand."""
-    inclusion = _inclusion(arr_a, norm_a, op_b)
-    if not inclusion.ok:
-        raise RangeNotIncluded(
-            f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
-    return _factor(arr_a, op_b, inclusion, False, seed)
-
-
 def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
                       seed: int = 0) -> DouglasReport:
     """Factor ``A = B C`` with ``C = pinv(B) A`` once inclusion holds.
@@ -111,7 +102,11 @@ def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     the sampled growth bound so reports are reproducible.
     """
     arr_a, op_b = _operands(a, b, tol)
-    return _factorize(arr_a, op_norm(arr_a), op_b, seed)
+    inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
+    if not inclusion.ok:
+        raise RangeNotIncluded(
+            f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
+    return _factor(arr_a, op_b, inclusion, False, seed)
 
 
 def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
@@ -160,8 +155,7 @@ class PanelItem(NamedTuple):
 _TRIVIAL = "finite-dim: trivially true"
 
 
-def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL,
-                       seed: int = 0) -> list[PanelItem]:
+def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[PanelItem]:
     """Evaluate the closed-range equivalence list on a finite matrix.
 
     Items that are vacuous in finite dimension (all subspaces are closed,
@@ -171,13 +165,14 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL,
     matrices, check ``gamma`` against the rank threshold, and verify the
     majorization ``||A* x|| <= k ||A A* x||`` with the sampled witness
     ``k = 1/gamma`` together with the factorization ``A = A A* S`` for
-    ``S = pinv(A A*) A``.
+    ``S = pinv(A A*) A``.  The samples are drawn with seed 0, so the panel
+    of a matrix is always the same.
     """
     op = _Operand(a, tol)
     arr, star, gram_right = op.arr, op.adjoint.arr, op.gram_right.arr
     factors, r, gam, scale = op.factors, op.rank, op.gamma, op.scale
     threshold = tol.rank_threshold(factors.sigma, factors.shape)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     items = [
         PanelItem("range_closed", True, 0.0, _TRIVIAL),

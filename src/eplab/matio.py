@@ -8,17 +8,19 @@ format may declare at most :data:`MAX_DIMENSION` rows and columns; a Matrix
 Market header is checked before its body is read.  :func:`_malformed` alone
 decides which failures to decode a file, spec or record are a ParseError.
 
-One codec serves every JSON record of the package: report documents, the
-tolerance policy and operator specs.  It walks the fields of a dataclass or
-NamedTuple in declaration order and converts each value by its type hint:
-``bool``, ``int``, ``float`` and ``str`` as themselves, a ``str`` enum by
-its value, ``np.ndarray`` through the dense JSON matrix format, ``tuple[X,
-...]`` as a list, ``X | None`` as X or null, and any other class as a
-nested record.  Decoding is strict: an ``int`` takes only a non-bool JSON
-integer, a ``float`` any JSON number, ``bool`` and ``str`` only their own
-JSON type, and a record only a JSON object; anything else is a ParseError.
-A missing key takes the field's default, or None for an optional field; a
-key the record does not declare is a ParseError, in specs and documents.
+One codec serves every JSON record of the package: report documents and
+their envelope, the tolerance policy and operator specs.  It walks the
+fields of a dataclass or NamedTuple in declaration order and converts each
+value by its type hint: ``bool``, ``int``, ``float``, ``str`` and ``dict``
+(a plain JSON object) as themselves, a ``str`` enum by its value,
+``np.ndarray`` through the dense JSON matrix format, ``tuple[X, ...]`` as a
+list, ``X | None`` as X or null, and any other class as a nested record.
+Decoding is strict: an ``int`` takes only a non-bool JSON integer, a
+``float`` any JSON number, ``bool`` and ``str`` only their own JSON type,
+and a ``dict`` or a record only a JSON object; anything else is a
+ParseError.  A missing key takes the field's default, or None for an
+optional field, and is a ParseError for a field that has neither; a key
+the record does not declare is a ParseError, in specs and documents.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ def matrix_to_json_dict(a) -> dict:
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "re": [float(x) for x in arr.real.ravel()],
-        "im": [float(x) for x in arr.imag.ravel()],
+        "re": arr.real.ravel().tolist(),
+        "im": arr.imag.ravel().tolist(),
     }
 
 
@@ -143,9 +145,8 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
         import scipy.io
         scipy.io.mmwrite(str(path), arr, precision=17)
     elif fmt == FORMAT_JSON:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(matrix_to_json_dict(arr), handle)
-            handle.write("\n")
+        # json.dumps, unlike json.dump to a file, uses the C encoder.
+        Path(path).write_text(json.dumps(matrix_to_json_dict(arr)) + "\n", encoding="utf-8")
     else:
         raise ParseError(f"unknown matrix format {fmt!r}")
 
@@ -163,7 +164,8 @@ def bytes_digest(data: bytes) -> str:
     return f"sha256:{hashlib.sha256(data).hexdigest()}"
 
 
-_SCALARS = (bool, int, float, str)
+# Types the codec reads and writes as the JSON value itself.
+_LEAVES = (bool, int, float, str, dict)
 _NONE = type(None)
 # Record keys that differ from the field name.
 _KEYS = {"condition_id": "id"}
@@ -197,7 +199,7 @@ def _encode(hint, value):
         return [_encode(get_args(hint)[0], item) for item in value]
     if hint is np.ndarray:
         return matrix_to_json_dict(value)
-    if hint in _SCALARS:
+    if hint in _LEAVES:
         return hint(value)
     if issubclass(hint, enum.Enum):
         return value.value
@@ -213,7 +215,7 @@ def _decode(hint, data):
         return tuple(_decode(get_args(hint)[0], item) for item in _json(list, data))
     if hint is np.ndarray:
         return matrix_from_json_dict(data)
-    if hint in _SCALARS:
+    if hint in _LEAVES:
         return _json(hint, data)
     with _malformed(hint.__name__):
         if issubclass(hint, enum.Enum):

@@ -2,28 +2,44 @@
 
 Every CLI invocation wraps its typed report in a document carrying the tool
 version, a content digest of the inputs and the tolerance policy in effect.
-Documents round-trip field-for-field through ``json`` by the record codec
-of :mod:`eplab.matio`.
+The envelope and the report are one record of the codec in
+:mod:`eplab.matio`, so documents round-trip field-for-field through
+``json`` and decoding one is as strict as decoding any other record.
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from . import __version__
 from .classify import ClassificationReport
 from .core import TolerancePolicy
 from .douglas import DouglasReport
-from .matio import _decode, _encode
+from .matio import _decode, _encode, _malformed
 from .perturb import PerturbationReport
 from .pinv import PenroseReport
+from .zoo import ZooReport
 
+# The report record of every document kind; propsuite's is a plain object.
 _REPORT_TYPES = {
     "classification": ClassificationReport,
     "penrose": PenroseReport,
     "douglas": DouglasReport,
     "perturbation": PerturbationReport,
+    "zoo": ZooReport,
+    "propsuite": dict,
 }
+
+
+def _envelope(report_type: type) -> type:
+    """The document record whose ``report`` is a ``report_type``."""
+    return NamedTuple("Document", [("tool_version", str), ("input_digest", str),
+                                   ("tolerance", TolerancePolicy), ("kind", str),
+                                   ("report", report_type)])
+
+
+_DOCUMENTS = {kind: _envelope(report_type) for kind, report_type in _REPORT_TYPES.items()}
 
 
 def tolerance_to_dict(tol: TolerancePolicy) -> dict:
@@ -35,23 +51,24 @@ def tolerance_from_dict(data: dict) -> TolerancePolicy:
 
 
 def make_document(kind: str, report, input_digest: str, tol: TolerancePolicy) -> dict:
-    """Wrap a typed report (or an already JSON-safe payload) in a document."""
-    payload = _encode(_REPORT_TYPES[kind], report) if kind in _REPORT_TYPES else report
-    return {
-        "tool_version": __version__,
-        "input_digest": input_digest,
-        "tolerance": tolerance_to_dict(tol),
-        "kind": kind,
-        "report": payload,
-    }
+    """Wrap the ``kind`` report in a document: the record of
+    ``_REPORT_TYPES[kind]``, a :class:`~eplab.zoo.ZooReport` for ``zoo`` and
+    a plain JSON object for ``propsuite``."""
+    document = _DOCUMENTS[kind]
+    return _encode(document, document(__version__, input_digest, tol, kind, report))
 
 
 def decode_document(doc: dict):
-    """Recover (kind, typed report, digest, tolerance) from a document."""
-    kind = doc["kind"]
-    payload = doc["report"]
-    report = _decode(_REPORT_TYPES[kind], payload) if kind in _REPORT_TYPES else payload
-    return kind, report, doc["input_digest"], tolerance_from_dict(doc["tolerance"])
+    """Recover (kind, typed report, digest, tolerance) from a document.
+
+    A document that is not an object, lacks an envelope key, has one it does
+    not declare or of the wrong JSON type, or names an unknown kind is a
+    ParseError, as is any report field that fails to decode.
+    """
+    with _malformed("document kind"):
+        document = _DOCUMENTS[doc["kind"]]
+    decoded = _decode(document, doc)
+    return decoded.kind, decoded.report, decoded.input_digest, decoded.tolerance
 
 
 def dump_document(doc: dict) -> str:

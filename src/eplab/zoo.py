@@ -117,6 +117,18 @@ class OperatorSpec:
             raise BadSpec(f"malformed operator spec: {exc}") from exc
 
 
+@dataclass(frozen=True)
+class ZooReport:
+    """The report of ``eplab zoo``: the spec, its expected traits, the path
+    the matrix was written to and the matrix's shape."""
+
+    spec: OperatorSpec
+    expected: ExpectedTraits
+    written: str
+    rows: int
+    cols: int
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n-by-n unitary via phase-fixed QR of a Ginibre draw."""
     return haar_frame(n, n, rng)
@@ -133,18 +145,19 @@ def haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def _log_uniform(rng: np.random.Generator, low: float, high: float, size) -> np.ndarray:
-    return np.exp(rng.uniform(np.log(low), np.log(high), size))
+def _log_uniform(rng: np.random.Generator, size) -> np.ndarray:
+    """Log-uniform draws from [1/2, 2], the band of every random singular
+    value and eigenvalue modulus."""
+    return np.exp(rng.uniform(np.log(0.5), np.log(2.0), size))
 
 
-def random_conditioned(n: int, rank: int, rng: np.random.Generator,
-                       sigma_range: tuple[float, float] = (0.5, 2.0)) -> np.ndarray:
-    """Rank-``rank`` matrix U diag(sigma) V* with controlled spectrum."""
+def random_conditioned(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Rank-``rank`` matrix U diag(sigma) V* with sigma log-uniform in [1/2, 2]."""
     if rank == 0:
         return np.zeros((n, n), dtype=np.complex128)
     u = haar_frame(n, rank, rng)
     v = haar_frame(n, rank, rng)
-    sigma = np.sort(_log_uniform(rng, *sigma_range, rank))[::-1]
+    sigma = np.sort(_log_uniform(rng, rank))[::-1]
     return (u * sigma) @ v.conj().T
 
 
@@ -155,7 +168,7 @@ def random_ep(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     v = haar_frame(n, rank, rng)
     p = haar_unitary(rank, rng)
     q = haar_unitary(rank, rng)
-    sigma = _log_uniform(rng, 0.5, 2.0, rank)
+    sigma = _log_uniform(rng, rank)
     m = (p * sigma) @ q.conj().T
     return v @ m @ v.conj().T
 
@@ -310,22 +323,21 @@ def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
         a = random_conditioned(n, n, rng)
     elif kind == "hermitian":
         q = haar_unitary(n, rng)
-        d = _log_uniform(rng, 0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        d = _log_uniform(rng, n) * rng.choice([-1.0, 1.0], n)
         a = (q * d) @ q.conj().T
         a = (a + a.conj().T) / 2.0
     elif kind == "hermitian_rank_def":
         r = int(rng.integers(0, n + 1))
         q = haar_unitary(n, rng)
         d = np.zeros(n)
-        d[:r] = _log_uniform(rng, 0.5, 2.0, r) * rng.choice([-1.0, 1.0], r)
+        d[:r] = _log_uniform(rng, r) * rng.choice([-1.0, 1.0], r)
         a = (q * d) @ q.conj().T
         a = (a + a.conj().T) / 2.0
     elif kind == "normal":
         r = int(rng.integers(0, n + 1))
         q = haar_unitary(n, rng)
         d = np.zeros(n, dtype=np.complex128)
-        d[:r] = (_log_uniform(rng, 0.5, 2.0, r)
-                 * np.exp(2j * np.pi * rng.random(r)))
+        d[:r] = _log_uniform(rng, r) * np.exp(2j * np.pi * rng.random(r))
         a = (q * d) @ q.conj().T
     elif kind == "nilpotent":
         jordan = np.zeros((n, n), dtype=np.complex128)
@@ -333,7 +345,7 @@ def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
         for i in np.flatnonzero(mask):
             jordan[i, i + 1] = 1.0
         q = haar_unitary(n, rng)
-        a = float(_log_uniform(rng, 0.5, 2.0, ())) * (q @ jordan @ q.conj().T)
+        a = float(_log_uniform(rng, ())) * (q @ jordan @ q.conj().T)
     elif kind == "ep_construction":
         r = int(rng.integers(0, n + 1))
         a = random_ep(n, r, rng)

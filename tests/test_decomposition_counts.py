@@ -143,6 +143,16 @@ def test_douglas_analysis_skips_factor_when_not_included(monkeypatch):
     assert report.factor_c is None and report.bound_k is None
 
 
+def test_property_suite_computes_no_growth_bound(monkeypatch):
+    # The suite's Douglas check reads the inclusion verdict and ||A C' - A C||
+    # only, so the factor's sampled growth bound is never needed.
+    def unused(*args, **kwargs):
+        raise AssertionError("growth bound computed for the property suite")
+
+    monkeypatch.setattr(douglas_module, "_sampled_growth_bound", unused)
+    assert run_property_suite(10, seed=0).ok
+
+
 def test_subspace_basis_check_runs_no_decomposition(counts):
     basis = np.linalg.qr(np.random.default_rng(1).standard_normal((N, 5)))[0]
     SubspaceBasis(N, basis.astype(complex))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import eplab
-from eplab import (DouglasReport, TolerancePolicy, check_perturbation,
-                   classify, douglas_factorize, penrose_verify, pinv)
+from eplab import (DouglasReport, TolerancePolicy, ZooReport, check_perturbation,
+                   classify, cli, douglas_factorize, penrose_verify, pinv)
 from eplab.errors import ParseError
 from eplab.reports import (decode_document, dump_document, make_document,
                            tolerance_from_dict, tolerance_to_dict)
@@ -112,3 +112,47 @@ def test_decoding_is_strict_about_json_types():
         with pytest.raises(ParseError, match="unknown keys"):
             decode_document(doc)
         del record["extra"]
+
+
+@pytest.mark.parametrize("argv, report_type", [
+    (["zoo", '{"family":"RandomEP","n":4,"rank":2,"seed":3}', "--out", "z.json"], ZooReport),
+    (["zoo", '{"family":"WeightedShift","n":3}', "--out", "z.mtx"], ZooReport),
+    (["propsuite", "--count", "3"], dict),
+], ids=["zoo_json", "zoo_mtx", "propsuite"])
+def test_cli_documents_decode_to_their_record(capsys, monkeypatch, tmp_path, argv,
+                                               report_type):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    kind, report, digest, tol = decode_document(json.loads(text))
+    assert kind == argv[0] and type(report) is report_type
+    assert dump_document(make_document(kind, report, digest, tol)) == text
+
+
+def _classification_document() -> dict:
+    return roundtrip(make_document("classification", classify(np.eye(2)), "sha256:m",
+                                   TolerancePolicy()))
+
+
+def _without(key: str):
+    return lambda doc: {name: value for name, value in doc.items() if name != key}
+
+
+_ENVELOPE_KEYS = ("tool_version", "input_digest", "tolerance", "kind", "report")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: {},
+    lambda doc: [],
+    *[_without(key) for key in _ENVELOPE_KEYS],
+    lambda doc: {**doc, "extra": 0},
+    lambda doc: {**doc, "input_digest": 5},
+    lambda doc: {**doc, "kind": "nosuch"},
+    lambda doc: {**doc, "kind": "propsuite", "report": []},
+], ids=["empty_object", "list", *[f"without_{key}" for key in _ENVELOPE_KEYS],
+        "undeclared_key", "numeric_digest", "unknown_kind", "propsuite_list_report"])
+def test_malformed_document_is_parse_error(edit):
+    doc = _classification_document()
+    decode_document(doc)
+    with pytest.raises(ParseError):
+        decode_document(edit(doc))
