@@ -7,25 +7,32 @@ of the adjoint.  Both notions admit several equivalent formulations;
 residual, because the mutual agreement of the routes is itself the main
 correctness check.  Condition ids:
 
-====  =========================================================
-ep1   range equality                 ||P_R(A) - P_R(A*)||
-ep2   commutation                    ||A A+ - A+ A||
-ep3   null-space match with A+       ||P_N(A) - P_N(A+)||
-ep4   null-space match with A*       ||P_N(A) - P_N(A*)||
-ep5   complement of the null space   ||(I - P_N(A)) - P_R(A)||
-ep6   carrier closure (range of A+)  ||P_R(A+) - P_R(A)||
-ep7   orthogonal direct sum          ||P_R(A) + P_N(A) - I||
-hypo1 null inclusion N(A) <= N(A*)   ||(I - P_N(A*)) P_N(A)||
-hypo2 projector absorption           ||A+ A A A+ - A A+||
-chain2 weaker absorption             ||A (A+)^2 A - A A+||
-chain3 projector order A A+ <= A+ A  negative part of min eigenvalue
-chain4 sampled norm inequality       max(||A A+ x|| - ||A+ A x||) over x
-====  =========================================================
+======  =====================================  ==================================
+ep1     range equality                         ||R(A)_perp* R(A*)||
+ep2     commutation                            ||A A+ - A+ A||
+ep3     null-space match with A+               ||N(A)_perp* N(A+)||
+ep4     null-space match with A*               ||N(A)_perp* N(A*)||
+ep5     complement of the null space           ||N(A)* R(A)||
+ep6     carrier closure (range of A+)          ||R(A+)_perp* R(A)||
+ep7     orthogonal direct sum                  ||N(A)* R(A)||
+hypo1   null inclusion N(A) <= N(A*)           ||N(A*)_perp* N(A)||
+hypo2   absorption A+ A A A+ = A A+            ||R(A+)_perp* R(A)||
+chain2  absorption A (A+)^2 A = A A+           hypo2's residual
+chain3  projector order A A+ <= A+ A           -min eigenvalue of P_R(A+) - P_R(A)
+chain4  sampled norm inequality                max(||R(A)* x|| - ||R(A+)* x||)
+======  =====================================  ==================================
 
-ep5 and ep7 are the same matrix up to sign and share one residual.
+``R(X)``, ``N(X)`` are the range and null bases from the SVD of ``X``'s own
+operand and ``_perp`` the other singular vectors of that SVD; chain4's
+``x`` are seeded random unit vectors.  Each condition about subspaces reads
+the bases of the decompositions it compares; only ep2 reads the computed
+``A+`` through the products ``A A+`` and ``A+ A``.  ep5 and ep7 are the same
+matrix up to sign and share one residual; with ``P = A A+`` and
+``Q = A+ A``, chain2's ``P Q = P`` is the adjoint of hypo2's ``Q P = P`` and
+shares its residual, which is also ep6's when ``A+`` has ``A``'s rank.
 ep1..ep7 are equivalent, as are hypo1/hypo2; chain2..chain4 are one-way
 consequences of hypo2 (and collapse back to the EP conditions in finite
-dimension).
+dimension).  Every residual is tested against ``subspace_tol``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SvdFactors, TolerancePolicy,
-                   _cross_norm, _Operand, as_matrix, min_eigenvalue, op_norm,
+                   _cross_norm, _Operand, as_matrix, min_eigenvalue, op_norm, projector,
                    subspace_equal, subspace_included, svdvals)
 from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
@@ -108,11 +115,18 @@ def _modulus_from_factors(factors: SvdFactors) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-def _sampled_norm_violation(aad: np.ndarray, ada: np.ndarray, n: int) -> float:
+def _sampled_norm_violation(range_a: np.ndarray, range_dag: np.ndarray) -> float:
+    """``max(||P_R(A) x|| - ||P_R(A+) x||)`` over seeded random unit vectors ``x``.
+
+    ``||P x|| = ||basis* x||`` for an orthonormal basis, so each sample is
+    one r-by-n product per basis.
+    """
+    n = range_a.shape[0]
     rng = np.random.default_rng(_SAMPLE_SEED)
     x = rng.standard_normal((n, _N_SAMPLES)) + 1j * rng.standard_normal((n, _N_SAMPLES))
-    lhs = np.linalg.norm(aad @ x, axis=0)
-    rhs = np.linalg.norm(ada @ x, axis=0)
+    x /= np.linalg.norm(x, axis=0)
+    lhs = np.linalg.norm(range_a.conj().T @ x, axis=0)
+    rhs = np.linalg.norm(range_dag.conj().T @ x, axis=0)
     return float(np.max(lhs - rhs, initial=0.0))
 
 
@@ -120,8 +134,9 @@ def _classify(op: _Operand) -> ClassificationReport:
     """Classify ``A`` from the SVDs of the operands of ``A``, ``A*`` and ``A+``.
 
     The rank, gamma, ``A+`` and the bases of ``R(A)`` and ``N(A)`` all come
-    from the SVD of ``A``; ep1, ep3, ep4 and ep6 compare them with the
-    bases of ``A*`` and ``A+`` from their own SVDs.
+    from the SVD of ``A``; every condition but ep2 compares them with the
+    bases of ``A*`` and ``A+`` from their own SVDs, or with each other.
+    ep2 alone reads the products ``A A+`` and ``A+ A`` of the computed ``A+``.
     """
     arr, tol = op.arr, op.tol
     m, n = arr.shape
@@ -132,37 +147,38 @@ def _classify(op: _Operand) -> ClassificationReport:
     rng_star, nul_star = op.adjoint.bases
     rng_dag, nul_dag = op.dagger.bases
 
-    aad = arr @ op.pinv
-    ada = op.pinv @ arr
     # ep5's (I - P_N(A)) - P_R(A) is minus ep7's P_R(A) + P_N(A) - I.  The
     # complement of N(A) and R(A) each have dimension r, so its norm is the
     # sine of their largest principal angle; N(A) is the complement of the
     # first, so that sine is ||N(A)* R(A)||.
     complement = _cross_norm(nul_a.basis, rng_a.basis)
+    # With P = A A+ and Q = A+ A, hypo2's Q P = P is R(A) <= R(A+), and
+    # chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.
+    absorption = subspace_included(rng_a, rng_dag, tol).residual
 
     sub = tol.subspace_tol
     checks = []
 
-    def residual_check(condition_id, residual, threshold):
-        checks.append(ConditionCheck(condition_id, float(residual), residual <= threshold))
+    def residual_check(condition_id, residual):
+        checks.append(ConditionCheck(condition_id, float(residual), residual <= sub))
 
-    residual_check("ep1", subspace_equal(rng_a, rng_star, tol).residual, sub)
-    residual_check("ep2", op_norm(aad - ada), sub)
-    residual_check("ep3", subspace_equal(nul_a, nul_dag, tol).residual, sub)
-    residual_check("ep4", subspace_equal(nul_a, nul_star, tol).residual, sub)
-    residual_check("ep5", complement, sub)
-    residual_check("ep6", subspace_equal(rng_dag, rng_a, tol).residual, sub)
-    residual_check("ep7", complement, sub)
+    residual_check("ep1", subspace_equal(rng_a, rng_star, tol).residual)
+    residual_check("ep2", op_norm(arr @ op.pinv - op.pinv @ arr))
+    residual_check("ep3", subspace_equal(nul_a, nul_dag, tol).residual)
+    residual_check("ep4", subspace_equal(nul_a, nul_star, tol).residual)
+    residual_check("ep5", complement)
+    residual_check("ep6", subspace_equal(rng_dag, rng_a, tol).residual)
+    residual_check("ep7", complement)
 
-    residual_check("hypo1", subspace_included(nul_a, nul_star, tol).residual, sub)
-    # A+ A A A+ = (A+ A)(A A+) and A A+ A+ A = (A A+)(A+ A).
-    residual_check("hypo2", op_norm(ada @ aad - aad), sub)
-    residual_check("chain2", op_norm(aad @ ada - aad), sub)
-
-    lam_min = min_eigenvalue(ada - aad)
-    checks.append(ConditionCheck("chain3", max(0.0, -lam_min), lam_min >= -tol.psd_tol))
-
-    residual_check("chain4", _sampled_norm_violation(aad, ada, n), sub)
+    residual_check("hypo1", subspace_included(nul_a, nul_star, tol).residual)
+    residual_check("hypo2", absorption)
+    residual_check("chain2", absorption)
+    # For subspaces of equal dimension the eigenvalues of P_R(A+) - P_R(A)
+    # are the +-sines of their principal angles, so this is hypo2's sine
+    # again, read from an eigendecomposition.
+    lam_min = min_eigenvalue(projector(rng_dag) - projector(rng_a))
+    residual_check("chain3", max(0.0, -lam_min))
+    residual_check("chain4", _sampled_norm_violation(rng_a.basis, rng_dag.basis))
 
     by_id = {c.condition_id: c for c in checks}
     is_ep = all(by_id[f"ep{i}"].passed for i in range(1, 8))

@@ -194,8 +194,8 @@ def _command(sub, name: str, func, help: str, matrices: dict | None = None,
                             help="projector-distance tolerance for subspace tests "
                                  "(default 1e-8; env EPLAB_TOL_SUBSPACE overrides)")
         parser.add_argument("--tol-psd", type=float, default=None,
-                            help="floor for minimum-eigenvalue positivity checks "
-                                 "(default 1e-9)")
+                            help="floor for the least eigenvalue of the Douglas "
+                                 "majorization gap B B* - A A* (default 1e-9)")
     return parser
 
 

@@ -78,8 +78,9 @@ class TolerancePolicy:
     absolute cutoff, mutually exclusive with ``rank_rel``.  With neither set,
     the threshold is ``max(m, n) * eps * sigma_max``, the standard
     pseudoinverse truncation rule (deterministic and scale invariant).
-    ``subspace_tol`` bounds projector-distance residuals, ``psd_tol`` is the
-    floor for minimum-eigenvalue positivity checks.
+    ``subspace_tol`` bounds projector-distance residuals and every
+    classification condition; ``psd_tol`` is the floor for the least
+    eigenvalue of the Douglas majorization gap ``B B* - A A*``.
     """
 
     rank_rel: float | None = None

@@ -66,8 +66,13 @@ def range_inclusion_check(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceC
 
 
 def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
-    """Minimum eigenvalue of ``B B* - A A*``; ``A A* <= B B*`` iff it is >= 0."""
-    return min_eigenvalue(arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a))
+    """Minimum eigenvalue of ``B B* - A A*``; ``A A* <= B B*`` iff it is >= 0.
+
+    A Gram matrix that overflows is NonFinite, raised without numpy's warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a)
+    return min_eigenvalue(gap)
 
 
 def _sampled_growth_bound(c: np.ndarray, a: np.ndarray, seed: int) -> float:

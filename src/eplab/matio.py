@@ -36,7 +36,7 @@ from typing import Iterable, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .core import as_matrix
-from .errors import ParseError
+from .errors import BadSpec, ParseError
 
 FORMAT_MATRIXMARKET = "matrixmarket"
 FORMAT_JSON = "json"
@@ -54,11 +54,13 @@ _EXTENSIONS = {
 
 @contextmanager
 def _malformed(what: str):
-    """ParseError for a missing key, a value of the wrong type or out of range,
-    bad UTF-8, bad JSON syntax or nesting too deep while decoding ``what``."""
+    """ParseError for a missing key, a value of the wrong type or out of range
+    (an out-of-range spec's BadSpec too), bad UTF-8, bad JSON syntax or
+    nesting too deep while decoding ``what``."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            BadSpec) as exc:
         raise ParseError(f"{what}: {exc}") from exc
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, _Operand, as_matrix,
-                   op_norm, subspace_equal)
+from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, _cross_norm, _Operand,
+                   as_matrix, op_norm, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
 from .classify import _classify
 
@@ -52,7 +52,9 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
 
     ``A`` must classify EP (SourceNotEP otherwise) and ``B`` must have the
     same shape.  The compression hypotheses are full matrix identities here
-    because finite sections have total domains.
+    because finite sections have total domains.  They are the range
+    inclusions ``R(B*) <= R(A*)`` and ``R(B) <= R(A)`` and are measured as
+    such, against the bases of A's SVD, with no product of ``A+``.
     """
     base, arr_b = _Operand(a, tol), as_matrix(b)
     arr_a = base.arr
@@ -61,12 +63,14 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     if not _classify(base).is_ep:
         raise SourceNotEP("perturbation analysis requires an EP base matrix")
 
-    a_dag = base.pinv
     gamma_a = base.gamma
     norm_b = op_norm(arr_b)
     hyp_norm_product = norm_b / gamma_a if gamma_a else 0.0  # ||A+|| = 1 / gamma
-    hyp_b_adag_a = op_norm(arr_b @ (a_dag @ arr_a) - arr_b)
-    hyp_a_adag_b = op_norm((arr_a @ a_dag) @ arr_b - arr_b)
+    # I - A+ A and I - A A+ project onto N(A) and R(A)'s complement, so
+    # ||B A+ A - B|| = ||N(A)* B*|| and ||A A+ B - B|| = ||R(A)_perp* B||.
+    range_a, null_a = base.bases
+    hyp_b_adag_a = _cross_norm(null_a.basis, arr_b.conj().T)
+    hyp_a_adag_b = _cross_norm(range_a.complement, arr_b)
 
     scale_b = max(1.0, norm_b)
     hypotheses_pass = (hyp_norm_product < 1.0
@@ -75,8 +79,8 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
 
     perturbed = _Operand(arr_a + arr_b, tol)
     concl_ep = _classify(perturbed).is_ep
-    null_cmp = subspace_equal(perturbed.bases[1], base.bases[1], tol)
-    range_cmp = subspace_equal(perturbed.bases[0], base.bases[0], tol)
+    null_cmp = subspace_equal(perturbed.bases[1], null_a, tol)
+    range_cmp = subspace_equal(perturbed.bases[0], range_a, tol)
 
     gamma_perturbed = perturbed.gamma
     bound_slack = RESIDUAL_SLACK * base.scale

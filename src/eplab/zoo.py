@@ -128,6 +128,12 @@ class ZooReport:
     rows: int
     cols: int
 
+    def __post_init__(self):
+        for name in ("rows", "cols"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_DIMENSION:
+                raise ValueError(f"{name} must lie in [1, {MAX_DIMENSION}], got {value}")
+
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n-by-n unitary via phase-fixed QR of a Ginibre draw."""

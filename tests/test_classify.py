@@ -151,16 +151,44 @@ def test_ep_invariant_under_unitary_conjugation():
         assert classify(u @ a @ u.conj().T).is_ep == classify(a).is_ep
 
 
-def test_classify_tolerance_sensitivity():
-    # a slightly tilted adjoint range flips the verdict with the tolerance
+def _tilted(eps):
+    # R(A*) is R(A) tilted by a principal angle of about 2.7 eps
     rng = np.random.default_rng(6)
-    n, r, eps = 5, 3, 1e-5
+    n, r = 5, 3
     u = haar_unitary(n, rng)[:, :r]
     w = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     v, _ = np.linalg.qr(u + eps * w)
-    a = u @ v.conj().T
+    return u @ v.conj().T
+
+
+def test_classify_tolerance_sensitivity():
+    # a slightly tilted adjoint range flips the verdict with the tolerance
+    a = _tilted(1e-5)
     assert not classify(a).is_ep
     assert classify(a, TolerancePolicy(subspace_tol=1e-3)).is_ep
+
+
+def test_hypo_chain_unbroken_just_inside_the_tolerance():
+    # sin theta ~ 8.1e-9: hypo2 passes at 1e-8, so the chain after it must
+    # too; chain3 reads the same sine and chain4 samples unit vectors.
+    rep = classify(_tilted(3e-9))
+    hypo2 = rep.condition("hypo2").residual
+    assert 5e-9 < hypo2 <= 1e-8
+    assert all(rep.condition(cid).passed for cid in ("hypo2", "chain2", "chain3", "chain4"))
+    assert abs(rep.condition("chain3").residual - hypo2) <= 1e-6 * hypo2
+
+
+def test_invertible_ill_conditioned_matrix_passes_all_but_ep2():
+    # 0.3 I + S has kappa ~ 3e8 but sigma_min far above the rank cut.  The
+    # conditions read from bases do not see the eps * kappa rounding of
+    # A A+; ep2 is that product and is not pinned here.
+    n = 16
+    a = 0.3 * np.eye(n) + np.diag(np.ones(n - 1), -1)
+    rep = classify(a)
+    assert rep.rank == n
+    assert all(check.passed for check in rep.conditions if check.condition_id != "ep2")
+    assert rep.is_hypo_ep
+    assert rep.condition("hypo2").residual == rep.condition("chain2").residual
 
 
 # -- closure suite -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -250,5 +251,13 @@ def test_douglas_analysis_decomposition_counts(monkeypatch):
 
 def test_majorization_rejects_overflowed_gram():
     # B B* - A A* overflows to [[nan, 0], [0, -8]]; it must not pass as PSD.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+    with pytest.raises(NonFinite):
         majorization_contraction(np.diag([1e200, 3.0]), np.diag([1e200, 1.0]))
+
+
+def test_overflowed_gram_raises_without_warnings():
+    # A = B, so the pair is majorized, but its Gram matrices overflow.
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(NonFinite):
+        warnings.simplefilter("always")
+        douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 3.0]))
+    assert not caught

@@ -156,3 +156,18 @@ def test_malformed_document_is_parse_error(edit):
     decode_document(doc)
     with pytest.raises(ParseError):
         decode_document(edit(doc))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda report: report["spec"].update(n=0),
+    lambda report: report.update(rows=-3),
+    lambda report: report.update(cols=5000),
+], ids=["spec_n_zero", "negative_rows", "cols_above_cap"])
+def test_out_of_range_zoo_document_is_parse_error(capsys, monkeypatch, tmp_path, edit):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["zoo", '{"family":"WeightedShift","n":3}', "--out", "z.json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    decode_document(doc)
+    edit(doc["report"])
+    with pytest.raises(ParseError):
+        decode_document(doc)
