@@ -29,10 +29,15 @@ the bases of the decompositions it compares; only ep2 reads the computed
 ``A+`` through the products ``A A+`` and ``A+ A``.  ep5 and ep7 are the same
 matrix up to sign and share one residual; with ``P = A A+`` and
 ``Q = A+ A``, chain2's ``P Q = P`` is the adjoint of hypo2's ``Q P = P`` and
-shares its residual, which is also ep6's when ``A+`` has ``A``'s rank.
-ep1..ep7 are equivalent, as are hypo1/hypo2; chain2..chain4 are one-way
-consequences of hypo2 (and collapse back to the EP conditions in finite
-dimension).  Every residual is tested against ``subspace_tol``.
+shares its residual, which is also ep6's, computed once, when ``A+`` has
+``A``'s rank.  ep1..ep7 are equivalent, as are hypo1/hypo2; chain2..chain4
+are one-way consequences of hypo2 (and collapse back to the EP conditions
+in finite dimension).  Every residual is tested against ``subspace_tol``.
+
+``classify`` evaluates all twelve.  The callers that read only the EP
+verdict (the closure suite and its members, ``construct_factor_c``,
+``check_perturbation`` and ``generate_admissible``) evaluate ep1..ep7 only,
+through the same code.
 """
 
 from __future__ import annotations
@@ -115,28 +120,37 @@ def _modulus_from_factors(factors: SvdFactors) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
+def _unit_samples(n: int) -> np.ndarray:
+    """``_N_SAMPLES`` seeded complex Gaussian vectors in C^n, each of unit norm."""
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    x = rng.standard_normal((n, _N_SAMPLES)) + 1j * rng.standard_normal((n, _N_SAMPLES))
+    x /= np.linalg.norm(x, axis=0)
+    return x
+
+
 def _sampled_norm_violation(range_a: np.ndarray, range_dag: np.ndarray) -> float:
     """``max(||P_R(A) x|| - ||P_R(A+) x||)`` over seeded random unit vectors ``x``.
 
     ``||P x|| = ||basis* x||`` for an orthonormal basis, so each sample is
     one r-by-n product per basis.
     """
-    n = range_a.shape[0]
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    x = rng.standard_normal((n, _N_SAMPLES)) + 1j * rng.standard_normal((n, _N_SAMPLES))
-    x /= np.linalg.norm(x, axis=0)
+    x = _unit_samples(range_a.shape[0])
     lhs = np.linalg.norm(range_a.conj().T @ x, axis=0)
     rhs = np.linalg.norm(range_dag.conj().T @ x, axis=0)
     return float(np.max(lhs - rhs, initial=0.0))
 
 
-def _classify(op: _Operand) -> ClassificationReport:
-    """Classify ``A`` from the SVDs of the operands of ``A``, ``A*`` and ``A+``.
+def _check(condition_id: str, residual: float, tol: TolerancePolicy) -> ConditionCheck:
+    return ConditionCheck(condition_id, float(residual), residual <= tol.subspace_tol)
 
-    The rank, gamma, ``A+`` and the bases of ``R(A)`` and ``N(A)`` all come
-    from the SVD of ``A``; every condition but ep2 compares them with the
-    bases of ``A*`` and ``A+`` from their own SVDs, or with each other.
-    ep2 alone reads the products ``A A+`` and ``A+ A`` of the computed ``A+``.
+
+def _ep_checks(op: _Operand) -> list[ConditionCheck]:
+    """ep1..ep7 of ``A`` from the SVDs of the operands of ``A``, ``A*`` and ``A+``.
+
+    The rank, ``A+`` and the bases of ``R(A)`` and ``N(A)`` all come from
+    the SVD of ``A``; every condition but ep2 compares them with the bases
+    of ``A*`` and ``A+`` from their own SVDs, or with each other.  ep2
+    alone reads the products ``A A+`` and ``A+ A`` of the computed ``A+``.
     """
     arr, tol = op.arr, op.tol
     m, n = arr.shape
@@ -152,40 +166,53 @@ def _classify(op: _Operand) -> ClassificationReport:
     # sine of their largest principal angle; N(A) is the complement of the
     # first, so that sine is ||N(A)* R(A)||.
     complement = _cross_norm(nul_a.basis, rng_a.basis)
+    return [
+        _check("ep1", subspace_equal(rng_a, rng_star, tol).residual, tol),
+        _check("ep2", op_norm(arr @ op.pinv - op.pinv @ arr), tol),
+        _check("ep3", subspace_equal(nul_a, nul_dag, tol).residual, tol),
+        _check("ep4", subspace_equal(nul_a, nul_star, tol).residual, tol),
+        _check("ep5", complement, tol),
+        _check("ep6", subspace_equal(rng_dag, rng_a, tol).residual, tol),
+        _check("ep7", complement, tol),
+    ]
+
+
+def _is_ep(op: _Operand) -> bool:
+    """Conjunction of ep1..ep7, for callers that read no other condition."""
+    return all(check.passed for check in _ep_checks(op))
+
+
+def _classify(op: _Operand) -> ClassificationReport:
+    """Classify ``A``: :func:`_ep_checks`, then the hypo-EP conditions and the chain.
+
+    hypo1 compares ``N(A)`` with ``N(A*)``, and hypo2, chain3 and chain4
+    compare ``R(A)`` with ``R(A+)``, each from the SVD of its own operand.
+    """
+    tol = op.tol
+    ep = _ep_checks(op)
+    rng_a, nul_a = op.bases
+    nul_star = op.adjoint.bases[1]
+    rng_dag = op.dagger.bases[0]
+
     # With P = A A+ and Q = A+ A, hypo2's Q P = P is R(A) <= R(A+), and
-    # chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.
-    absorption = subspace_included(rng_a, rng_dag, tol).residual
-
-    sub = tol.subspace_tol
-    checks = []
-
-    def residual_check(condition_id, residual):
-        checks.append(ConditionCheck(condition_id, float(residual), residual <= sub))
-
-    residual_check("ep1", subspace_equal(rng_a, rng_star, tol).residual)
-    residual_check("ep2", op_norm(arr @ op.pinv - op.pinv @ arr))
-    residual_check("ep3", subspace_equal(nul_a, nul_dag, tol).residual)
-    residual_check("ep4", subspace_equal(nul_a, nul_star, tol).residual)
-    residual_check("ep5", complement)
-    residual_check("ep6", subspace_equal(rng_dag, rng_a, tol).residual)
-    residual_check("ep7", complement)
-
-    residual_check("hypo1", subspace_included(nul_a, nul_star, tol).residual)
-    residual_check("hypo2", absorption)
-    residual_check("chain2", absorption)
+    # chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.  When
+    # A+ has A's rank, ep6 computed the same ||R(A+)_perp* R(A)||.
+    absorption = (ep[5].residual if rng_dag.k == rng_a.k
+                  else subspace_included(rng_a, rng_dag, tol).residual)
+    hypo = [_check("hypo1", subspace_included(nul_a, nul_star, tol).residual, tol),
+            _check("hypo2", absorption, tol)]
     # For subspaces of equal dimension the eigenvalues of P_R(A+) - P_R(A)
-    # are the +-sines of their principal angles, so this is hypo2's sine
+    # are the +-sines of their principal angles, so chain3 is hypo2's sine
     # again, read from an eigendecomposition.
     lam_min = min_eigenvalue(projector(rng_dag) - projector(rng_a))
-    residual_check("chain3", max(0.0, -lam_min))
-    residual_check("chain4", _sampled_norm_violation(rng_a.basis, rng_dag.basis))
+    chain = [_check("chain2", absorption, tol),
+             _check("chain3", max(0.0, -lam_min), tol),
+             _check("chain4", _sampled_norm_violation(rng_a.basis, rng_dag.basis), tol)]
 
-    by_id = {c.condition_id: c for c in checks}
-    is_ep = all(by_id[f"ep{i}"].passed for i in range(1, 8))
-    is_hypo_ep = by_id["hypo1"].passed and by_id["hypo2"].passed
-
-    return ClassificationReport(is_ep=is_ep, is_hypo_ep=is_hypo_ep, rank=op.rank,
-                                gamma=op.gamma, conditions=tuple(checks))
+    return ClassificationReport(is_ep=all(check.passed for check in ep),
+                                is_hypo_ep=all(check.passed for check in hypo),
+                                rank=op.rank, gamma=op.gamma,
+                                conditions=tuple(ep + hypo + chain))
 
 
 def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
@@ -195,7 +222,9 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     even after a failure, since disagreement between the routes indicates
     a tolerance or conditioning problem worth surfacing.  ``is_ep`` is the
     conjunction of ep1..ep7, ``is_hypo_ep`` of hypo1/hypo2.  ``A``, ``A*``
-    and ``A+`` are each decomposed once; ep5 and ep7 are one residual.
+    and ``A+`` are each decomposed once, and ``A*`` not at all when it
+    equals ``A`` (two full SVDs for exactly Hermitian ``A``); ep5 and ep7
+    are one residual.
     """
     return _classify(_Operand(a, tol))
 
@@ -207,20 +236,25 @@ def ep_closure_suite(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[str, b
     ``A* A`` and ``|A|``; all four must come back EP.
     """
     op = _Operand(a, tol)
-    if not _classify(op).is_ep:
+    if not _is_ep(op):
         raise SourceNotEP("closure suite requires an EP input")
     return _closure(op)
 
 
 def _closure(op: _Operand) -> list[tuple[str, bool]]:
-    """:func:`ep_closure_suite` for an EP operand; ``|A|`` comes from its SVD."""
+    """:func:`ep_closure_suite` for an EP operand; ``|A|`` comes from its SVD.
+
+    Each member's verdict is ep1..ep7 alone.  ``A*``'s adjoint ``A**`` and
+    the adjoints of the exactly Hermitian ``A A*``, ``A* A`` and ``|A|``
+    reuse an SVD already made (see ``_Operand.adjoint``).
+    """
     members = (
         ("adjoint", op.adjoint),
         ("aa_star", op.gram_right),
         ("a_star_a", op.gram_left),
         ("modulus", _Operand(_modulus_from_factors(op.factors), op.tol)),
     )
-    return [(name, _classify(member).is_ep) for name, member in members]
+    return [(name, _is_ep(member)) for name, member in members]
 
 
 @dataclass(frozen=True)
@@ -244,7 +278,7 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     The residual check is authoritative; the formula is not trusted blindly.
     """
     source = _Operand(a, tol)
-    if not _classify(source).is_ep:
+    if not _is_ep(source):
         raise SourceNotEP("factor construction requires an EP input")
 
     arr, a_dag, star = source.arr, source.pinv, source.adjoint.arr
@@ -287,9 +321,7 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     if np.linalg.norm(star @ z - ax) > max(tol.subspace_tol, RESIDUAL_SLACK) * scale:
         raise SolveFailure("A* z = A x is not solvable at tolerance; input may not be hypo-EP")
 
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    ys = rng.standard_normal((n, _N_SAMPLES)) + 1j * rng.standard_normal((n, _N_SAMPLES))
-    ys /= np.linalg.norm(ys, axis=0)
+    ys = _unit_samples(n)
     lhs = np.abs(ys.conj().T @ ax)
     rhs = (k + tol.subspace_tol) * np.linalg.norm(arr @ ys, axis=0)
     if np.any(lhs > rhs + tol.subspace_tol * scale):

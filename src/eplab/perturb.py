@@ -19,7 +19,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, _cross_norm, _Operand,
                    as_matrix, op_norm, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
-from .classify import _classify
+from .classify import _is_ep
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     arr_a = base.arr
     if arr_a.shape != arr_b.shape:
         raise DimensionMismatch(f"shapes differ: {arr_a.shape} vs {arr_b.shape}")
-    if not _classify(base).is_ep:
+    if not _is_ep(base):
         raise SourceNotEP("perturbation analysis requires an EP base matrix")
 
     gamma_a = base.gamma
@@ -78,7 +78,7 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
                        and hyp_a_adag_b <= tol.subspace_tol * scale_b)
 
     perturbed = _Operand(arr_a + arr_b, tol)
-    concl_ep = _classify(perturbed).is_ep
+    concl_ep = _is_ep(perturbed)
     null_cmp = subspace_equal(perturbed.bases[1], null_a, tol)
     range_cmp = subspace_equal(perturbed.bases[0], range_a, tol)
 
@@ -119,7 +119,7 @@ def generate_admissible(a, scale: float, seed: int) -> np.ndarray:
     """
     source = _Operand(a)
     arr = source.arr
-    if arr.shape[0] != arr.shape[1] or not _classify(source).is_ep:
+    if arr.shape[0] != arr.shape[1] or not _is_ep(source):
         raise SourceNotEP("admissible perturbations are generated for EP matrices only")
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must lie in (0, 1), got {scale}")

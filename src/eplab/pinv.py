@@ -94,8 +94,10 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[IdentityRes
     matrices (reported as the magnitude of any negative eigenvalue).
     Six operands run one SVD each: ``A`` (for ``A+`` and ``N(A)``), ``A*``,
     ``A+``, ``A*+`` (for ``N(A*+)``), ``A* A`` and ``A A*``; ``A*``'s and
-    ``A+``'s SVDs stay separate from ``A``'s.  The propsuite passes the
-    operand it classified, so only the last three SVDs are new there.
+    ``A+``'s SVDs stay separate from ``A``'s, except that an exactly
+    Hermitian ``A``'s adjoint takes ``A``'s (the same decomposition).  The
+    propsuite passes the operand it classified, so only the last three
+    SVDs are new there.
     """
     return _identities(_Operand(a, tol))
 

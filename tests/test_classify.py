@@ -4,6 +4,8 @@ import pytest
 from eplab import (TolerancePolicy, adjoint, classify, construct_factor_c,
                    ep_closure_suite, gamma, majorization_witness, modulus,
                    null_basis, op_norm, pinv, range_basis, subspace_equal)
+from eplab.classify import _classify, _is_ep
+from eplab.core import _Operand
 from eplab.errors import NonFinite, NotSquare, SourceNotEP, SourceNotHypoEP
 from eplab.zoo import corpus_matrix, haar_unitary, random_ep
 
@@ -189,6 +191,64 @@ def test_invertible_ill_conditioned_matrix_passes_all_but_ep2():
     assert all(check.passed for check in rep.conditions if check.condition_id != "ep2")
     assert rep.is_hypo_ep
     assert rep.condition("hypo2").residual == rep.condition("chain2").residual
+
+
+# -- EP-only path ------------------------------------------------------------
+
+def _closure_members(a, tol=TolerancePolicy()):
+    """The closure suite's members, made in its order: A is decomposed first."""
+    op = _Operand(a, tol)
+    op.bases
+    return {"adjoint": op.adjoint, "aa_star": op.gram_right, "a_star_a": op.gram_left,
+            "modulus": _Operand(modulus(a), tol)}
+
+
+def test_ep_only_path_matches_classify_on_corpus():
+    # fresh operands on each side, so neither reads what the other cached
+    for i in range(300):
+        label, a = corpus_matrix(i, seed=0)
+        assert _is_ep(_Operand(a)) == _classify(_Operand(a)).is_ep, label
+
+
+def test_ep_only_path_matches_classify_on_closure_members():
+    checked = 0
+    for i in range(300):
+        label, a = corpus_matrix(i, seed=0)
+        if not classify(a).is_ep:
+            continue
+        expected = {name: _classify(member).is_ep
+                    for name, member in _closure_members(a).items()}
+        assert dict(ep_closure_suite(a)) == expected, label
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("a, tol", [
+    (0.3 * np.eye(16) + np.diag(np.ones(15), -1), TolerancePolicy()),
+    (_tilted(1e-5), TolerancePolicy()),
+    (_tilted(1e-5), TolerancePolicy(subspace_tol=1e-3)),
+    (_tilted(3e-9), TolerancePolicy()),
+])
+def test_ep_only_path_matches_classify_on_hard_cases(a, tol):
+    assert _is_ep(_Operand(a, tol)) == _classify(_Operand(a, tol)).is_ep
+    for member in _closure_members(a, tol).values():
+        assert _is_ep(member) == _classify(_Operand(member.arr, tol)).is_ep
+
+
+def test_hermitian_input_with_negative_zero_imaginary_parts():
+    # A* of an exactly Hermitian A equals A by value but has -0.0 where A
+    # has +0.0; A's SVD serves both, so R(A*) and N(A*) are A's own bases.
+    rng = np.random.default_rng(11)
+    b = random_complex(rng, 6, 4)
+    a = b @ b.conj().T
+    a = (a + a.conj().T) / 2.0
+    np.fill_diagonal(a.imag, -0.0)
+    assert np.array_equal(a, a.conj().T) and np.signbit(np.diag(a).imag).all()
+    rep = classify(a)
+    assert rep.rank == 4 and rep.is_ep
+    ep1, ep4, hypo1 = (rep.condition(cid).residual for cid in ("ep1", "ep4", "hypo1"))
+    assert ep4 == hypo1
+    assert max(ep1, ep4, hypo1) <= TolerancePolicy().subspace_tol
 
 
 # -- closure suite -----------------------------------------------------------

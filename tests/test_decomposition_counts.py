@@ -63,7 +63,28 @@ def test_classify_decompositions(operands, counts):
     assert counts["svd"] == 3
     # ep2's ||A A+ - A+ A|| is the one n x n norm.
     assert counts["svdvals", (N, N)] <= 1
+    # ep6 and hypo2 share one ||R(A+)_perp* R(A)||.
+    assert sum(n for key, n in counts.items() if key[0] == "svdvals") <= 7
     assert counts["eigvalsh"] == 1
+
+
+def test_classify_hermitian_decomposes_a_once(operands, counts):
+    # A* equals A by value (conj puts -0.0 where A has +0.0), so A's SVD
+    # serves A*: one full SVD for A and one for A+.
+    a, _ = operands
+    assert classify(a + a.conj().T).is_ep
+    assert counts["svd"] == 2
+
+
+def test_adjoint_takes_factors_only_from_an_equal_matrix(operands):
+    a, _ = operands
+    op = _Operand(a)
+    op.factors
+    assert op.adjoint.adjoint.factors is op.factors  # A** is A
+    assert "factors" not in op.adjoint.__dict__  # A* is not A
+    herm = _Operand(a + a.conj().T)
+    herm.factors
+    assert herm.adjoint.factors is herm.factors
 
 
 def test_check_perturbation_decompositions(operands, counts):
@@ -73,12 +94,19 @@ def test_check_perturbation_decompositions(operands, counts):
     # ||B||, and ep2 in the classification of A and of A + B; the
     # hypotheses are (n - r) x n cross products.
     assert counts["svdvals", (N, N)] <= 3
+    # Only ep1..ep7 are read, so chain3 runs for neither matrix.
+    assert counts["eigvalsh"] == 0
 
 
 def test_ep_closure_suite_decompositions(operands, counts):
     a, _ = operands
     assert all(is_ep for _, is_ep in ep_closure_suite(a))
-    assert counts["svd"] <= 14
+    # A, A* and A+; (A*)+ for the adjoint member, whose adjoint A** takes
+    # A's SVD; then each exactly Hermitian member and its pseudoinverse,
+    # the member's adjoint taking the member's SVD.
+    assert counts["svd"] <= 10
+    # Every verdict is ep1..ep7 alone, so chain3's eigvalsh never runs.
+    assert counts["eigvalsh"] == 0
 
 
 def test_closed_range_panel_decompositions(operands, counts):
@@ -104,7 +132,9 @@ def test_dagger_identities_decompositions(operands, counts):
 
 def test_property_suite_decompositions(counts):
     assert run_property_suite(10, seed=0).ok
-    assert counts["svd"] <= 116
+    assert counts["svd"] <= 93
+    # chain3 and the two Gram PSD checks of each of the ten matrices.
+    assert counts["eigvalsh"] <= 30
 
 
 def test_cli_pinv_decomposes_a_and_its_pinv_once(operands, counts, tmp_path, capsys):
@@ -123,6 +153,8 @@ def test_operands_are_freed_without_the_cycle_collector(operands):
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         classify(a)
+        classify(a + a.conj().T)
+        ep_closure_suite(a)
         run_property_suite(10, seed=0)
         dagger_identities(a)
         gc.collect()
