@@ -37,7 +37,7 @@ in finite dimension).  Every residual is tested against ``subspace_tol``.
 ``classify`` evaluates all twelve.  The callers that read only the EP
 verdict (the closure suite and its members, ``construct_factor_c``,
 ``check_perturbation`` and ``generate_admissible``) evaluate ep1..ep7 only,
-through the same code.
+and ``majorization_witness`` hypo1 and hypo2 only, through the same code.
 """
 
 from __future__ import annotations
@@ -144,6 +144,13 @@ def _check(condition_id: str, residual: float, tol: TolerancePolicy) -> Conditio
     return ConditionCheck(condition_id, float(residual), residual <= tol.subspace_tol)
 
 
+def _square(op: _Operand) -> np.ndarray:
+    """``A``'s matrix; NotSquare unless it is square."""
+    if op.arr.shape[0] != op.arr.shape[1]:
+        raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
+    return op.arr
+
+
 def _ep_checks(op: _Operand) -> list[ConditionCheck]:
     """ep1..ep7 of ``A`` from the SVDs of the operands of ``A``, ``A*`` and ``A+``.
 
@@ -152,11 +159,7 @@ def _ep_checks(op: _Operand) -> list[ConditionCheck]:
     of ``A*`` and ``A+`` from their own SVDs, or with each other.  ep2
     alone reads the products ``A A+`` and ``A+ A`` of the computed ``A+``.
     """
-    arr, tol = op.arr, op.tol
-    m, n = arr.shape
-    if m != n:
-        raise NotSquare(f"EP classification requires a square matrix, got {arr.shape}")
-
+    arr, tol = _square(op), op.tol
     rng_a, nul_a = op.bases
     rng_star, nul_star = op.adjoint.bases
     rng_dag, nul_dag = op.dagger.bases
@@ -182,25 +185,38 @@ def _is_ep(op: _Operand) -> bool:
     return all(check.passed for check in _ep_checks(op))
 
 
-def _classify(op: _Operand) -> ClassificationReport:
-    """Classify ``A``: :func:`_ep_checks`, then the hypo-EP conditions and the chain.
+def _hypo_checks(op: _Operand, ep6: float | None = None) -> list[ConditionCheck]:
+    """hypo1 and hypo2 of ``A`` from the SVDs of the operands of ``A``, ``A*`` and ``A+``.
 
-    hypo1 compares ``N(A)`` with ``N(A*)``, and hypo2, chain3 and chain4
-    compare ``R(A)`` with ``R(A+)``, each from the SVD of its own operand.
+    hypo1 compares ``N(A)`` with ``N(A*)``, hypo2 ``R(A)`` with ``R(A+)``.
+    When ``A+`` has ``A``'s rank, hypo2's ``||R(A+)_perp* R(A)||`` is ep6's
+    residual, taken from ``ep6`` when the caller has it.
     """
+    _square(op)
     tol = op.tol
-    ep = _ep_checks(op)
     rng_a, nul_a = op.bases
     nul_star = op.adjoint.bases[1]
     rng_dag = op.dagger.bases[0]
+    absorption = (ep6 if ep6 is not None and rng_dag.k == rng_a.k
+                  else subspace_included(rng_a, rng_dag, tol).residual)
+    return [_check("hypo1", subspace_included(nul_a, nul_star, tol).residual, tol),
+            _check("hypo2", absorption, tol)]
+
+
+def _classify(op: _Operand) -> ClassificationReport:
+    """Classify ``A``: :func:`_ep_checks`, :func:`_hypo_checks`, then the chain.
+
+    chain3 and chain4 compare ``R(A)`` with ``R(A+)``, each from the SVD of
+    its own operand.
+    """
+    tol = op.tol
+    ep = _ep_checks(op)
+    hypo = _hypo_checks(op, ep[5].residual)
+    rng_a, rng_dag = op.bases[0], op.dagger.bases[0]
 
     # With P = A A+ and Q = A+ A, hypo2's Q P = P is R(A) <= R(A+), and
-    # chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.  When
-    # A+ has A's rank, ep6 computed the same ||R(A+)_perp* R(A)||.
-    absorption = (ep[5].residual if rng_dag.k == rng_a.k
-                  else subspace_included(rng_a, rng_dag, tol).residual)
-    hypo = [_check("hypo1", subspace_included(nul_a, nul_star, tol).residual, tol),
-            _check("hypo2", absorption, tol)]
+    # chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.
+    absorption = hypo[1].residual
     # For subspaces of equal dimension the eigenvalues of P_R(A+) - P_R(A)
     # are the +-sines of their principal angles, so chain3 is hypo2's sine
     # again, read from an eigendecomposition.
@@ -303,7 +319,7 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     Returns 0 when ``x`` is in the null space; NaN or Inf in ``x`` is NonFinite.
     """
     source = _Operand(a, tol)
-    if not _classify(source).is_hypo_ep:
+    if not all(check.passed for check in _hypo_checks(source)):
         raise SourceNotHypoEP("majorization witness requires a hypo-EP input")
     arr, star = source.arr, source.adjoint.arr
     n = arr.shape[1]

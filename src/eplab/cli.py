@@ -120,7 +120,7 @@ def _cmd_pinv(args) -> int:
 def _cmd_douglas(args) -> int:
     tol = _tolerance(args)
     a, b = read_matrix(args.a, args.format), read_matrix(args.b, args.format)
-    report = douglas_analysis(a, b, tol, seed=args.seed)
+    report = douglas_analysis(a, b, tol)
     return _write_document("douglas", report, file_digest([args.a, args.b]), tol, args.out)
 
 
@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "douglas", _cmd_douglas,
         "range inclusion, factorization and contraction checks for (A, B)",
         {"a": "matrix file for A", "b": "matrix file for B"})
-    p_douglas.add_argument("--seed", type=_at_least(0), default=0,
-                           help="seed for the sampled growth bound (default 0)")
     p_douglas.add_argument("--out", default=None)
 
     p_perturb = _command(

@@ -380,6 +380,23 @@ def op_norm(a) -> float:
     return float(s[0]) if len(s) else 0.0
 
 
+def growth_bound(c, a) -> float:
+    """``sup ||C x||^2 / (||x||^2 + ||A x||^2)`` over nonzero ``x``, exactly.
+
+    ``C`` and ``A`` need the same column count.  The QR factor ``R`` of the
+    stacked ``[I; A]`` has ``R* R = I + A* A``, so ``R^-1`` is
+    ``(I + A* A)^(-1/2)`` up to a unitary factor on the right and the
+    supremum is ``||C R^-1||_2^2``: one solve with ``R*`` and one
+    values-only SVD.  ``A* A`` is never formed, so nothing overflows for
+    entries below about 1e308; a supremum above the float range is inf.
+    """
+    arr_c, arr_a = as_matrix(c), as_matrix(a)
+    n = arr_a.shape[1]
+    r = np.linalg.qr(np.vstack([np.eye(n), arr_a]), mode="r")
+    with np.errstate(over="ignore"):
+        return float(np.square(op_norm(np.linalg.solve(r.conj().T, arr_c.conj().T))))
+
+
 def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of the Hermitian part ``(A + A*) / 2`` of a square matrix."""
     arr = as_matrix(a)

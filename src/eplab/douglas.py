@@ -16,21 +16,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (DEFAULT_TOL, SubspaceComparison, TolerancePolicy, _cross_norm,
-                   _Operand, adjoint, as_matrix, min_eigenvalue, op_norm, subspace_equal)
+                   _Operand, adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm,
+                   subspace_equal)
 from .errors import DimensionMismatch, MajorizationFails, RangeNotIncluded
-
-# Random vectors behind the sampled growth bound ``bound_k``.
-_GROWTH_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
 class DouglasReport:
     """Joint outcome of the inclusion / factorization / contraction checks.
 
-    ``bound_k`` is a sampled witness: the largest observed value of
-    ``||C x||^2 / (||x||^2 + ||A x||^2)``, certifying that a finite growth
-    constant exists.  ``contraction_ok`` is only evaluated on the
-    majorization path and stays None otherwise.
+    ``bound_k`` is the least growth constant of the factor: the exact
+    supremum of ``||C x||^2 / (||x||^2 + ||A x||^2)`` over nonzero ``x``,
+    ``||C (I + A* A)^(-1/2)||_2^2`` (see :func:`eplab.core.growth_bound`).
+    ``contraction_ok`` is only evaluated on the majorization path and stays
+    None otherwise.
     """
 
     range_included: bool
@@ -75,47 +74,35 @@ def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
     return min_eigenvalue(gap)
 
 
-def _sampled_growth_bound(c: np.ndarray, a: np.ndarray, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    shape = (a.shape[1], _GROWTH_SAMPLES)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    num = np.linalg.norm(c @ x, axis=0) ** 2
-    den = np.linalg.norm(x, axis=0) ** 2 + np.linalg.norm(a @ x, axis=0) ** 2
-    return float(np.max(num / den, initial=0.0))
-
-
 def _contracts(c: np.ndarray, tol: TolerancePolicy) -> bool:
     return op_norm(c) <= 1.0 + tol.subspace_tol
 
 
 def _factor(arr_a: np.ndarray, op_b: _Operand, inclusion: SubspaceComparison,
-            majorized: bool, seed: int) -> DouglasReport:
+            majorized: bool) -> DouglasReport:
     """Report for the factor ``C = pinv(B) A``; ``contraction_ok`` only when majorized."""
     c = op_b.pinv @ arr_a
     return DouglasReport(
         range_included=bool(inclusion.ok), residual_range=float(inclusion.residual),
         factor_c=c, residual_bc_a=float(op_norm(op_b.arr @ c - arr_a)),
-        bound_k=_sampled_growth_bound(c, arr_a, seed),
+        bound_k=growth_bound(c, arr_a),
         contraction_ok=_contracts(c, op_b.tol) if majorized else None)
 
 
-def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL,
-                      seed: int = 0) -> DouglasReport:
+def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     """Factor ``A = B C`` with ``C = pinv(B) A`` once inclusion holds.
 
-    Raises RangeNotIncluded when the inclusion test fails.  ``seed`` feeds
-    the sampled growth bound so reports are reproducible.
+    Raises RangeNotIncluded when the inclusion test fails.
     """
     arr_a, op_b = _operands(a, b, tol)
     inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
     if not inclusion.ok:
         raise RangeNotIncluded(
             f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
-    return _factor(arr_a, op_b, inclusion, False, seed)
+    return _factor(arr_a, op_b, inclusion, False)
 
 
-def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
-                             seed: int = 0) -> DouglasReport:
+def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     """Under ``A A* <= B B*`` produce the contraction factor ``pinv(B) A``.
 
     The PSD hypothesis is checked through the minimum eigenvalue of
@@ -126,11 +113,10 @@ def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     if lam_min < -tol.psd_tol:
         raise MajorizationFails(f"B B* - A A* has negative eigenvalue {lam_min:.3e}")
     inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
-    return _factor(arr_a, op_b, inclusion, True, seed)
+    return _factor(arr_a, op_b, inclusion, True)
 
 
-def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
-                     seed: int = 0) -> DouglasReport:
+def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     """Inclusion, factorization and contraction verdicts for ``(A, B)`` together.
 
     The factor fields are those of :func:`douglas_factorize` when
@@ -143,7 +129,7 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL,
     inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
     majorized = _majorization_gap(arr_a, op_b.arr) >= -tol.psd_tol
     if inclusion.ok:
-        return _factor(arr_a, op_b, inclusion, majorized, seed)
+        return _factor(arr_a, op_b, inclusion, majorized)
     contraction_ok = _contracts(op_b.pinv @ arr_a, tol) if majorized else None
     return DouglasReport(range_included=False, residual_range=float(inclusion.residual),
                          factor_c=None, residual_bc_a=None, bound_k=None,
@@ -174,8 +160,9 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[PanelItem]
     of a matrix is always the same.
     """
     op = _Operand(a, tol)
-    arr, star, gram_right = op.arr, op.adjoint.arr, op.gram_right.arr
+    # A's SVD first, so that an exactly Hermitian A* takes it (see _Operand.adjoint).
     factors, r, gam, scale = op.factors, op.rank, op.gamma, op.scale
+    arr, star, gram_right = op.arr, op.adjoint.arr, op.gram_right.arr
     threshold = tol.rank_threshold(factors.sigma, factors.shape)
     rng = np.random.default_rng(0)
 

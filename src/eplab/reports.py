@@ -10,6 +10,8 @@ The envelope and the report are one record of the codec in
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from . import __version__
@@ -72,5 +74,49 @@ def decode_document(doc: dict):
 
 
 def dump_document(doc: dict) -> str:
-    """Deterministic JSON rendering (sorted keys, two-space indent)."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON rendering (sorted keys, two-space indent).
+
+    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
+    for any JSON tree with string keys.  That call runs json's pure-Python
+    encoder; here each list of scalars, such as a matrix payload, is written
+    by json's C encoder in one call instead.
+    """
+    return _render(doc, "") + "\n"
+
+
+def _render(value, indent: str) -> str:
+    """``value`` as json's ``indent=2`` text, its closing bracket at ``indent``."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(key)}: {_render(item, inner)}" for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if not any(isinstance(item, (dict, list, tuple)) for item in value):
+            # The C encoder writes the items with the indented separator.
+            text = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
+            return f"[\n{inner}{text[1:-1]}\n{indent}]"
+        items = [_render(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return _scalar(value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _scalar(value) -> str:
+    """One JSON scalar as json's encoder writes it."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    return int.__repr__(value)

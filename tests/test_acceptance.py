@@ -167,7 +167,7 @@ def test_criterion_9_douglas_soundness():
         k = int(rng.integers(1, 6))
         b = random_complex(rng, m, k)
         a = b @ random_complex(rng, k, int(rng.integers(1, 7)))
-        rep = douglas_factorize(a, b, seed=i)
+        rep = douglas_factorize(a, b)
         if rep.residual_bc_a > RESIDUAL_TOL or not np.isfinite(rep.bound_k):
             factorization_failures.append(i)
 
@@ -179,7 +179,7 @@ def test_criterion_9_douglas_soundness():
         k_mat = random_complex(rng, n, n)
         k_mat /= op_norm(k_mat) / float(rng.uniform(0.05, 1.0))
         a = b @ k_mat
-        rep = majorization_contraction(a, b, seed=i)
+        rep = majorization_contraction(a, b)
         if op_norm(rep.factor_c) > 1.0 + 1e-9:
             contraction_failures.append(i)
 

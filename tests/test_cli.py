@@ -204,10 +204,10 @@ def test_douglas_command_is_douglas_analysis(capsys, tmp_path, case):
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
     write_matrix(a_path, a)
     write_matrix(b_path, b)
-    code, out, _ = run(capsys, "douglas", str(a_path), str(b_path), "--seed", "5")
+    code, out, _ = run(capsys, "douglas", str(a_path), str(b_path))
     assert code == 0
     tol = TolerancePolicy()
-    report = douglas_analysis(read_matrix(a_path), read_matrix(b_path), tol, seed=5)
+    report = douglas_analysis(read_matrix(a_path), read_matrix(b_path), tol)
     assert out == dump_document(make_document(
         "douglas", report, file_digest([a_path, b_path]), tol))
 
@@ -251,8 +251,9 @@ def test_classify_malformed_json_exits_2(capsys, tmp_path, text):
     ["propsuite", "--count", "abc"],
     ["propsuite", "--seed", "-1"],
     ["douglas", "a.json", "b.json", "--seed", "-1"],
+    ["douglas", "a.json", "b.json", "--seed", "0"],
 ], ids=["no_command", "unknown_command", "no_input", "exclusive_flags", "bad_int",
-        "propsuite_negative_seed", "douglas_negative_seed"])
+        "propsuite_negative_seed", "douglas_negative_seed", "douglas_has_no_seed"])
 def test_argparse_errors_exit_64(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and not out
@@ -336,7 +337,7 @@ TOLERANCE_FLAGS = ["--tol-rank-rel", "--tol-rank-abs", "--tol-subspace", "--tol-
 @pytest.mark.parametrize("command, flags", [
     ("classify", ["--format", "--out", *TOLERANCE_FLAGS]),
     ("pinv", ["--format", "--out", *TOLERANCE_FLAGS]),
-    ("douglas", ["--format", "--out", "--seed", *TOLERANCE_FLAGS]),
+    ("douglas", ["--format", "--out", *TOLERANCE_FLAGS]),
     ("perturb", ["--format", "--out", *TOLERANCE_FLAGS]),
     ("zoo", ["--out"]),
     ("sweep", ["--sizes", "--out"]),

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eplab
 from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint, classify,
                    min_eigenvalue, null_basis, numerical_rank, op_norm,
                    projector, range_basis, subspace_equal, subspace_included,
@@ -340,3 +344,31 @@ def test_svd_factors_rejects_non_unitary_factor():
     with pytest.raises(ValueError):
         SvdFactors(u=np.eye(2, dtype=complex), sigma=np.array([1.0, 0.5]),
                    v=np.ones((2, 2), dtype=complex))
+
+
+_DECOMPOSITIONS = {"svd", "eigvalsh", "eigh"}
+
+
+def _decomposition_uses(source: str) -> list[str]:
+    """``linalg.svd``/``eigvalsh``/``eigh`` references and imports in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in _DECOMPOSITIONS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            found.append(f"line {node.lineno}: linalg.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                      if alias.name in _DECOMPOSITIONS | {"*"}]
+    return found
+
+
+def test_decompositions_are_called_only_in_core():
+    # Every SVD and Hermitian eigensolver call goes through core.py, where
+    # the decomposition counts and the error mapping live.
+    package = Path(eplab.__file__).parent
+    uses = {path.name: _decomposition_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py")) if path.name != "core.py"}
+    assert not {name: found for name, found in uses.items() if found}
+    assert _decomposition_uses((package / "core.py").read_text(encoding="utf-8"))
+    assert _decomposition_uses("import numpy as np\nnp.linalg.eigh(a)\n")
+    assert _decomposition_uses("from numpy.linalg import svd\n")

@@ -16,7 +16,7 @@ import pytest
 from eplab import (SubspaceBasis, check_perturbation, classify, closed_range_panel,
                    dagger_identities, douglas_analysis, douglas_factorize,
                    ep_closure_suite, generate_admissible, majorization_contraction,
-                   range_inclusion_check)
+                   majorization_witness, range_inclusion_check)
 from eplab import cli, write_matrix
 from eplab import douglas as douglas_module
 from eplab.core import _Operand
@@ -36,8 +36,8 @@ def operands():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counter of ``svd`` (full), ``("svdvals", shape)`` (values only) and
-    ``eigvalsh`` calls made while the test runs."""
+    """Counter of ``svd`` (full), ``("svdvals", shape)`` (values only),
+    ``eigvalsh`` and ``qr`` calls made while the test runs."""
     tally = Counter()
 
     def counting(name, fn):
@@ -54,6 +54,7 @@ def counts(monkeypatch):
     for name in ("svd", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         monkeypatch.setitem(internal, name, counting(name, internal[name]))
+    monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
     return tally
 
 
@@ -115,6 +116,14 @@ def test_closed_range_panel_decompositions(operands, counts):
     assert counts["svd"] <= 4
 
 
+def test_closed_range_panel_hermitian_decomposes_a_once(operands, counts):
+    # A's SVD is made before A* is read, so the exactly Hermitian A* takes
+    # it: A, A A* and A* A.
+    a, _ = operands
+    assert all(item.passed for item in closed_range_panel(a + a.conj().T))
+    assert counts["svd"] == 3
+
+
 @pytest.mark.parametrize("entry", [range_inclusion_check, douglas_factorize,
                                    majorization_contraction, douglas_analysis])
 def test_douglas_entry_points_decompose_b_once(operands, counts, entry):
@@ -122,6 +131,25 @@ def test_douglas_entry_points_decompose_b_once(operands, counts, entry):
     a, b = operands
     entry(b, a)
     assert counts["svd"] == 1
+    # One QR of [I; A] for the growth bound, wherever a factor is reported.
+    assert counts["qr"] == (entry is not range_inclusion_check)
+
+
+def test_douglas_analysis_excluded_pair_computes_no_growth_bound(counts):
+    (_, a, b), = [case for case in douglas_cases() if case[0] == "not_included_majorized"]
+    counts.clear()  # building the cases decomposes too
+    assert not douglas_analysis(a, b).range_included
+    assert counts["qr"] == 0
+
+
+def test_majorization_witness_decompositions(operands, counts):
+    # Only hypo1 and hypo2 are read: the SVDs of A, A* and A+, one cross
+    # product for each and no chain3 eigvalsh.
+    a, _ = operands
+    majorization_witness(a, np.ones(N))
+    assert counts["svd"] == 3
+    assert sum(n for key, n in counts.items() if key[0] == "svdvals") <= 2
+    assert counts["eigvalsh"] == 0
 
 
 def test_dagger_identities_decompositions(operands, counts):
@@ -173,7 +201,7 @@ def test_douglas_analysis_skips_factor_when_not_included(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("growth bound computed for a dropped factor")
 
-    monkeypatch.setattr(douglas_module, "_sampled_growth_bound", unused)
+    monkeypatch.setattr(douglas_module, "growth_bound", unused)
     report = douglas_analysis(a, b)
     assert (report.range_included, report.contraction_ok) == (False, True)
     assert report.factor_c is None and report.bound_k is None
@@ -181,16 +209,17 @@ def test_douglas_analysis_skips_factor_when_not_included(monkeypatch):
 
 def test_property_suite_computes_no_growth_bound(monkeypatch):
     # The suite's Douglas check reads the inclusion verdict and ||A C' - A C||
-    # only, so the factor's sampled growth bound is never needed.
+    # only, so the factor's growth bound is never needed.
     def unused(*args, **kwargs):
         raise AssertionError("growth bound computed for the property suite")
 
-    monkeypatch.setattr(douglas_module, "_sampled_growth_bound", unused)
+    monkeypatch.setattr(douglas_module, "growth_bound", unused)
     assert run_property_suite(10, seed=0).ok
 
 
 def test_subspace_basis_check_runs_no_decomposition(counts):
     basis = np.linalg.qr(np.random.default_rng(1).standard_normal((N, 5)))[0]
+    counts.clear()  # the QR that made the basis
     SubspaceBasis(N, basis.astype(complex))
     assert not counts
 

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eplab import (DouglasReport, closed_range_panel, douglas_analysis,
                    douglas_factorize, generate_admissible,
                    majorization_contraction, op_norm, pinv, projector,
                    range_basis, range_inclusion_check)
 from eplab import douglas as douglas_module
+from eplab.core import growth_bound
 from eplab.errors import (DimensionMismatch, MajorizationFails, NonFinite,
                           RangeNotIncluded)
 from eplab.zoo import random_ep
@@ -195,15 +197,15 @@ _DOUGLAS_VERDICTS = {
 }
 
 
-def _analysis_from_parts(a, b, seed):
+def _analysis_from_parts(a, b):
     """douglas_analysis spelled out through the three single-purpose calls."""
     inclusion = range_inclusion_check(a, b)
     if inclusion.ok:
-        expected = douglas_factorize(a, b, seed=seed)
+        expected = douglas_factorize(a, b)
     else:
         expected = DouglasReport(False, inclusion.residual, None, None, None, None)
     try:
-        contraction_ok = majorization_contraction(a, b, seed=seed).contraction_ok
+        contraction_ok = majorization_contraction(a, b).contraction_ok
     except MajorizationFails:
         contraction_ok = None
     return replace(expected, contraction_ok=contraction_ok)
@@ -212,8 +214,8 @@ def _analysis_from_parts(a, b, seed):
 @pytest.mark.parametrize("case", douglas_cases(), ids=lambda case: case[0])
 def test_douglas_analysis_four_cases(case):
     name, a, b = case
-    report = douglas_analysis(a, b, seed=3)
-    expected = _analysis_from_parts(a, b, seed=3)
+    report = douglas_analysis(a, b)
+    expected = _analysis_from_parts(a, b)
     assert (report.range_included, report.contraction_ok) == _DOUGLAS_VERDICTS[name]
     assert report.range_included == expected.range_included
     assert report.residual_range == expected.residual_range
@@ -238,7 +240,7 @@ def test_douglas_analysis_decomposition_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("svd", "eigvalsh"):
+    for name in ("svd", "eigvalsh", "qr"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(douglas_module, "_inclusion",
                         counting("_inclusion", douglas_module._inclusion))
@@ -247,6 +249,7 @@ def test_douglas_analysis_decomposition_counts(monkeypatch):
     assert counts["_inclusion"] == 1
     assert counts["svd"] == 1
     assert counts["eigvalsh"] == 1
+    assert counts["qr"] == 1  # the growth bound's
 
 
 def test_majorization_rejects_overflowed_gram():
@@ -261,3 +264,46 @@ def test_overflowed_gram_raises_without_warnings():
         warnings.simplefilter("always")
         douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 3.0]))
     assert not caught
+
+
+def _sampled_growth_bound(c, a, seed):
+    """The sampled bound ``bound_k`` used to report: the largest of 1000 ratios."""
+    rng = np.random.default_rng(seed)
+    shape = (a.shape[1], 1000)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    num = np.linalg.norm(c @ x, axis=0) ** 2
+    den = np.linalg.norm(x, axis=0) ** 2 + np.linalg.norm(a @ x, axis=0) ** 2
+    return float(np.max(num / den, initial=0.0))
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_growth_bound_is_the_generalized_eigenvalue(seed):
+    # sup ||C x||^2 / (||x||^2 + ||A x||^2) is the largest eigenvalue of the
+    # pencil (C* C, I + A* A); a sample maximum never exceeds it.
+    rng = np.random.default_rng([31, seed])
+    m, k, n = (int(v) for v in rng.integers(1, 9, 3))
+    b = random_complex(rng, m, k)
+    b *= 10.0 ** rng.uniform(-3, 3) / op_norm(b)
+    a = b @ random_complex(rng, k, n)
+    a *= 10.0 ** rng.uniform(-3, 3) / op_norm(a)
+    report = douglas_factorize(a, b)
+    c = report.factor_c
+    exact = scipy.linalg.eigh(c.conj().T @ c, np.eye(n) + a.conj().T @ a, eigvals_only=True)[-1]
+    assert abs(report.bound_k - exact) <= 1e-9 * exact
+    assert report.bound_k >= _sampled_growth_bound(c, a, seed) * (1 - 1e-12)
+
+
+def test_growth_bound_of_huge_entries_raises_no_warning():
+    # I + A* A overflows; the QR of [I; A] does not.  B's rank is 1 at the
+    # default threshold, so C = diag(1, 0) and the bound is 1e-400, which is 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = douglas_factorize(np.diag([1e200, 3.0]), np.diag([1e200, 3.0]))
+    assert report.bound_k == 0.0
+
+
+def test_growth_bound_of_the_identity_factor():
+    # C = I: the supremum is 1 / (1 + sigma_min(A)^2), reached at A's last
+    # right singular vector.
+    a = np.diag([4.0, 0.5, 2.0])
+    assert abs(growth_bound(np.eye(3), a) - 1.0 / 1.25) <= 1e-15

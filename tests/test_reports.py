@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eplab
 from eplab import (DouglasReport, TolerancePolicy, ZooReport, check_perturbation,
@@ -171,3 +173,47 @@ def test_out_of_range_zoo_document_is_parse_error(capsys, monkeypatch, tmp_path,
     edit(doc["report"])
     with pytest.raises(ParseError):
         decode_document(doc)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**100, 2**100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, float("nan"),
+                     float("inf"), -float("inf")]),
+    st.text(max_size=6),
+    st.sampled_from([", ", "[1, 2]", "{}", '"', "\\", "\n", "é€𝄞", ",\n  "]))
+_TREES = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=5), st.dictionaries(st.text(max_size=4), children, max_size=5)),
+    max_leaves=40)
+
+
+def _indented(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TREES)
+@example([])
+@example({})
+@example([[], {}, [[]], {"a": {}, "b": [[], [{}]]}])
+@example({"re": [1.5, -0.0, 2**64], "im": ["a, b", None, True]})
+def test_dump_document_matches_indented_json_dumps(tree):
+    assert dump_document(tree) == _indented(tree)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "a.json"],
+    ["pinv", "a.json", "--out", "p.json"],
+    ["douglas", "a.json", "a.json"],
+    ["perturb", "a.json", "b.json"],
+    ["zoo", '{"family":"RandomEP","n":4,"rank":2,"seed":3}', "--out", "z.json"],
+    ["propsuite", "--count", "3"],
+], ids=lambda argv: argv[0])
+def test_cli_documents_render_as_indented_json_dumps(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    a = eplab.zoo.random_ep(5, 3, np.random.default_rng(0))
+    eplab.write_matrix(tmp_path / "a.json", a)
+    eplab.write_matrix(tmp_path / "b.json", eplab.generate_admissible(a, 0.5, 0))
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == _indented(json.loads(text))
