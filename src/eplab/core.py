@@ -82,7 +82,8 @@ class TolerancePolicy:
     pseudoinverse truncation rule (deterministic and scale invariant).
     ``subspace_tol`` bounds projector-distance residuals and every
     classification condition; ``psd_tol`` is the floor for the least
-    eigenvalue of the Douglas majorization gap ``B B* - A A*``.
+    eigenvalue of the Douglas majorization gap ``B B* - A A*``.  Every value
+    that is set must be finite and positive; ValueError otherwise.
     """
 
     rank_rel: float | None = None
@@ -95,8 +96,8 @@ class TolerancePolicy:
             raise ValueError("rank_rel and rank_abs are mutually exclusive")
         for name in ("rank_rel", "rank_abs", "subspace_tol", "psd_tol"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if value is not None and not 0 < value < float("inf"):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def rank_threshold(self, sigma: np.ndarray, shape: tuple[int, int]) -> float:
         """Resolve the singular-value cutoff for a matrix of the given shape."""

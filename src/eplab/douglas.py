@@ -144,6 +144,7 @@ class PanelItem(NamedTuple):
 
 
 _TRIVIAL = "finite-dim: trivially true"
+_RESTATED = "restates A's SVD: true by construction"
 
 
 def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[PanelItem]:
@@ -153,18 +154,18 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[PanelItem]
     every pseudoinverse is bounded and everywhere defined) are listed with a
     trivially-true note rather than omitted, so the panel documents its own
     coverage.  The contrastable items compare ranges against the Gram
-    matrices, check ``gamma`` against the rank threshold, and verify the
-    majorization ``||A* x|| <= k ||A A* x||`` with the sampled witness
-    ``k = 1/gamma`` together with the factorization ``A = A A* S`` for
-    ``S = pinv(A A*) A``.  The samples are drawn with seed 0, so the panel
-    of a matrix is always the same.
+    matrices, check ``gamma`` against the rank threshold and check the
+    factorization ``A = A A* S`` for ``S = pinv(A A*) A``.  Two items are
+    restatements of A's SVD, listed as passed with residual 0 and a note of
+    their own: ``inf ||A x|| / ||x||`` on the carrier is ``sigma_r = gamma``,
+    and ``||A A* y|| >= gamma ||A* y||`` because ``A* y`` lies in the
+    carrier.  Nothing is sampled.
     """
     op = _Operand(a, tol)
     # A's SVD first, so that an exactly Hermitian A* takes it (see _Operand.adjoint).
     factors, r, gam, scale = op.factors, op.rank, op.gamma, op.scale
-    arr, star, gram_right = op.arr, op.adjoint.arr, op.gram_right.arr
+    arr, gram_right = op.arr, op.gram_right.arr
     threshold = tol.rank_threshold(factors.sigma, factors.shape)
-    rng = np.random.default_rng(0)
 
     items = [
         PanelItem("range_closed", True, 0.0, _TRIVIAL),
@@ -186,26 +187,11 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[PanelItem]
     items.append(PanelItem("gamma_positive", gam > threshold,
                            max(0.0, threshold - gam),
                            f"gamma={gam:.6e} threshold={threshold:.6e} rank={r}"))
-
-    n = arr.shape[1]
-    x = rng.standard_normal((n, 200)) + 1j * rng.standard_normal((n, 200))
-    carrier = factors.v[:, :r] @ (factors.v[:, :r].conj().T @ x)
-    viol = gam * np.linalg.norm(carrier, axis=0) - np.linalg.norm(arr @ carrier, axis=0)
-    viol_max = float(np.max(viol, initial=0.0))
-    items.append(PanelItem("carrier_lower_bound",
-                           viol_max <= tol.subspace_tol * scale,
-                           max(0.0, viol_max),
-                           f"sampled ||A x|| >= gamma ||x|| on the carrier, k=gamma={gam:.6e}"))
-
-    k_wit = 1.0 / gam if gam > 0 else 1.0
-    m = arr.shape[0]
-    y = rng.standard_normal((m, 200)) + 1j * rng.standard_normal((m, 200))
-    viol2 = np.linalg.norm(star @ y, axis=0) - k_wit * np.linalg.norm(gram_right @ y, axis=0)
-    viol2_max = float(np.max(viol2, initial=0.0))
-    items.append(PanelItem("adjoint_majorized_by_gram",
-                           viol2_max <= tol.subspace_tol * scale,
-                           max(0.0, viol2_max),
-                           f"sampled ||A* x|| <= k ||A A* x||, k=1/gamma={k_wit:.6e} (sampled witness)"))
+    items.append(PanelItem("carrier_lower_bound", True, 0.0,
+                           f"{_RESTATED}: ||A x|| >= gamma ||x|| on the carrier, "
+                           f"gamma=sigma_r={gam:.6e}"))
+    items.append(PanelItem("adjoint_majorized_by_gram", True, 0.0,
+                           f"{_RESTATED}: ||A* y|| <= k ||A A* y||, k=1/gamma"))
 
     s_factor = op.gram_right.pinv @ arr
     res_s = op_norm(gram_right @ s_factor - arr)

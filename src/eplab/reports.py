@@ -18,6 +18,7 @@ from . import __version__
 from .classify import ClassificationReport
 from .core import TolerancePolicy
 from .douglas import DouglasReport
+from .errors import NonFinite
 from .matio import _decode, _encode, _malformed
 from .perturb import PerturbationReport
 from .pinv import PenroseReport
@@ -77,11 +78,16 @@ def dump_document(doc: dict) -> str:
     """Deterministic JSON rendering (sorted keys, two-space indent).
 
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
-    for any JSON tree with string keys.  That call runs json's pure-Python
-    encoder; here each list of scalars, such as a matrix payload, is written
-    by json's C encoder in one call instead.
+    for any JSON tree with string keys and finite floats.  That call runs
+    json's pure-Python encoder; here each list of scalars, such as a matrix
+    payload, is written by json's C encoder in one call instead.  A NaN or
+    infinite float has no RFC 8259 form and raises NonFinite, so no document
+    carries ``NaN`` or ``Infinity``.
     """
-    return _render(doc, "") + "\n"
+    try:
+        return _render(doc, "") + "\n"
+    except ValueError as exc:  # json's refusal of NaN and infinity, also _scalar's
+        raise NonFinite(f"the report holds a value with no JSON form: {exc}") from exc
 
 
 def _render(value, indent: str) -> str:
@@ -97,7 +103,8 @@ def _render(value, indent: str) -> str:
             return "[]"
         if not any(isinstance(item, (dict, list, tuple)) for item in value):
             # The C encoder writes the items with the indented separator.
-            text = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
+            text = json.JSONEncoder(separators=(",\n" + inner, ": "),
+                                    allow_nan=False).encode(value)
             return f"[\n{inner}{text[1:-1]}\n{indent}]"
         items = [_render(item, inner) for item in value]
         brackets = "[]"
@@ -116,7 +123,7 @@ def _scalar(value) -> str:
     if value is None or value is True or value is False:
         return _CONSTANTS[value]
     if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
     return int.__repr__(value)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from eplab import (TolerancePolicy, adjoint, classify, construct_factor_c,
+from eplab import (SubspaceBasis, TolerancePolicy, adjoint, classify, construct_factor_c,
                    ep_closure_suite, gamma, majorization_witness, modulus,
-                   null_basis, op_norm, pinv, range_basis, subspace_equal)
-from eplab.classify import _classify, _is_ep
+                   null_basis, op_norm, pinv, range_basis, subspace_equal,
+                   subspace_included)
+from eplab.classify import ConditionCheck, _classify, _is_ep
 from eplab.core import _Operand
 from eplab.errors import NonFinite, NotSquare, SourceNotEP, SourceNotHypoEP
 from eplab.zoo import corpus_matrix, haar_unitary, random_ep
@@ -145,6 +146,49 @@ def test_hypo_chain_implications_on_corpus_slice():
             assert not (first and not second), f"{label}: chain broken {seq}"
 
 
+def test_chain4_is_hypo2_residual_on_corpus_slice():
+    for i in range(200):
+        label, a = corpus_matrix(i, seed=0)
+        rep = classify(a)
+        assert rep.condition("chain4").residual == rep.condition("hypo2").residual, label
+
+
+def test_chain4_fails_with_hypo2_on_a_small_tilt():
+    # R(A*) is R(A) tilted by a principal angle of 1.27e-7 at n=128, rank 100.
+    # A sample of 100 unit vectors saw only 7.3e-9 of it and passed chain4.
+    rng = np.random.default_rng(0)
+    u = haar_unitary(128, rng)[:, :100]
+    w = rng.standard_normal((128, 100)) + 1j * rng.standard_normal((128, 100))
+    v = np.linalg.qr(u + 6e-9 * w)[0]
+    rep = classify(u @ v.conj().T)
+    hypo2, chain4 = rep.condition("hypo2"), rep.condition("chain4")
+    assert 1e-7 < hypo2.residual < 2e-7 and not hypo2.passed
+    assert chain4 == ConditionCheck("chain4", hypo2.residual, False)
+
+
+@pytest.mark.parametrize("r_p, r_q", [(3, 5), (5, 3), (1, 6)])
+def test_norm_inequality_supremum_is_the_inclusion_residual(r_p, r_q):
+    # sup over unit x of ||P x|| - ||Q x|| is ||(I - Q) P||, for orthogonal
+    # projectors P, Q of any ranks: the top left singular vector of (I - Q) P
+    # attains it, and no random unit vector exceeds it.
+    rng = np.random.default_rng(17 + r_p)
+    n = 8
+    p = SubspaceBasis(n, haar_unitary(n, rng)[:, :r_p])
+    q = SubspaceBasis(n, haar_unitary(n, rng)[:, :r_q])
+    residual = subspace_included(p, q).residual
+
+    def excess(x):
+        return (np.linalg.norm(p.basis.conj().T @ x, axis=0)
+                - np.linalg.norm(q.basis.conj().T @ x, axis=0))
+
+    gap = (np.eye(n) - q.basis @ q.basis.conj().T) @ p.basis @ p.basis.conj().T
+    top = np.linalg.svd(gap)[0][:, :1]
+    assert abs(excess(top)[0] - residual) <= 1e-12
+    x = random_complex(rng, n, 20000)
+    x /= np.linalg.norm(x, axis=0)
+    assert np.max(excess(x)) <= residual + 1e-12
+
+
 def test_ep_invariant_under_unitary_conjugation():
     rng = np.random.default_rng(5)
     for a in (np.diag([1.0, 2.0, 0.0]).astype(complex), JORDAN.copy()):
@@ -172,7 +216,8 @@ def test_classify_tolerance_sensitivity():
 
 def test_hypo_chain_unbroken_just_inside_the_tolerance():
     # sin theta ~ 8.1e-9: hypo2 passes at 1e-8, so the chain after it must
-    # too; chain3 reads the same sine and chain4 samples unit vectors.
+    # too; chain3 reads the same sine from an eigendecomposition and chain4
+    # reports it as its exact supremum.
     rep = classify(_tilted(3e-9))
     hypo2 = rep.condition("hypo2").residual
     assert 5e-9 < hypo2 <= 1e-8

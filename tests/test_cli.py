@@ -260,6 +260,33 @@ def test_argparse_errors_exit_64(capsys, argv):
     assert "usage error" in err and "usage: eplab" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--tol-rank-abs", "1e400"),
+                                         ("--tol-subspace", "inf")])
+def test_non_finite_tolerance_exits_64(capsys, tmp_path, flag, value):
+    path = tmp_path / "I.json"
+    write_matrix(path, np.eye(2))
+    code, out, err = run(capsys, "classify", str(path), flag, value)
+    assert code == 64 and not out
+    assert "finite and positive" in err
+
+
+@pytest.mark.parametrize("command, a, b", [
+    ("douglas", np.eye(2), 1e-200 * np.eye(2)),
+    ("perturb", np.diag([1.0, 1e-14]), np.diag([1e300, 0.0])),
+], ids=["douglas_bound_k", "perturb_hyp_norm_product"])
+def test_non_finite_report_value_exits_2_without_a_document(capsys, tmp_path,
+                                                             command, a, b):
+    # bound_k = 5e399 and ||B|| ||A+|| = 1e314 overflow to inf, which has
+    # no JSON form.
+    write_matrix(tmp_path / "a.json", a)
+    write_matrix(tmp_path / "b.json", b)
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, command, str(tmp_path / "a.json"),
+                         str(tmp_path / "b.json"), "--out", str(out_path))
+    assert code == 2 and not out and not out_path.exists()
+    assert "NonFinite" in err and "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])

@@ -83,6 +83,13 @@ def test_tolerance_policy_validation():
         TolerancePolicy(psd_tol=-1.0)
 
 
+@pytest.mark.parametrize("name", ["rank_rel", "rank_abs", "subspace_tol", "psd_tol"])
+@pytest.mark.parametrize("value", [float("inf"), float("1e400"), float("nan")])
+def test_tolerance_policy_requires_finite_values(name, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        TolerancePolicy(**{name: value})
+
+
 def test_range_basis_examples():
     b = range_basis(np.diag([1.0, 0.0]))
     np.testing.assert_allclose(np.abs(b.basis), [[1.0], [0.0]], atol=1e-14)
@@ -372,3 +379,43 @@ def test_decompositions_are_called_only_in_core():
     assert _decomposition_uses((package / "core.py").read_text(encoding="utf-8"))
     assert _decomposition_uses("import numpy as np\nnp.linalg.eigh(a)\n")
     assert _decomposition_uses("from numpy.linalg import svd\n")
+
+
+def _random_uses(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing top-level function, line) of each ``np.random`` or
+    ``default_rng`` reference or import in a module's source."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "default_rng" or (
+                    node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in {"np", "numpy"})
+            elif isinstance(node, ast.Name):
+                hit = node.id == "default_rng"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+                hit = any((prefix + alias.name).startswith("numpy.random")
+                          or alias.name == "default_rng" for alias in node.names)
+            else:
+                hit = False
+            if hit:
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_no_random_numbers_in_analysis_code():
+    # Every reported number is exact.  Only the generators draw seeded
+    # random numbers: the zoo, the propsuite corpus and generate_admissible.
+    package = Path(eplab.__file__).parent
+    uses = {path.name: _random_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))
+            if path.name not in {"zoo.py", "propsuite.py"}}
+    assert {owner for owner, _ in uses.pop("perturb.py")} == {"generate_admissible"}
+    assert not {name: found for name, found in uses.items() if found}
+    assert _random_uses((package / "zoo.py").read_text(encoding="utf-8"))
+    assert _random_uses("import numpy as np\nx = np.random.rand(3)\n")
+    assert _random_uses("from numpy.random import default_rng\n")
+    assert _random_uses("from numpy import random\n")
+    assert _random_uses("def f(rng=None):\n    return default_rng(0)\n")

@@ -177,6 +177,19 @@ def test_panel_trivial_items_annotated():
     assert all(item.passed and item.residual == 0.0 for item in trivial)
 
 
+@pytest.mark.parametrize("a", [np.diag([2.0, 1e-3, 0.0]), np.zeros((2, 2)),
+                               random_complex(np.random.default_rng(4), 3, 5)],
+                         ids=["diagonal", "zero", "wide"])
+def test_panel_restatements_of_the_svd(a):
+    items = closed_range_panel(a)
+    assert len(items) == 12
+    restated = {item.condition_id: item for item in items
+                if item.note.startswith("restates A's SVD")}
+    assert set(restated) == {"carrier_lower_bound", "adjoint_majorized_by_gram"}
+    assert all(item.passed and item.residual == 0.0 for item in restated.values())
+    assert len({item.note for item in restated.values()}) == 2
+
+
 def test_panel_gram_identities_always_hold():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import eplab
 from eplab import (DouglasReport, TolerancePolicy, ZooReport, check_perturbation,
                    classify, cli, douglas_factorize, penrose_verify, pinv)
-from eplab.errors import ParseError
+from eplab.errors import NonFinite, ParseError
 from eplab.reports import (decode_document, dump_document, make_document,
                            tolerance_from_dict, tolerance_to_dict)
 
@@ -197,8 +197,16 @@ def _indented(value) -> str:
 @example({})
 @example([[], {}, [[]], {"a": {}, "b": [[], [{}]]}])
 @example({"re": [1.5, -0.0, 2**64], "im": ["a, b", None, True]})
+@example({"bound_k": float("inf")})
+@example({"re": [1.5, float("nan")], "im": [-float("inf")]})
 def test_dump_document_matches_indented_json_dumps(tree):
-    assert dump_document(tree) == _indented(tree)
+    try:
+        json.dumps(tree, allow_nan=False)
+    except ValueError:
+        with pytest.raises(NonFinite):
+            dump_document(tree)
+    else:
+        assert dump_document(tree) == _indented(tree)
 
 
 @pytest.mark.parametrize("argv", [
