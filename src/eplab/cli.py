@@ -62,12 +62,9 @@ def _at_least(least: int):
 
 
 def _sizes(text: str) -> list[int]:
-    """A ``--sizes`` value: a non-empty comma-separated list of integers."""
-    try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated integer list: {exc}") from None
+    """A ``--sizes`` value: a non-empty comma-separated list of sizes, each
+    a decimal integer of at least 1 as for ``--count``."""
+    sizes = [_at_least(1)(part.strip()) for part in text.split(",") if part.strip()]
     if not sizes:
         raise argparse.ArgumentTypeError("expected at least one section size")
     return sizes

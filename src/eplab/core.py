@@ -67,8 +67,7 @@ def _trusted(cls, **fields):
 
 def _check_orthonormal(x: np.ndarray, what: str) -> None:
     """ValueError unless ``||x* x - I||_F <= ORTHONORMAL_TOL``; runs no decomposition."""
-    k = x.shape[1]
-    if k and np.linalg.norm(x.conj().T @ x - np.eye(k)) > ORTHONORMAL_TOL:
+    if np.linalg.norm(x.conj().T @ x - np.eye(x.shape[1])) > ORTHONORMAL_TOL:
         raise ValueError(f"{what} columns are not orthonormal")
 
 
@@ -131,7 +130,7 @@ class SvdFactors:
         if len(self.sigma) != min(m, n):
             raise ValueError("sigma must have min(m, n) entries")
         s = np.asarray(self.sigma)
-        if len(s) and (np.any(s < 0) or np.any(s[:-1] < s[1:]) or not np.all(np.isfinite(s))):
+        if np.any(s < 0) or np.any(s[:-1] < s[1:]) or not np.all(np.isfinite(s)):
             raise ValueError("sigma must be non-negative, finite and non-increasing")
         _check_orthonormal(self.u, "u")
         _check_orthonormal(self.v, "v")
@@ -153,8 +152,6 @@ def svd(a) -> SvdFactors:
 
 def numerical_rank(factors: SvdFactors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Number of singular values strictly above the resolved threshold."""
-    if len(factors.sigma) == 0:
-        return 0
     threshold = tol.rank_threshold(factors.sigma, factors.shape)
     return int(np.count_nonzero(factors.sigma > threshold))
 
@@ -183,7 +180,7 @@ class SubspaceBasis:
     def k(self) -> int:
         return self.basis.shape[1]
 
-    @property
+    @cached_property
     def complement(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement, ambient_dim-by-(ambient_dim - k).
 
@@ -191,11 +188,7 @@ class SubspaceBasis:
         of its decomposition; any other gets it from one complete QR of
         ``basis`` on first use.
         """
-        comp = self.__dict__.get("_complement")
-        if comp is None:
-            comp = _readonly(np.linalg.qr(self.basis, mode="complete")[0][:, self.k:])
-            object.__setattr__(self, "_complement", comp)
-        return comp
+        return _readonly(np.linalg.qr(self.basis, mode="complete")[0][:, self.k:])
 
 
 class SubspaceComparison(NamedTuple):
@@ -219,7 +212,7 @@ def factor_bases(factors: SvdFactors,
 
 def _split(ambient_dim: int, basis: np.ndarray, complement: np.ndarray) -> SubspaceBasis:
     return _trusted(SubspaceBasis, ambient_dim=ambient_dim, basis=_readonly(basis),
-                    _complement=complement)
+                    complement=complement)
 
 
 class _Operand:
@@ -264,10 +257,9 @@ class _Operand:
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        """``V diag(1/sigma_kept) U*``, truncated at the rank cut."""
+        """``V diag(1/sigma_kept) U*``, truncated at the rank cut; at rank 0
+        the empty products give the n-by-m zero matrix."""
         r, f = self.rank, self.factors
-        if r == 0:
-            return np.zeros(self.arr.shape[::-1], dtype=np.complex128)
         return (f.v[:, :r] * (1.0 / f.sigma[:r])) @ f.u[:, :r].conj().T
 
     @cached_property
@@ -377,8 +369,7 @@ def svdvals(a) -> np.ndarray:
 
 def op_norm(a) -> float:
     """Operator 2-norm, the largest singular value."""
-    s = svdvals(a)
-    return float(s[0]) if len(s) else 0.0
+    return float(svdvals(a)[0])
 
 
 def growth_bound(c, a) -> float:

@@ -119,16 +119,13 @@ def generate_admissible(a, scale: float, seed: int) -> np.ndarray:
     """
     source = _Operand(a)
     arr = source.arr
-    if arr.shape[0] != arr.shape[1] or not _is_ep(source):
+    if not _is_ep(source):
         raise SourceNotEP("admissible perturbations are generated for EP matrices only")
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must lie in (0, 1), got {scale}")
 
     a_dag = source.pinv
     dag_norm = op_norm(a_dag)
-    if dag_norm == 0.0:
-        return np.zeros_like(arr)
-
     p = arr @ a_dag
     p = (p + p.conj().T) / 2.0
     rng = np.random.default_rng(seed)

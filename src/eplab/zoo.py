@@ -26,6 +26,11 @@ FourierDerivative Hermitian compression of i d/dt with periodic boundary,
 RandomClosedRange prescribed-rank matrix with singular values in [1/2, 2].
 RandomEP          V M V* with an orthonormal frame V and invertible M, so
                   range and adjoint range both equal span(V).
+
+The five deterministic families are the keys of the family table
+``_DETERMINISTIC``, which maps each to its builder and its expected traits;
+``DETERMINISTIC_FAMILIES`` lists them in that order.  The two random
+families need a rank (and take a seed) and are built in :func:`generate`.
 """
 
 from __future__ import annotations
@@ -50,17 +55,6 @@ class Family(str, enum.Enum):
     FOURIER_DERIVATIVE = "FourierDerivative"
     RANDOM_CLOSED_RANGE = "RandomClosedRange"
     RANDOM_EP = "RandomEP"
-
-
-DETERMINISTIC_FAMILIES = (
-    Family.DIAG_HARMONIC,
-    Family.DIAG_ALTERNATING,
-    Family.WEIGHTED_SHIFT,
-    Family.MULT_INV_SQRT,
-    Family.FOURIER_DERIVATIVE,
-)
-
-RANDOM_FAMILIES = (Family.RANDOM_CLOSED_RANGE, Family.RANDOM_EP)
 
 
 class Expectation(str, enum.Enum):
@@ -142,8 +136,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal n-by-k frame with Haar-distributed column span."""
-    if k == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
     z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -159,8 +151,6 @@ def _log_uniform(rng: np.random.Generator, size) -> np.ndarray:
 
 def random_conditioned(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Rank-``rank`` matrix U diag(sigma) V* with sigma log-uniform in [1/2, 2]."""
-    if rank == 0:
-        return np.zeros((n, n), dtype=np.complex128)
     u = haar_frame(n, rank, rng)
     v = haar_frame(n, rank, rng)
     sigma = np.sort(_log_uniform(rng, rank))[::-1]
@@ -169,8 +159,6 @@ def random_conditioned(n: int, rank: int, rng: np.random.Generator) -> np.ndarra
 
 def random_ep(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """EP-by-construction matrix V M V* with invertible, well-conditioned M."""
-    if rank == 0:
-        return np.zeros((n, n), dtype=np.complex128)
     v = haar_frame(n, rank, rng)
     p = haar_unitary(rank, rng)
     q = haar_unitary(rank, rng)
@@ -201,6 +189,8 @@ def _mult_inv_sqrt(n: int) -> np.ndarray:
 
 
 def _fourier_derivative(n: int) -> np.ndarray:
+    if n < 2:
+        raise BadSpec("FourierDerivative sections need n >= 2")
     # Compression of i d/dt (periodic) onto the n lowest Fourier modes,
     # expressed on the uniform grid.  The mode window is symmetric for odd n
     # and one-sided at the top frequency for even n, which keeps the null
@@ -242,41 +232,36 @@ _RANDOM_EP_NOTE = ("V M V* with an orthonormal frame V and invertible M: range "
                    "and adjoint range both equal span(V) by construction")
 
 
+_DETERMINISTIC = {
+    Family.DIAG_HARMONIC: (_diag_harmonic, ExpectedTraits(
+        Expectation.YES, Expectation.YES, _HARMONIC_NOTE)),
+    Family.DIAG_ALTERNATING: (_diag_alternating, ExpectedTraits(
+        Expectation.YES, Expectation.YES, _ALTERNATING_NOTE)),
+    Family.WEIGHTED_SHIFT: (_weighted_shift, ExpectedTraits(
+        Expectation.NO, Expectation.DIVERGES, _SHIFT_NOTE)),
+    Family.MULT_INV_SQRT: (_mult_inv_sqrt, ExpectedTraits(
+        Expectation.YES, Expectation.YES, _MULT_NOTE)),
+    Family.FOURIER_DERIVATIVE: (_fourier_derivative, ExpectedTraits(
+        Expectation.YES, Expectation.YES, _FOURIER_NOTE)),
+}
+DETERMINISTIC_FAMILIES = tuple(_DETERMINISTIC)
+
+
 def generate(spec: OperatorSpec) -> tuple[np.ndarray, ExpectedTraits]:
     """Build the matrix for a spec along with its expected classification."""
-    n = spec.n
-    family = spec.family
-
-    if family is Family.DIAG_HARMONIC:
-        return _diag_harmonic(n), ExpectedTraits(Expectation.YES, Expectation.YES,
-                                                 _HARMONIC_NOTE)
-    if family is Family.DIAG_ALTERNATING:
-        return _diag_alternating(n), ExpectedTraits(Expectation.YES, Expectation.YES,
-                                                    _ALTERNATING_NOTE)
-    if family is Family.WEIGHTED_SHIFT:
-        return _weighted_shift(n), ExpectedTraits(Expectation.NO, Expectation.DIVERGES,
-                                                  _SHIFT_NOTE)
-    if family is Family.MULT_INV_SQRT:
-        return _mult_inv_sqrt(n), ExpectedTraits(Expectation.YES, Expectation.YES,
-                                                 _MULT_NOTE)
-    if family is Family.FOURIER_DERIVATIVE:
-        if n < 2:
-            raise BadSpec("FourierDerivative sections need n >= 2")
-        return _fourier_derivative(n), ExpectedTraits(Expectation.YES, Expectation.YES,
-                                                      _FOURIER_NOTE)
-
-    if spec.rank is None:  # one of RANDOM_FAMILIES
+    n, family = spec.n, spec.family
+    if family in _DETERMINISTIC:
+        build, traits = _DETERMINISTIC[family]
+        return build(n), traits
+    if spec.rank is None:
         raise BadSpec(f"{family.value} requires an explicit rank")
     rng = np.random.default_rng(0 if spec.seed is None else spec.seed)
     if family is Family.RANDOM_CLOSED_RANGE:
-        full = spec.rank in (0, n)
-        traits = ExpectedTraits(
-            Expectation.YES if full else Expectation.NO,
-            Expectation.YES if full else Expectation.NO,
-            _RANDOM_CR_NOTE)
-        return random_conditioned(n, spec.rank, rng), traits
-    traits = ExpectedTraits(Expectation.YES, Expectation.YES, _RANDOM_EP_NOTE)
-    return random_ep(n, spec.rank, rng), traits
+        verdict = Expectation.YES if spec.rank in (0, n) else Expectation.NO
+        return (random_conditioned(n, spec.rank, rng),
+                ExpectedTraits(verdict, verdict, _RANDOM_CR_NOTE))
+    return (random_ep(n, spec.rank, rng),
+            ExpectedTraits(Expectation.YES, Expectation.YES, _RANDOM_EP_NOTE))
 
 
 class SweepPoint(NamedTuple):
@@ -347,7 +332,7 @@ def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
         a = (q * d) @ q.conj().T
     elif kind == "nilpotent":
         jordan = np.zeros((n, n), dtype=np.complex128)
-        mask = rng.random(n - 1) < 0.8 if n > 1 else np.zeros(0, dtype=bool)
+        mask = rng.random(n - 1) < 0.8
         for i in np.flatnonzero(mask):
             jordan[i, i + 1] = 1.0
         q = haar_unitary(n, rng)
@@ -356,12 +341,12 @@ def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
         r = int(rng.integers(0, n + 1))
         a = random_ep(n, r, rng)
     elif kind == "rank_deficient":
-        r = int(rng.integers(0, n)) if n > 1 else 0
+        r = int(rng.integers(0, n))
         a = random_conditioned(n, r, rng)
     elif kind == "zero":
         a = np.zeros((n, n), dtype=np.complex128)
     elif kind == "rank_one":
-        a = random_conditioned(n, min(1, n), rng)
+        a = random_conditioned(n, 1, rng)
     else:  # scaled
         factor = 10.0 if rng.random() < 0.5 else 0.1
         a = factor * random_conditioned(n, n, rng)

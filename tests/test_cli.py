@@ -167,6 +167,13 @@ def test_sweep_to_file(capsys, tmp_path):
     assert out_path.read_text().splitlines() == ["n,gamma,rank", "2,1,2", "4,1,4"]
 
 
+@pytest.mark.parametrize("sizes", ["3, 5", "3,,5"])
+def test_sweep_sizes_skip_blank_parts(capsys, sizes):
+    code, out, _ = run(capsys, "sweep", "DiagHarmonic", "--sizes", sizes)
+    assert code == 0
+    assert out.splitlines() == ["n,gamma,rank", "3,1,3", "5,1,5"]
+
+
 def test_propsuite_clean(capsys):
     code, out, _ = run(capsys, "propsuite", "--seed", "42", "--count", "100")
     assert code == 0
@@ -252,8 +259,14 @@ def test_classify_malformed_json_exits_2(capsys, tmp_path, text):
     ["propsuite", "--seed", "-1"],
     ["douglas", "a.json", "b.json", "--seed", "-1"],
     ["douglas", "a.json", "b.json", "--seed", "0"],
+    ["sweep", "DiagHarmonic", "--sizes", "0"],
+    ["sweep", "DiagHarmonic", "--sizes", "-3"],
+    ["sweep", "DiagHarmonic", "--sizes", "+5"],
+    ["sweep", "DiagHarmonic", "--sizes", "1_0"],
 ], ids=["no_command", "unknown_command", "no_input", "exclusive_flags", "bad_int",
-        "propsuite_negative_seed", "douglas_negative_seed", "douglas_has_no_seed"])
+        "propsuite_negative_seed", "douglas_negative_seed", "douglas_has_no_seed",
+        "sweep_zero_size", "sweep_negative_size", "sweep_signed_size",
+        "sweep_underscored_size"])
 def test_argparse_errors_exit_64(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and not out

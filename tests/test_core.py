@@ -330,6 +330,23 @@ def test_complement_is_orthonormal_and_orthogonal():
         assert np.linalg.norm(comp.conj().T @ s.basis, 2) <= 1e-14
 
 
+def test_caller_basis_complement_is_one_cached_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    s = SubspaceBasis(6, haar_frame(6, 2, np.random.default_rng(57)))
+    calls.clear()
+    first, second = s.complement, s.complement
+    assert calls == [(6, 2)]
+    assert first is second and not first.flags.writeable
+    assert first.shape == (6, 4)
+
+
 def test_factor_bases_and_svd_skip_construction_checks(monkeypatch):
     def unexpected(*args):
         raise AssertionError("construction check ran on an internal object")

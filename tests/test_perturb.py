@@ -3,7 +3,7 @@ import pytest
 
 from eplab import (check_perturbation, classify, generate_admissible, op_norm,
                    pinv)
-from eplab.errors import DimensionMismatch, SourceNotEP
+from eplab.errors import DimensionMismatch, NotSquare, SourceNotEP
 from eplab.zoo import random_ep
 
 
@@ -75,6 +75,8 @@ def test_generate_admissible_validates_scale():
         generate_admissible(np.eye(2), 1.5, seed=0)
     with pytest.raises(SourceNotEP):
         generate_admissible(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5, seed=0)
+    with pytest.raises(NotSquare):
+        generate_admissible(np.ones((2, 3)), 0.5, seed=0)
 
 
 def test_theorem_reproduction_slice():

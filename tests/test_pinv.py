@@ -45,8 +45,21 @@ def test_pinv_rectangular_shapes():
     assert max(brute_penrose_conditions(a, x)) < 1e-12
 
 
+def _assert_positive_zero(x, shape):
+    # assert_array_equal takes -0.0 for +0.0; signbit tells them apart
+    assert x.dtype == np.complex128 and x.shape == shape and not np.any(x)
+    assert not np.any(np.signbit(x.real) | np.signbit(x.imag))
+
+
 def test_pinv_zero_matrix():
-    np.testing.assert_array_equal(pinv(np.zeros((2, 3))), np.zeros((3, 2)))
+    got = pinv(np.zeros((2, 3)))
+    np.testing.assert_array_equal(got, np.zeros((3, 2)))
+    _assert_positive_zero(got, (3, 2))
+
+
+def test_pinv_below_rank_abs_is_positive_zero():
+    a = -1e-3 * (1 + 1j) * np.ones((4, 2))
+    _assert_positive_zero(pinv(a, TolerancePolicy(rank_abs=1.0)), (2, 4))
 
 
 def test_penrose_verify_random():

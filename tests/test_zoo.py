@@ -5,7 +5,8 @@ from eplab import classify, gamma, numerical_rank, op_norm, projector, range_bas
 from eplab.errors import BadSpec
 from eplab.matio import MAX_DIMENSION
 from eplab.zoo import (Expectation, ExpectedTraits, Family, OperatorSpec,
-                       corpus_matrix, gamma_sweep, generate)
+                       corpus_matrix, gamma_sweep, generate, haar_frame, random_conditioned,
+                       random_ep)
 
 
 def make(family, n, **kw):
@@ -88,6 +89,19 @@ def test_random_closed_range_rank():
         assert numerical_rank(svd(a)) == rank
         expected = Expectation.YES if rank in (0, 5) else Expectation.NO
         assert traits.ep is expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_rank_zero_draws_are_zeros_and_draw_nothing(n):
+    rng = np.random.default_rng(19)
+    state = rng.bit_generator.state
+    for build in (random_conditioned, random_ep):
+        a = build(n, 0, rng)
+        assert a.dtype == np.complex128 and a.shape == (n, n)
+        assert not np.any(a) and not np.any(np.signbit(a.real) | np.signbit(a.imag))
+        assert rng.bit_generator.state == state
+    assert haar_frame(n, 0, rng).shape == (n, 0)
+    assert rng.bit_generator.state == state
 
 
 def test_custom_family_spec_is_rejected():
