@@ -255,11 +255,11 @@ def _closure(op: _Operand) -> list[tuple[str, bool]]:
 
 @dataclass(frozen=True)
 class FactorC:
-    """Square factor with ``A* = A C`` and ``C`` invertible."""
+    """Square factor with ``A* = A C``; ``C`` is invertible, since
+    :func:`construct_factor_c` raises SolveFailure otherwise."""
 
     c: np.ndarray
     residual_factorization: float
-    bijective: bool
 
 
 def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
@@ -287,7 +287,7 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
         raise SolveFailure(
             "carrier-restricted solve is numerically singular "
             f"(residual={residual:.3e}, bijective={bijective}); gamma may be ~0")
-    return FactorC(c=c, residual_factorization=float(residual), bijective=True)
+    return FactorC(c=c, residual_factorization=float(residual))
 
 
 def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:

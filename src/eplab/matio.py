@@ -145,6 +145,8 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
     fmt = fmt or sniff_format(path)
     if fmt == FORMAT_MATRIXMARKET:
         import scipy.io
+        # mmwrite returns silently when it cannot open the path; open raises OSError.
+        open(path, "wb").close()
         scipy.io.mmwrite(str(path), arr, precision=17)
     elif fmt == FORMAT_JSON:
         # json.dumps, unlike json.dump to a file, uses the C encoder.

@@ -3,8 +3,8 @@ import pytest
 
 from eplab import (SubspaceBasis, TolerancePolicy, adjoint, classify, construct_factor_c,
                    ep_closure_suite, gamma, majorization_witness, modulus,
-                   null_basis, op_norm, pinv, range_basis, subspace_equal,
-                   subspace_included)
+                   null_basis, numerical_rank, op_norm, pinv, range_basis,
+                   subspace_equal, subspace_included, svd)
 from eplab.classify import ConditionCheck, _classify, _is_ep
 from eplab.core import _Operand
 from eplab.errors import NonFinite, NotSquare, SourceNotEP, SourceNotHypoEP
@@ -321,7 +321,7 @@ def test_closure_suite_requires_ep():
 def test_factor_c_identity():
     fc = construct_factor_c(np.eye(3))
     np.testing.assert_allclose(fc.c, np.eye(3), atol=1e-14)
-    assert fc.bijective
+    assert numerical_rank(svd(fc.c)) == 3
 
 
 def test_factor_c_hermitian_rank_deficient():
@@ -345,7 +345,7 @@ def test_factor_c_on_random_ep():
         fc = construct_factor_c(a)
         scale = max(1.0, op_norm(a))
         assert fc.residual_factorization <= 1e-9 * scale
-        assert fc.bijective
+        assert numerical_rank(svd(fc.c)) == 6
         assert op_norm(adjoint(a) - a @ fc.c) <= 1e-9 * scale
 
 

@@ -152,6 +152,24 @@ def test_zoo_bad_spec_exits_2(capsys, tmp_path):
     assert code == 2 and "BadSpec" in err
 
 
+@pytest.fixture(params=["missing_dir", "directory"])
+def unwritable_out(request, tmp_path):
+    """An ``--out`` path that cannot be opened for writing."""
+    if request.param == "directory":
+        path = tmp_path / "out.mtx"
+        path.mkdir()
+        return str(path)
+    return str(tmp_path / "missing" / "out.mtx")
+
+
+@pytest.mark.parametrize("command", ["zoo", "pinv"])
+def test_unwritable_out_exits_2(capsys, diag120, unwritable_out, command):
+    source = '{"family":"DiagHarmonic","n":3}' if command == "zoo" else diag120
+    code, out, err = run(capsys, command, source, "--out", unwritable_out)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_sweep_rows(capsys):
     code, out, _ = run(capsys, "sweep", "DiagAlternating", "--sizes", "3,5,7")
     assert code == 0

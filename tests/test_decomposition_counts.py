@@ -113,7 +113,10 @@ def test_ep_closure_suite_decompositions(operands, counts):
 def test_closed_range_panel_decompositions(operands, counts):
     a, _ = operands
     assert all(item.passed for item in closed_range_panel(a))
+    # A, A A*, A* and A* A; one values-only SVD per item's residual.
     assert counts["svd"] <= 4
+    assert sum(n for key, n in counts.items() if key[0] == "svdvals") <= 3
+    assert counts["eigvalsh"] == 0
 
 
 def test_closed_range_panel_hermitian_decomposes_a_once(operands, counts):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from eplab import (DouglasReport, closed_range_panel, douglas_analysis,
+from eplab import (DouglasReport, adjoint, closed_range_panel, douglas_analysis,
                    douglas_factorize, generate_admissible,
                    majorization_contraction, op_norm, pinv, projector,
-                   range_basis, range_inclusion_check)
+                   range_basis, range_inclusion_check, subspace_equal)
 from eplab import douglas as douglas_module
 from eplab.core import growth_bound
 from eplab.errors import (DimensionMismatch, MajorizationFails, NonFinite,
@@ -138,56 +138,44 @@ def test_contraction_bound_sweep():
         assert op_norm(rep.factor_c) <= 1.0 + 1e-9
 
 
+_PANEL_IDS = ["range_matches_gram_right", "adjoint_range_matches_gram_left",
+              "factors_through_gram"]
+
+
 def test_panel_full_rank():
     rng = np.random.default_rng(8)
-    items = closed_range_panel(random_complex(rng, 3, 3))
-    assert len(items) == 12
-    assert all(item.passed for item in items)
+    for shape in [(3, 3), (3, 5), (5, 3)]:
+        items = closed_range_panel(random_complex(rng, *shape))
+        assert [item.condition_id for item in items] == _PANEL_IDS
+        assert all(item.passed for item in items)
 
 
 def test_panel_rank_deficient_diagonal():
     items = {item.condition_id: item for item in closed_range_panel(np.diag([1.0, 0.0]))}
     assert all(item.passed for item in items.values())
-    assert "rank=1" in items["gamma_positive"].note
 
 
 def test_panel_near_singular_uses_rank_one_reading():
     items = {item.condition_id: item
              for item in closed_range_panel(np.diag([1.0, 1e-17]))}
-    gamma_item = items["gamma_positive"]
-    assert gamma_item.passed and "rank=1" in gamma_item.note
     assert items["range_matches_gram_right"].passed
     assert items["adjoint_range_matches_gram_left"].passed
     assert items["factors_through_gram"].passed
 
 
 def test_panel_zero_matrix():
-    items = {item.condition_id: item for item in closed_range_panel(np.zeros((2, 2)))}
-    # gamma convention: 0 for the rank-0 matrix, so the positivity item fails
-    assert not items["gamma_positive"].passed
-    assert items["range_matches_gram_right"].passed
-    assert items["carrier_lower_bound"].passed
-    assert items["factors_through_gram"].passed
+    assert all(item.passed for item in closed_range_panel(np.zeros((2, 2))))
 
 
-def test_panel_trivial_items_annotated():
-    items = closed_range_panel(np.eye(2))
-    trivial = [item for item in items if item.note == "finite-dim: trivially true"]
-    assert len(trivial) == 6
-    assert all(item.passed and item.residual == 0.0 for item in trivial)
-
-
-@pytest.mark.parametrize("a", [np.diag([2.0, 1e-3, 0.0]), np.zeros((2, 2)),
-                               random_complex(np.random.default_rng(4), 3, 5)],
-                         ids=["diagonal", "zero", "wide"])
-def test_panel_restatements_of_the_svd(a):
-    items = closed_range_panel(a)
-    assert len(items) == 12
-    restated = {item.condition_id: item for item in items
-                if item.note.startswith("restates A's SVD")}
-    assert set(restated) == {"carrier_lower_bound", "adjoint_majorized_by_gram"}
-    assert all(item.passed and item.residual == 0.0 for item in restated.values())
-    assert len({item.note for item in restated.values()}) == 2
+def test_panel_residuals_are_the_public_routes(corpus1000):
+    # Each residual is the one the public functions give, bit for bit.
+    for _, a in corpus1000[:300]:
+        star = adjoint(a)
+        gram_right, gram_left = a @ star, star @ a
+        right, left, factors = (item.residual for item in closed_range_panel(a))
+        assert right == subspace_equal(range_basis(a), range_basis(gram_right)).residual
+        assert left == subspace_equal(range_basis(star), range_basis(gram_left)).residual
+        assert factors == op_norm(gram_right @ (pinv(gram_right) @ a) - a)
 
 
 def test_panel_gram_identities_always_hold():

@@ -50,6 +50,21 @@ def test_json_round_trip(tmp_path):
     np.testing.assert_array_equal(read_matrix(path), a)
 
 
+@pytest.mark.parametrize("fmt", ["matrixmarket", "json"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_write_to_unopenable_path_raises(tmp_path, fmt, target):
+    # scipy's mmwrite returns without writing when it cannot open the path.
+    if target == "directory":
+        path = tmp_path / "a.out"
+        path.mkdir()
+    else:
+        path = tmp_path / "missing" / "a.out"
+    with pytest.raises(OSError):
+        write_matrix(path, np.eye(2), fmt)
+    written = [p.name for p in tmp_path.iterdir()]
+    assert written == (["a.out"] if target == "directory" else [])
+
+
 def test_json_dict_codec():
     a = np.array([[1.0 + 2.0j, 0.0], [3.0, -4.0j]])
     data = matrix_to_json_dict(a)
