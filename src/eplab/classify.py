@@ -240,15 +240,15 @@ def ep_closure_suite(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[str, b
 def _closure(op: _Operand) -> list[tuple[str, bool]]:
     """:func:`ep_closure_suite` for an EP operand; ``|A|`` comes from its SVD.
 
-    Each member's verdict is ep1..ep7 alone.  ``A*``'s adjoint ``A**`` and
-    the adjoints of the exactly Hermitian ``A A*``, ``A* A`` and ``|A|``
-    reuse an SVD already made (see ``_Operand.adjoint``).
+    Each member's verdict is ep1..ep7 alone.  The members belong to ``A``'s
+    analysis, so a matrix equal by value to one already decomposed takes
+    its factors.
     """
     members = (
         ("adjoint", op.adjoint),
         ("aa_star", op.gram_right),
         ("a_star_a", op.gram_left),
-        ("modulus", _Operand(_modulus_from_factors(op.factors), op.tol)),
+        ("modulus", op.derive(_modulus_from_factors(op.factors))),
     )
     return [(name, _is_ep(member)) for name, member in members]
 
@@ -281,7 +281,7 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     n = arr.shape[1]
     c = a_dag @ star + (np.eye(n, dtype=np.complex128) - a_dag @ arr)
     residual = op_norm(star - arr @ c)
-    bijective = _Operand(c, tol).rank == n
+    bijective = source.derive(c).rank == n
 
     if not bijective or residual > RESIDUAL_SLACK * source.scale:
         raise SolveFailure(

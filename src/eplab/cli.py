@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compute the pseudoinverse and verify its defining conditions",
         {"input": "matrix file"})
     p_pinv.add_argument("--out", required=True,
-                        help="write the pseudoinverse here (same format as input)")
+                        help="write the pseudoinverse here, in the input's format "
+                             "whatever the suffix")
 
     p_douglas = _command(
         sub, "douglas", _cmd_douglas,

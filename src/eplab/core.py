@@ -8,10 +8,9 @@ cross product (the sine of the largest principal angle), so set-level
 statements such as range equality or null-space inclusion reduce to
 residuals tested against a :class:`TolerancePolicy`.  Every function here
 is pure: no hidden state, no mutation of inputs, safe for concurrent use.
-The private ``_Operand`` is the exception: it caches one matrix's SVD and
-what derives from it, so that each operand is decomposed once, and a
-matrix equal to one already decomposed (an exactly Hermitian ``A``'s
-adjoint, or ``A**``) is not decomposed again.
+The private ``_Operand`` is the exception: it caches what derives from a
+matrix, and within one analysis a matrix equal by value to one already
+decomposed takes its factors.
 """
 
 from __future__ import annotations
@@ -220,26 +219,35 @@ class _Operand:
 
     The SVD and what it gives (rank, scale, gamma, ``A+``, bases) and the
     operands of ``A*``, ``A+``, ``A* A`` and ``A A*`` are made on first use
-    and kept.  Each derived operand runs its own SVD, which ep1, ep3, ep4
-    and ep6 need: bases taken from ``A``'s factors would agree by
-    construction.  The one exception is a matrix equal to ``A``: an
-    adjoint equal to its maker by value (``A`` exactly Hermitian), and
-    ``A**``, which is ``A`` bit for bit, take ``A``'s factors when ``A``
-    has been decomposed already.  The SVD of an equal input is the same
-    decomposition, so no independent route is lost, and no SVD is run
-    that the caller would not run.  Only factors are shared: no operand
-    refers back to its maker, so reference counting frees an operand once
-    dropped; the cycle collector does not count numpy arrays, so cyclic
-    garbage holding them would be freed late.
+    and kept.  Every operand :meth:`derive` makes shares its maker's
+    decomposition table: within one analysis a matrix equal by value to one
+    already decomposed takes its factors (``np.array_equal`` counts the
+    ``-0.0`` of ``conj`` as ``+0.0``).  That is the same decomposition, so
+    no independent route is lost.  The table holds only arrays and factors:
+    no operand refers back to another, so reference counting frees an
+    operand once dropped; the cycle collector does not count numpy arrays,
+    so cyclic garbage holding them would be freed late.
     """
 
     def __init__(self, a, tol: TolerancePolicy = DEFAULT_TOL):
         self.arr = as_matrix(a)
         self.tol = tol
+        self._table: list[tuple[np.ndarray, SvdFactors]] = []
+
+    def derive(self, a) -> _Operand:
+        """The operand of ``a`` in this analysis: same policy, same table."""
+        op = _Operand(a, self.tol)
+        op._table = self._table
+        return op
 
     @cached_property
     def factors(self) -> SvdFactors:
-        return svd(self.arr)
+        for arr, factors in self._table:
+            if np.array_equal(arr, self.arr):
+                return factors
+        factors = svd(self.arr)
+        self._table.append((self.arr, factors))
+        return factors
 
     @cached_property
     def rank(self) -> int:
@@ -267,36 +275,24 @@ class _Operand:
         """Bases of ``R(A)`` and ``N(A)``, as :func:`factor_bases` gives them."""
         return factor_bases(self.factors, self.tol)
 
-    # A's factors, when this operand is A's adjoint and they were made
-    # before it; A** is A bit for bit, so they are this operand's adjoint's.
-    _adjoint_factors: SvdFactors | None = None
-
     @cached_property
     def adjoint(self) -> _Operand:
-        """``A*``; its SVD is ``A``'s when ``A*`` equals ``A``, and it passes
-        ``A``'s factors on to ``A**``, which is ``A``."""
-        star = _Operand(self.arr.conj().T, self.tol)
-        known = self.__dict__.get("factors")
-        if self._adjoint_factors is not None:
-            star.factors = self._adjoint_factors
-        elif known is not None and np.array_equal(star.arr, self.arr):
-            star.factors = known  # array_equal takes conj's -0.0 for +0.0
-        star._adjoint_factors = known
-        return star
+        """``A*``."""
+        return self.derive(self.arr.conj().T)
 
     @cached_property
     def dagger(self) -> _Operand:
-        return _Operand(self.pinv, self.tol)
+        return self.derive(self.pinv)
 
     @cached_property
     def gram_left(self) -> _Operand:
         """``A* A``."""
-        return _Operand(self.arr.conj().T @ self.arr, self.tol)
+        return self.derive(self.arr.conj().T @ self.arr)
 
     @cached_property
     def gram_right(self) -> _Operand:
         """``A A*``."""
-        return _Operand(self.arr @ self.arr.conj().T, self.tol)
+        return self.derive(self.arr @ self.arr.conj().T)
 
 
 def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:

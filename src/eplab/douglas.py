@@ -154,7 +154,6 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[PanelItem]
     is not listed.  Nothing is sampled.
     """
     op = _Operand(a, tol)
-    # A's bases first, so that an exactly Hermitian A* takes A's SVD (see _Operand.adjoint).
     eq_right = subspace_equal(op.bases[0], op.gram_right.bases[0], tol)
     eq_left = subspace_equal(op.adjoint.bases[0], op.gram_left.bases[0], tol)
     arr, gram_right = op.arr, op.gram_right

@@ -145,9 +145,9 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
     fmt = fmt or sniff_format(path)
     if fmt == FORMAT_MATRIXMARKET:
         import scipy.io
-        # mmwrite returns silently when it cannot open the path; open raises OSError.
-        open(path, "wb").close()
-        scipy.io.mmwrite(str(path), arr, precision=17)
+        # Through a handle: given a name, mmwrite appends ".mtx" unless it ends so.
+        with open(path, "wb") as handle:
+            scipy.io.mmwrite(handle, arr, precision=17)
     elif fmt == FORMAT_JSON:
         # json.dumps, unlike json.dump to a file, uses the C encoder.
         Path(path).write_text(json.dumps(matrix_to_json_dict(arr)) + "\n", encoding="utf-8")

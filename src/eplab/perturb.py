@@ -77,7 +77,7 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
                        and hyp_b_adag_a <= tol.subspace_tol * scale_b
                        and hyp_a_adag_b <= tol.subspace_tol * scale_b)
 
-    perturbed = _Operand(arr_a + arr_b, tol)
+    perturbed = base.derive(arr_a + arr_b)
     concl_ep = _is_ep(perturbed)
     null_cmp = subspace_equal(perturbed.bases[1], null_a, tol)
     range_cmp = subspace_equal(perturbed.bases[0], range_a, tol)

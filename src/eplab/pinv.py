@@ -55,7 +55,8 @@ def penrose_verify(a, a_dag, tol: TolerancePolicy = DEFAULT_TOL) -> PenroseRepor
     operand, never from the candidate's construction.  ``eplab pinv``
     checks the ``A+`` it built from A's SVD against a separate SVD of ``A+``.
     """
-    return _penrose(_Operand(a, tol), _Operand(a_dag, tol))
+    op = _Operand(a, tol)
+    return _penrose(op, op.derive(a_dag))
 
 
 def _penrose(op: _Operand, a_dag: _Operand) -> PenroseReport:
@@ -93,11 +94,10 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[IdentityRes
     null-space match ``N(A*+) = N(A)``, and positivity of both Gram
     matrices (reported as the magnitude of any negative eigenvalue).
     Six operands run one SVD each: ``A`` (for ``A+`` and ``N(A)``), ``A*``,
-    ``A+``, ``A*+`` (for ``N(A*+)``), ``A* A`` and ``A A*``; ``A*``'s and
-    ``A+``'s SVDs stay separate from ``A``'s, except that an exactly
-    Hermitian ``A``'s adjoint takes ``A``'s (the same decomposition).  The
-    propsuite passes the operand it classified, so only the last three
-    SVDs are new there.
+    ``A+``, ``A*+`` (for ``N(A*+)``), ``A* A`` and ``A A*``, except that an
+    operand equal by value to one already decomposed takes its factors
+    (the same decomposition).  The propsuite passes the operand it
+    classified, so only the last three SVDs are new there.
     """
     return _identities(_Operand(a, tol))
 

@@ -45,14 +45,6 @@ def _envelope(report_type: type) -> type:
 _DOCUMENTS = {kind: _envelope(report_type) for kind, report_type in _REPORT_TYPES.items()}
 
 
-def tolerance_to_dict(tol: TolerancePolicy) -> dict:
-    return _encode(TolerancePolicy, tol)
-
-
-def tolerance_from_dict(data: dict) -> TolerancePolicy:
-    return _decode(TolerancePolicy, data)
-
-
 def make_document(kind: str, report, input_digest: str, tol: TolerancePolicy) -> dict:
     """Wrap the ``kind`` report in a document: the record of
     ``_REPORT_TYPES[kind]``, a :class:`~eplab.zoo.ZooReport` for ``zoo`` and

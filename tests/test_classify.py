@@ -241,11 +241,10 @@ def test_invertible_ill_conditioned_matrix_passes_all_but_ep2():
 # -- EP-only path ------------------------------------------------------------
 
 def _closure_members(a, tol=TolerancePolicy()):
-    """The closure suite's members, made in its order: A is decomposed first."""
+    """The closure suite's members, in one analysis as the suite makes them."""
     op = _Operand(a, tol)
-    op.bases
     return {"adjoint": op.adjoint, "aa_star": op.gram_right, "a_star_a": op.gram_left,
-            "modulus": _Operand(modulus(a), tol)}
+            "modulus": op.derive(modulus(a))}
 
 
 def test_ep_only_path_matches_classify_on_corpus():

@@ -146,6 +146,16 @@ def test_zoo_command(capsys, tmp_path):
     np.testing.assert_array_equal(matrix, np.diag([1, 2, 3, 4]).astype(complex))
 
 
+@pytest.mark.parametrize("name", ["h.mm", "h.MTX"])
+def test_zoo_writes_matrix_market_at_the_named_path(capsys, tmp_path, name):
+    out_path = tmp_path / name
+    code, _, _ = run(capsys, "zoo", '{"family":"DiagHarmonic","n":3}', "--out", str(out_path))
+    assert code == 0
+    code, out, _ = run(capsys, "classify", str(out_path))
+    assert code == 0 and json.loads(out)["report"]["rank"] == 3
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_zoo_bad_spec_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "zoo", '{"family":"NoSuchFamily","n":4}',
                        "--out", str(tmp_path / "x.mtx"))

@@ -53,7 +53,7 @@ def test_json_round_trip(tmp_path):
 @pytest.mark.parametrize("fmt", ["matrixmarket", "json"])
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
 def test_write_to_unopenable_path_raises(tmp_path, fmt, target):
-    # scipy's mmwrite returns without writing when it cannot open the path.
+    # open raises before anything is written.
     if target == "directory":
         path = tmp_path / "a.out"
         path.mkdir()

@@ -9,8 +9,8 @@ import eplab
 from eplab import (DouglasReport, TolerancePolicy, ZooReport, check_perturbation,
                    classify, cli, douglas_factorize, penrose_verify, pinv)
 from eplab.errors import NonFinite, ParseError
-from eplab.reports import (decode_document, dump_document, make_document,
-                           tolerance_from_dict, tolerance_to_dict)
+from eplab.matio import _decode, _encode
+from eplab.reports import decode_document, dump_document, make_document
 
 from conftest import random_complex
 
@@ -20,9 +20,9 @@ def roundtrip(doc):
 
 
 def test_tolerance_round_trip():
-    tol = TolerancePolicy(rank_abs=1e-12, subspace_tol=1e-7, psd_tol=1e-10)
-    assert tolerance_from_dict(tolerance_to_dict(tol)) == tol
-    assert tolerance_from_dict(tolerance_to_dict(TolerancePolicy())) == TolerancePolicy()
+    for tol in (TolerancePolicy(rank_abs=1e-12, subspace_tol=1e-7, psd_tol=1e-10),
+                TolerancePolicy()):
+        assert _decode(TolerancePolicy, _encode(TolerancePolicy, tol)) == tol
 
 
 def test_classification_document_round_trip():
@@ -96,11 +96,11 @@ def test_signed_zeros_round_trip_byte_exactly():
 
 
 def test_decoding_is_strict_about_json_types():
-    assert tolerance_from_dict({"subspace_tol": 1}).subspace_tol == 1.0
+    assert _decode(TolerancePolicy, {"subspace_tol": 1}).subspace_tol == 1.0
     for bad in ({"subspace_tol": True}, {"subspace_tol": "1e-8"}, {"subspace_tol": 10**400},
                 {"subspace_tol": [1e-8]}, [1e-8], {"subspace_tol": 1e-8, "subspace": 1e-8}):
         with pytest.raises(ParseError):
-            tolerance_from_dict(bad)
+            _decode(TolerancePolicy, bad)
     doc = json.loads(dump_document(make_document(
         "classification", classify(np.eye(2)), "sha256:t", TolerancePolicy())))
     for value in (2.0, True, "2"):
