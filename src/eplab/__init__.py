@@ -17,9 +17,7 @@ from .pinv import (IdentityResidual, PenroseReport, dagger_identities,
 from .classify import (ClassificationReport, ConditionCheck, FactorC,
                        classify, construct_factor_c, ep_closure_suite, gamma,
                        majorization_witness, modulus)
-from .douglas import (DouglasReport, PanelItem, closed_range_panel,
-                      douglas_analysis, douglas_factorize,
-                      majorization_contraction, range_inclusion_check)
+from .douglas import DouglasReport, PanelItem, closed_range_panel, douglas_analysis
 from .perturb import PerturbationReport, check_perturbation, generate_admissible
 from .zoo import (CorpusEntry, ExpectedTraits, Expectation, Family,
                   OperatorSpec, SweepPoint, ZooReport, corpus_matrix,
@@ -38,8 +36,6 @@ __all__ = [
     "construct_factor_c", "ep_closure_suite", "gamma", "majorization_witness",
     "modulus",
     "DouglasReport", "PanelItem", "closed_range_panel", "douglas_analysis",
-    "douglas_factorize",
-    "majorization_contraction", "range_inclusion_check",
     "PerturbationReport", "check_perturbation", "generate_admissible",
     "CorpusEntry", "ExpectedTraits", "Expectation", "Family", "OperatorSpec",
     "SweepPoint", "ZooReport", "corpus_matrix", "gamma_sweep", "generate",

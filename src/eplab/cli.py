@@ -10,6 +10,8 @@ precondition failure, 64 usage error (argparse's own errors included).
 Any failure to decode a matrix file or a spec is a ParseError with exit 2:
 bad UTF-8, bad JSON syntax or nesting depth, or a number out of range.
 Flag values are checked by their argparse types and TolerancePolicy only.
+A matrix written with ``--out`` takes the format of the path's suffix, as a
+read does; an unknown suffix is a ParseError and writes nothing.
 
 The environment variable EPLAB_TOL_SUBSPACE overrides the default subspace
 tolerance; an explicit ``--tol-subspace`` flag wins over it.
@@ -28,8 +30,8 @@ from .classify import classify
 from .core import TolerancePolicy, _Operand
 from .douglas import douglas_analysis
 from .errors import OperatorAnalysisError, ParseError
-from .matio import (_EXTENSIONS, FORMAT_JSON, FORMAT_MATRIXMARKET, _malformed, bytes_digest,
-                    file_digest, read_matrix, sniff_format, write_matrix)
+from .matio import (FORMAT_JSON, FORMAT_MATRIXMARKET, _malformed, bytes_digest, file_digest,
+                    read_matrix, write_matrix)
 from .perturb import check_perturbation
 from .pinv import _penrose
 from .propsuite import run_property_suite
@@ -107,9 +109,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_pinv(args) -> int:
     tol = _tolerance(args)
-    fmt = args.format or sniff_format(args.input)
-    op = _Operand(read_matrix(args.input, fmt), tol)
-    write_matrix(args.out, op.pinv, fmt)
+    op = _Operand(read_matrix(args.input, args.format), tol)
+    write_matrix(args.out, op.pinv)
     return _write_document("penrose", _penrose(op, op.dagger), file_digest([args.input]),
                            tol)
 
@@ -145,8 +146,7 @@ def _parse_spec_argument(text: str) -> dict:
 def _cmd_zoo(args) -> int:
     spec = OperatorSpec.from_json_dict(_parse_spec_argument(args.spec))
     matrix, traits = generate(spec)
-    write_matrix(args.out, matrix, _EXTENSIONS.get(Path(args.out).suffix.lower(),
-                                                   FORMAT_MATRIXMARKET))
+    write_matrix(args.out, matrix)
     report = ZooReport(spec, traits, str(args.out), *matrix.shape)
     digest = bytes_digest(json.dumps(spec.to_json_dict(), sort_keys=True).encode())
     return _write_document("zoo", report, digest, TolerancePolicy())
@@ -179,7 +179,8 @@ def _command(sub, name: str, func, help: str, matrices: dict | None = None,
         for dest, text in matrices.items():
             parser.add_argument(dest, help=text)
         parser.add_argument("--format", choices=[FORMAT_MATRIXMARKET, FORMAT_JSON],
-                            default=None)
+                            default=None,
+                            help="format of the matrix files read (default: from the suffix)")
     if tolerance:
         group = parser.add_mutually_exclusive_group()
         group.add_argument("--tol-rank-rel", type=float, default=None,
@@ -194,6 +195,9 @@ def _command(sub, name: str, func, help: str, matrices: dict | None = None,
                             help="floor for the least eigenvalue of the Douglas "
                                  "majorization gap B B* - A A* (default 1e-9)")
     return parser
+
+
+_MATRIX_OUT = "output path; its suffix (.mtx, .mm or .json) sets the format"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "pinv", _cmd_pinv,
         "compute the pseudoinverse and verify its defining conditions",
         {"input": "matrix file"})
-    p_pinv.add_argument("--out", required=True,
-                        help="write the pseudoinverse here, in the input's format "
-                             "whatever the suffix")
+    p_pinv.add_argument("--out", required=True, help="pseudoinverse " + _MATRIX_OUT)
 
     p_douglas = _command(
         sub, "douglas", _cmd_douglas,
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         tolerance=False)
     p_zoo.add_argument("spec", help='inline JSON like {"family":"DiagHarmonic","n":4} '
                                     "or a path to a spec file")
-    p_zoo.add_argument("--out", required=True, help="matrix output path")
+    p_zoo.add_argument("--out", required=True, help="matrix " + _MATRIX_OUT)
 
     p_sweep = _command(
         sub, "sweep", _cmd_sweep,

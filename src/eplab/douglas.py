@@ -6,6 +6,7 @@ factorization ``A = B C`` forces ``R(A) <= R(B)``, and range inclusion in
 turn produces a factor ``C`` with a finite quadratic growth bound.  The
 factor is always realized as ``pinv(B) @ A``, the minimal-norm solution,
 which witnesses all three statements in finite dimension.
+:func:`douglas_analysis` checks them together.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, SubspaceComparison, TolerancePolicy, _cross_norm,
                    _Operand, adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm,
                    subspace_equal)
-from .errors import DimensionMismatch, MajorizationFails, RangeNotIncluded
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,6 @@ class DouglasReport:
     contraction_ok: bool | None
 
 
-def _operands(a, b, tol: TolerancePolicy) -> tuple[np.ndarray, _Operand]:
-    """``A`` as a matrix and B's operand; DimensionMismatch unless their row counts agree."""
-    arr_a, op_b = as_matrix(a), _Operand(b, tol)
-    if arr_a.shape[0] != op_b.arr.shape[0]:
-        raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {op_b.arr.shape[0]}")
-    return arr_a, op_b
-
-
 def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> SubspaceComparison:
     """``||U_perp* A|| <= tol * max(1, ||A||)``, ``norm_a`` being ``||A||``.
 
@@ -56,12 +49,6 @@ def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> SubspaceComp
     """
     residual = _cross_norm(op_b.bases[0].complement, arr_a)
     return SubspaceComparison(residual <= op_b.tol.subspace_tol * max(1.0, norm_a), residual)
-
-
-def range_inclusion_check(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
-    """Test ``R(A) <= R(B)`` via ``||(I - P_R(B)) A|| <= tol * max(1, ||A||)``."""
-    arr_a, op_b = _operands(a, b, tol)
-    return _inclusion(arr_a, op_norm(arr_a), op_b)
 
 
 def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
@@ -74,66 +61,30 @@ def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
     return min_eigenvalue(gap)
 
 
-def _contracts(c: np.ndarray, tol: TolerancePolicy) -> bool:
-    return op_norm(c) <= 1.0 + tol.subspace_tol
-
-
-def _factor(arr_a: np.ndarray, op_b: _Operand, inclusion: SubspaceComparison,
-            majorized: bool) -> DouglasReport:
-    """Report for the factor ``C = pinv(B) A``; ``contraction_ok`` only when majorized."""
-    c = op_b.pinv @ arr_a
-    return DouglasReport(
-        range_included=bool(inclusion.ok), residual_range=float(inclusion.residual),
-        factor_c=c, residual_bc_a=float(op_norm(op_b.arr @ c - arr_a)),
-        bound_k=growth_bound(c, arr_a),
-        contraction_ok=_contracts(c, op_b.tol) if majorized else None)
-
-
-def douglas_factorize(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
-    """Factor ``A = B C`` with ``C = pinv(B) A`` once inclusion holds.
-
-    Raises RangeNotIncluded when the inclusion test fails.
-    """
-    arr_a, op_b = _operands(a, b, tol)
-    inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
-    if not inclusion.ok:
-        raise RangeNotIncluded(
-            f"R(A) is not contained in R(B) (residual {inclusion.residual:.3e})")
-    return _factor(arr_a, op_b, inclusion, False)
-
-
-def majorization_contraction(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
-    """Under ``A A* <= B B*`` produce the contraction factor ``pinv(B) A``.
-
-    The PSD hypothesis is checked through the minimum eigenvalue of
-    ``B B* - A A*`` with floor ``-psd_tol``; MajorizationFails otherwise.
-    """
-    arr_a, op_b = _operands(a, b, tol)
-    lam_min = _majorization_gap(arr_a, op_b.arr)
-    if lam_min < -tol.psd_tol:
-        raise MajorizationFails(f"B B* - A A* has negative eigenvalue {lam_min:.3e}")
-    inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
-    return _factor(arr_a, op_b, inclusion, True)
-
-
 def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     """Inclusion, factorization and contraction verdicts for ``(A, B)`` together.
 
-    The factor fields are those of :func:`douglas_factorize` when
-    ``R(A) <= R(B)`` and None otherwise.  ``contraction_ok`` is that of
-    :func:`majorization_contraction` when ``A A* <= B B*`` holds, whether
-    or not the inclusion does, and None otherwise.  Neither failure raises.
+    ``R(A) <= R(B)`` holds when ``||(I - P_R(B)) A|| <= subspace_tol *
+    max(1, ||A||)``; the factor fields (``C = pinv(B) A``, ``||B C - A||``
+    and the growth bound) are then filled, and None otherwise.
+    ``A A* <= B B*`` holds when the least eigenvalue of ``B B* - A A*`` is
+    at least ``-psd_tol``; ``contraction_ok``, ``||C|| <= 1 + subspace_tol``,
+    is then filled whether or not the inclusion holds, and None otherwise.
+    Neither failure raises; unequal row counts are DimensionMismatch.
     One SVD of ``B`` gives both the inclusion basis and ``pinv(B)``.
     """
-    arr_a, op_b = _operands(a, b, tol)
+    arr_a, op_b = as_matrix(a), _Operand(b, tol)
+    if arr_a.shape[0] != op_b.arr.shape[0]:
+        raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {op_b.arr.shape[0]}")
     inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
     majorized = _majorization_gap(arr_a, op_b.arr) >= -tol.psd_tol
+    c = op_b.pinv @ arr_a if inclusion.ok or majorized else None
+    residual_bc_a = bound_k = None
     if inclusion.ok:
-        return _factor(arr_a, op_b, inclusion, majorized)
-    contraction_ok = _contracts(op_b.pinv @ arr_a, tol) if majorized else None
-    return DouglasReport(range_included=False, residual_range=float(inclusion.residual),
-                         factor_c=None, residual_bc_a=None, bound_k=None,
-                         contraction_ok=contraction_ok)
+        residual_bc_a, bound_k = float(op_norm(op_b.arr @ c - arr_a)), growth_bound(c, arr_a)
+    contraction_ok = op_norm(c) <= 1.0 + tol.subspace_tol if majorized else None
+    return DouglasReport(bool(inclusion.ok), float(inclusion.residual),
+                         c if inclusion.ok else None, residual_bc_a, bound_k, contraction_ok)
 
 
 class PanelItem(NamedTuple):

@@ -37,14 +37,6 @@ class SolveFailure(OperatorAnalysisError):
     """A restricted linear solve was numerically singular or inconsistent."""
 
 
-class RangeNotIncluded(OperatorAnalysisError):
-    """Factorization was requested but the range-inclusion test failed."""
-
-
-class MajorizationFails(OperatorAnalysisError):
-    """The positive-semidefinite majorization hypothesis does not hold."""
-
-
 class BadSpec(OperatorAnalysisError):
     """An operator generation recipe is malformed or incomplete."""
 

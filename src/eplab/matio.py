@@ -2,10 +2,11 @@
 record codec.
 
 The JSON format stores complex entries as parallel row-major ``re``/``im``
-arrays: ``{"rows": m, "cols": n, "re": [...], "im": [...]}``.  Formats are
-sniffed from the extension (.mtx/.mm vs .json) and can be forced.  Either
-format may declare at most :data:`MAX_DIMENSION` rows and columns; a Matrix
-Market header is checked before its body is read.  :func:`_malformed` alone
+arrays of JSON numbers: ``{"rows": m, "cols": n, "re": [...], "im": [...]}``.
+Formats are sniffed from the extension (.mtx/.mm vs .json), for reading and
+writing alike, and can be forced.  Either format may declare at most
+:data:`MAX_DIMENSION` rows and columns; a Matrix Market header is checked
+before its body is read.  :func:`_malformed` alone
 decides which failures to decode a file, spec or record are a ParseError.
 
 One codec serves every JSON record of the package: report documents and
@@ -93,13 +94,22 @@ def _dimension(data: dict, key: str) -> int:
     return value
 
 
+def _entries(data: dict, key: str) -> np.ndarray:
+    """``data[key]`` if it is a list of JSON numbers (a bool or a string is
+    not one); ParseError otherwise."""
+    values = data[key]
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise ParseError(f"dense JSON matrix {key} must be a list of JSON numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
 def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict):
         raise ParseError("dense JSON matrix must be an object")
     with _malformed("malformed dense JSON matrix"):
         rows, cols = _dimension(data, "rows"), _dimension(data, "cols")
-        re = np.asarray(data["re"], dtype=np.float64)
-        im = np.asarray(data["im"], dtype=np.float64) if "im" in data else np.zeros_like(re)
+        re = _entries(data, "re")
+        im = _entries(data, "im") if "im" in data else np.zeros_like(re)
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ParseError(
             f"entry arrays must hold rows*cols={rows * cols} values, "

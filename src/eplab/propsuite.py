@@ -112,8 +112,7 @@ def run_property_suite(count: int, seed: int = 0,
         inclusion = _inclusion(product, norm_product, op)
         if not inclusion.ok:
             _record(result, index, label, "douglas",
-                    "range_inclusion_check(A C, A) failed: R(A) is not contained in "
-                    f"R(B) (residual {inclusion.residual:.3e})", a)
+                    f"R(A C) is not contained in R(A) (residual {inclusion.residual:.3e})", a)
         else:
             # ||A C' - A C|| for the minimal-norm factor C' = A+ (A C).
             residual = op_norm(op.arr @ (op.pinv @ product) - product)

@@ -297,6 +297,16 @@ _CORPUS_KINDS = (
 _CORPUS_MAX_N = 32
 
 
+def _hermitian(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian ``Q D Q*`` of rank ``r``: Haar ``Q``, the first ``r`` of ``D``
+    log-uniform in [1/2, 2] with random signs, the rest 0."""
+    q = haar_unitary(n, rng)
+    d = np.zeros(n)
+    d[:r] = _log_uniform(rng, r) * rng.choice([-1.0, 1.0], r)
+    a = (q * d) @ q.conj().T
+    return (a + a.conj().T) / 2.0
+
+
 def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
     """Deterministic mixed-family square matrix for property sweeps.
 
@@ -313,17 +323,9 @@ def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
     if kind == "random":
         a = random_conditioned(n, n, rng)
     elif kind == "hermitian":
-        q = haar_unitary(n, rng)
-        d = _log_uniform(rng, n) * rng.choice([-1.0, 1.0], n)
-        a = (q * d) @ q.conj().T
-        a = (a + a.conj().T) / 2.0
+        a = _hermitian(n, n, rng)
     elif kind == "hermitian_rank_def":
-        r = int(rng.integers(0, n + 1))
-        q = haar_unitary(n, rng)
-        d = np.zeros(n)
-        d[:r] = _log_uniform(rng, r) * rng.choice([-1.0, 1.0], r)
-        a = (q * d) @ q.conj().T
-        a = (a + a.conj().T) / 2.0
+        a = _hermitian(n, int(rng.integers(0, n + 1)), rng)
     elif kind == "normal":
         r = int(rng.integers(0, n + 1))
         q = haar_unitary(n, rng)

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from eplab import (adjoint, check_perturbation, classify, construct_factor_c,
-                   dagger_identities, douglas_factorize, ep_closure_suite,
-                   gamma, generate_admissible, majorization_contraction,
-                   numerical_rank, op_norm, penrose_verify, pinv, projector,
-                   range_basis, null_basis, range_inclusion_check, svd)
+                   dagger_identities, douglas_analysis, ep_closure_suite,
+                   gamma, generate_admissible, numerical_rank, op_norm,
+                   penrose_verify, pinv, projector, range_basis, null_basis, svd)
 from eplab.zoo import Family, OperatorSpec, gamma_sweep, generate
 
 from conftest import random_complex
@@ -158,7 +157,7 @@ def test_criterion_9_douglas_soundness():
         n = int(rng.integers(1, 7))
         b = random_complex(rng, m, k)
         c = random_complex(rng, k, n)
-        if not range_inclusion_check(b @ c, b).ok:
+        if not douglas_analysis(b @ c, b).range_included:
             inclusion_failures.append(i)
 
     factorization_failures = []
@@ -167,8 +166,9 @@ def test_criterion_9_douglas_soundness():
         k = int(rng.integers(1, 6))
         b = random_complex(rng, m, k)
         a = b @ random_complex(rng, k, int(rng.integers(1, 7)))
-        rep = douglas_factorize(a, b)
-        if rep.residual_bc_a > RESIDUAL_TOL or not np.isfinite(rep.bound_k):
+        rep = douglas_analysis(a, b)
+        if (not rep.range_included or rep.residual_bc_a > RESIDUAL_TOL
+                or not np.isfinite(rep.bound_k)):
             factorization_failures.append(i)
 
     contraction_failures = []
@@ -179,8 +179,10 @@ def test_criterion_9_douglas_soundness():
         k_mat = random_complex(rng, n, n)
         k_mat /= op_norm(k_mat) / float(rng.uniform(0.05, 1.0))
         a = b @ k_mat
-        rep = majorization_contraction(a, b)
-        if op_norm(rep.factor_c) > 1.0 + 1e-9:
+        rep = douglas_analysis(a, b)
+        # contraction_ok is None when A A* <= B B* fails
+        if (not rep.range_included or rep.contraction_ok is None
+                or op_norm(rep.factor_c) > 1.0 + 1e-9):
             contraction_failures.append(i)
 
     ok = not (inclusion_failures or factorization_failures or contraction_failures)

@@ -91,6 +91,23 @@ def test_pinv_writes_matrix_and_report(capsys, diag120, tmp_path):
                                atol=1e-14)
 
 
+def test_pinv_writes_the_format_of_the_out_suffix(capsys, diag120, tmp_path):
+    out_path = tmp_path / "p.json"
+    code, _, _ = run(capsys, "pinv", diag120, "--out", str(out_path))
+    assert code == 0 and json.loads(out_path.read_text())["rows"] == 3
+    code, out, _ = run(capsys, "classify", str(out_path))
+    assert code == 0 and json.loads(out)["report"]["rank"] == 2
+
+
+@pytest.mark.parametrize("command", ["zoo", "pinv"])
+def test_unknown_out_suffix_exits_2_and_writes_nothing(capsys, diag120, tmp_path, command):
+    source = '{"family":"DiagHarmonic","n":3}' if command == "zoo" else diag120
+    out_path = tmp_path / "z.txt"
+    code, out, err = run(capsys, command, source, "--out", str(out_path))
+    assert code == 2 and not out and "ParseError" in err
+    assert not out_path.exists()
+
+
 def test_douglas_command(capsys, tmp_path):
     rng = np.random.default_rng(1)
     b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))

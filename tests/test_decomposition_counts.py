@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from eplab import (SubspaceBasis, check_perturbation, classify, closed_range_panel,
-                   dagger_identities, douglas_analysis, douglas_factorize,
-                   ep_closure_suite, generate_admissible, majorization_contraction,
-                   majorization_witness, range_inclusion_check)
+                   dagger_identities, douglas_analysis, ep_closure_suite,
+                   generate_admissible, majorization_witness)
 from eplab import cli, write_matrix
 from eplab import douglas as douglas_module
 from eplab.core import _Operand
@@ -151,15 +150,14 @@ def test_closed_range_panel_hermitian_decomposes_a_once(operands, counts):
     assert counts["svd"] == 2
 
 
-@pytest.mark.parametrize("entry", [range_inclusion_check, douglas_factorize,
-                                   majorization_contraction, douglas_analysis])
-def test_douglas_entry_points_decompose_b_once(operands, counts, entry):
-    # R(b) <= R(a) and b b* <= a a*, so every entry point runs to the end.
+def test_douglas_analysis_decomposes_b_once(operands, counts):
+    # R(b) <= R(a) and b b* <= a a*, so every verdict is computed.
     a, b = operands
-    entry(b, a)
+    report = douglas_analysis(b, a)
+    assert report.range_included and report.contraction_ok
     assert counts["svd"] == 1
-    # One QR of [I; A] for the growth bound, wherever a factor is reported.
-    assert counts["qr"] == (entry is not range_inclusion_check)
+    # One QR of [I; A] for the growth bound of the reported factor.
+    assert counts["qr"] == 1
 
 
 def test_douglas_analysis_excluded_pair_computes_no_growth_bound(counts):

@@ -1,19 +1,16 @@
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from eplab import (DouglasReport, adjoint, closed_range_panel, douglas_analysis,
-                   douglas_factorize, generate_admissible,
-                   majorization_contraction, op_norm, pinv, projector,
-                   range_basis, range_inclusion_check, subspace_equal)
+from eplab import (DEFAULT_TOL, adjoint, closed_range_panel, douglas_analysis,
+                   generate_admissible, min_eigenvalue, op_norm, pinv, projector,
+                   range_basis, subspace_equal)
 from eplab import douglas as douglas_module
 from eplab.core import growth_bound
-from eplab.errors import (DimensionMismatch, MajorizationFails, NonFinite,
-                          RangeNotIncluded)
+from eplab.errors import DimensionMismatch, NonFinite
 from eplab.zoo import random_ep
 
 from conftest import douglas_cases, random_complex
@@ -22,8 +19,8 @@ from conftest import douglas_cases, random_complex
 def test_inclusion_into_identity():
     rng = np.random.default_rng(0)
     a = random_complex(rng, 4, 3)
-    ok, res = range_inclusion_check(a, np.eye(4))
-    assert ok and res <= 1e-12
+    rep = douglas_analysis(a, np.eye(4))
+    assert rep.range_included and rep.residual_range <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -35,42 +32,43 @@ def test_inclusion_residual_matches_projector_form(seed):
     b = random_complex(rng, m, r) @ random_complex(rng, r, k)
     a = random_complex(rng, m, n) if seed % 2 else b @ random_complex(rng, k, n)
     a = a * 10.0 ** rng.uniform(-3, 3)
-    _, residual = range_inclusion_check(a, b)
+    residual = douglas_analysis(a, b).residual_range
     p_b = projector(range_basis(b))
     expected = op_norm((np.eye(m) - p_b) @ a)
     assert abs(residual - expected) <= 1e-13 * max(1.0, op_norm(a))
 
 
 def test_inclusion_disjoint_axes():
-    ok, res = range_inclusion_check(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-    assert not ok and abs(res - 1.0) < 1e-12
+    rep = douglas_analysis(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    assert not rep.range_included and abs(rep.residual_range - 1.0) < 1e-12
 
 
 def test_inclusion_of_exhibited_factor():
     rng = np.random.default_rng(1)
     b = random_complex(rng, 5, 3)
     m = random_complex(rng, 3, 4)
-    assert range_inclusion_check(b @ m, b).ok
+    assert douglas_analysis(b @ m, b).range_included
 
 
 def test_inclusion_shape_contract():
     with pytest.raises(DimensionMismatch):
-        range_inclusion_check(np.eye(2), np.eye(3))
+        douglas_analysis(np.eye(2), np.eye(3))
 
 
 def test_factorize_against_identity():
     rng = np.random.default_rng(2)
     a = random_complex(rng, 4, 4)
-    rep = douglas_factorize(a, np.eye(4))
+    rep = douglas_analysis(a, np.eye(4))
     np.testing.assert_allclose(rep.factor_c, a, atol=1e-12)
     assert rep.residual_bc_a <= 1e-12
     # the growth ratio ||C x||^2 / (||x||^2 + ||A x||^2) never reaches 1 here
     assert rep.bound_k is not None and rep.bound_k < 1.0
-    assert rep.contraction_ok is None
+    # ||A|| > 1, so A A* <= I fails and no contraction verdict is given
+    assert op_norm(a) > 1.0 and rep.contraction_ok is None
 
 
 def test_factorize_diagonal():
-    rep = douglas_factorize(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
+    rep = douglas_analysis(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
     np.testing.assert_allclose(rep.factor_c, np.diag([0.5, 0.0]), atol=1e-14)
     assert rep.residual_bc_a <= 1e-14
 
@@ -78,15 +76,16 @@ def test_factorize_diagonal():
 def test_factorize_self_gives_carrier_projector():
     rng = np.random.default_rng(3)
     b = random_complex(rng, 5, 3) @ random_complex(rng, 3, 5)  # rank 3
-    rep = douglas_factorize(b, b)
+    rep = douglas_analysis(b, b)
     carrier = pinv(b) @ b
     np.testing.assert_allclose(rep.factor_c, carrier, atol=1e-10)
     assert op_norm(b @ rep.factor_c - b) <= 1e-10
 
 
 def test_factorize_requires_inclusion():
-    with pytest.raises(RangeNotIncluded):
-        douglas_factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    rep = douglas_analysis(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    assert not rep.range_included
+    assert rep.factor_c is None and rep.residual_bc_a is None and rep.bound_k is None
 
 
 def test_factorization_soundness_sweep():
@@ -98,8 +97,8 @@ def test_factorization_soundness_sweep():
         b = random_complex(rng, m, k)
         c = random_complex(rng, k, n)
         a = b @ c
-        assert range_inclusion_check(a, b).ok
-        rep = douglas_factorize(a, b)
+        rep = douglas_analysis(a, b)
+        assert rep.range_included
         assert rep.residual_bc_a <= 1e-9 * max(1.0, op_norm(a))
         assert np.isfinite(rep.bound_k)
 
@@ -107,7 +106,7 @@ def test_factorization_soundness_sweep():
 def test_contraction_self():
     rng = np.random.default_rng(5)
     a = random_complex(rng, 4, 2) @ random_complex(rng, 2, 4)
-    rep = majorization_contraction(a, a)
+    rep = douglas_analysis(a, a)
     assert rep.contraction_ok
     np.testing.assert_allclose(rep.factor_c, pinv(a) @ a, atol=1e-10)
 
@@ -115,14 +114,15 @@ def test_contraction_self():
 def test_contraction_scaling():
     rng = np.random.default_rng(6)
     b = random_complex(rng, 4, 4)
-    rep = majorization_contraction(0.5 * b, b)
+    rep = douglas_analysis(0.5 * b, b)
     assert rep.contraction_ok
     assert abs(op_norm(rep.factor_c) - 0.5) <= 1e-10
 
 
 def test_contraction_rejects_bad_majorization():
-    with pytest.raises(MajorizationFails):
-        majorization_contraction(np.diag([2.0, 0.0]), np.diag([1.0, 0.0]))
+    # R(A) <= R(B) holds, A A* <= B B* does not: a factor, no contraction verdict.
+    rep = douglas_analysis(np.diag([2.0, 0.0]), np.diag([1.0, 0.0]))
+    assert rep.range_included and rep.contraction_ok is None
 
 
 def test_contraction_bound_sweep():
@@ -134,7 +134,8 @@ def test_contraction_bound_sweep():
         k = random_complex(rng, n, n)
         k /= op_norm(k) / float(rng.uniform(0.1, 1.0))  # ||K|| <= 1
         a = b @ k
-        rep = majorization_contraction(a, b)
+        rep = douglas_analysis(a, b)
+        assert rep.contraction_ok
         assert op_norm(rep.factor_c) <= 1.0 + 1e-9
 
 
@@ -198,35 +199,25 @@ _DOUGLAS_VERDICTS = {
 }
 
 
-def _analysis_from_parts(a, b):
-    """douglas_analysis spelled out through the three single-purpose calls."""
-    inclusion = range_inclusion_check(a, b)
-    if inclusion.ok:
-        expected = douglas_factorize(a, b)
-    else:
-        expected = DouglasReport(False, inclusion.residual, None, None, None, None)
-    try:
-        contraction_ok = majorization_contraction(a, b).contraction_ok
-    except MajorizationFails:
-        contraction_ok = None
-    return replace(expected, contraction_ok=contraction_ok)
-
-
 @pytest.mark.parametrize("case", douglas_cases(), ids=lambda case: case[0])
 def test_douglas_analysis_four_cases(case):
+    # Each field, bit for bit, from the public primitives.
     name, a, b = case
+    tol = DEFAULT_TOL
     report = douglas_analysis(a, b)
-    expected = _analysis_from_parts(a, b)
     assert (report.range_included, report.contraction_ok) == _DOUGLAS_VERDICTS[name]
-    assert report.range_included == expected.range_included
-    assert report.residual_range == expected.residual_range
-    assert report.residual_bc_a == expected.residual_bc_a
-    assert report.bound_k == expected.bound_k
-    assert report.contraction_ok == expected.contraction_ok
+    residual = op_norm(adjoint(range_basis(b).complement) @ a)
+    assert report.residual_range == residual
+    assert report.range_included == (residual <= tol.subspace_tol * max(1.0, op_norm(a)))
+    c = pinv(b) @ a
+    majorized = min_eigenvalue(b @ adjoint(b) - a @ adjoint(a)) >= -tol.psd_tol
+    assert report.contraction_ok == (op_norm(c) <= 1.0 + tol.subspace_tol if majorized else None)
     if report.range_included:
-        np.testing.assert_array_equal(report.factor_c, expected.factor_c)
+        np.testing.assert_array_equal(report.factor_c, c)
+        assert report.residual_bc_a == op_norm(b @ c - a)
+        assert report.bound_k == growth_bound(c, a)
     else:
-        assert report.factor_c is None and expected.factor_c is None
+        assert report.factor_c is report.residual_bc_a is report.bound_k is None
 
 
 def test_douglas_analysis_decomposition_counts(monkeypatch):
@@ -256,7 +247,7 @@ def test_douglas_analysis_decomposition_counts(monkeypatch):
 def test_majorization_rejects_overflowed_gram():
     # B B* - A A* overflows to [[nan, 0], [0, -8]]; it must not pass as PSD.
     with pytest.raises(NonFinite):
-        majorization_contraction(np.diag([1e200, 3.0]), np.diag([1e200, 1.0]))
+        douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 1.0]))
 
 
 def test_overflowed_gram_raises_without_warnings():
@@ -287,7 +278,7 @@ def test_growth_bound_is_the_generalized_eigenvalue(seed):
     b *= 10.0 ** rng.uniform(-3, 3) / op_norm(b)
     a = b @ random_complex(rng, k, n)
     a *= 10.0 ** rng.uniform(-3, 3) / op_norm(a)
-    report = douglas_factorize(a, b)
+    report = douglas_analysis(a, b)
     c = report.factor_c
     exact = scipy.linalg.eigh(c.conj().T @ c, np.eye(n) + a.conj().T @ a, eigvals_only=True)[-1]
     assert abs(report.bound_k - exact) <= 1e-9 * exact
@@ -295,12 +286,14 @@ def test_growth_bound_is_the_generalized_eigenvalue(seed):
 
 
 def test_growth_bound_of_huge_entries_raises_no_warning():
-    # I + A* A overflows; the QR of [I; A] does not.  B's rank is 1 at the
-    # default threshold, so C = diag(1, 0) and the bound is 1e-400, which is 0.
+    # I + A* A overflows; the QR of [I; A] does not.  A's rank is 1 at the
+    # default threshold, so C = pinv(A) A = diag(1, 0) and the bound is
+    # 1e-400, which is 0.
+    a = np.diag([1e200, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = douglas_factorize(np.diag([1e200, 3.0]), np.diag([1e200, 3.0]))
-    assert report.bound_k == 0.0
+        bound = growth_bound(pinv(a) @ a, a)
+    assert bound == 0.0
 
 
 def test_growth_bound_of_the_identity_factor():

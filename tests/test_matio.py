@@ -85,6 +85,15 @@ def test_json_length_mismatch_rejected():
         matrix_from_json_dict({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
 
 
+@pytest.mark.parametrize("entries", [["1.5", 2], [True, False]], ids=["string", "bool"])
+@pytest.mark.parametrize("key", ["re", "im"])
+def test_json_entries_must_be_json_numbers(key, entries):
+    data = {"rows": 1, "cols": 2, "re": [1.0, 2], "im": [0, -0.5]}
+    data[key] = entries
+    with pytest.raises(ParseError, match=key):
+        matrix_from_json_dict(data)
+
+
 def test_garbage_files_rejected(tmp_path):
     bad_mtx = tmp_path / "bad.mtx"
     bad_mtx.write_text("this is not a matrix\n")

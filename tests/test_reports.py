@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import eplab
 from eplab import (DouglasReport, TolerancePolicy, ZooReport, check_perturbation,
-                   classify, cli, douglas_factorize, penrose_verify, pinv)
+                   classify, cli, douglas_analysis, penrose_verify, pinv)
 from eplab.errors import NonFinite, ParseError
 from eplab.matio import _decode, _encode
 from eplab.reports import decode_document, dump_document, make_document
@@ -46,7 +46,7 @@ def test_penrose_document_round_trip():
 def test_douglas_document_round_trip():
     rng = np.random.default_rng(1)
     b = random_complex(rng, 4, 3)
-    rep = douglas_factorize(b @ random_complex(rng, 3, 2), b)
+    rep = douglas_analysis(b @ random_complex(rng, 3, 2), b)
     doc = make_document("douglas", rep, "sha256:d", TolerancePolicy())
     _, decoded, _, _ = decode_document(roundtrip(doc))
     assert decoded.range_included == rep.range_included
