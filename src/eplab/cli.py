@@ -100,34 +100,40 @@ def _write_document(kind: str, report, digest: str, tol: TolerancePolicy,
     return 0
 
 
-def _cmd_classify(args) -> int:
+# The analysis commands: each row is the document kind, the analysis, the
+# help text and the matrix file positionals with their help.  The analysis
+# is named, not held, and looked up in this module when the command runs,
+# so perfbench's span tracer, which rebinds module attributes, sees it.
+_ANALYSES = {
+    "classify": ("classification", "classify",
+                 "evaluate every EP / hypo-EP condition for a square matrix; "
+                 "gamma is reported as 0 for numerically rank-0 matrices rather than +inf",
+                 {"input": "matrix file"}),
+    "douglas": ("douglas", "douglas_analysis",
+                "range inclusion, factorization and contraction checks for (A, B)",
+                {"a": "matrix file for A", "b": "matrix file for B"}),
+    "perturb": ("perturbation", "check_perturbation",
+                "perturbation hypotheses and conclusions for an EP matrix A and B",
+                {"a": "matrix file for the EP base matrix A",
+                 "b": "matrix file for the perturbation B"}),
+}
+
+
+def _cmd_analysis(args) -> int:
+    """Run the analysis of ``args.command`` on its matrix files under the
+    tolerance flags and write its document."""
+    kind, analysis, _, matrices = _ANALYSES[args.command]
     tol = _tolerance(args)
-    report = classify(read_matrix(args.input, args.format), tol)
-    return _write_document("classification", report, file_digest([args.input]), tol,
-                           args.out)
+    paths = [getattr(args, dest) for dest in matrices]
+    report = globals()[analysis](*[read_matrix(path, args.format) for path in paths], tol)
+    return _write_document(kind, report, file_digest(paths), tol, args.out)
 
 
 def _cmd_pinv(args) -> int:
     tol = _tolerance(args)
     op = _Operand(read_matrix(args.input, args.format), tol)
     write_matrix(args.out, op.pinv)
-    return _write_document("penrose", _penrose(op, op.dagger), file_digest([args.input]),
-                           tol)
-
-
-def _cmd_douglas(args) -> int:
-    tol = _tolerance(args)
-    a, b = read_matrix(args.a, args.format), read_matrix(args.b, args.format)
-    report = douglas_analysis(a, b, tol)
-    return _write_document("douglas", report, file_digest([args.a, args.b]), tol, args.out)
-
-
-def _cmd_perturb(args) -> int:
-    tol = _tolerance(args)
-    a, b = read_matrix(args.a, args.format), read_matrix(args.b, args.format)
-    report = check_perturbation(a, b, tol)
-    return _write_document("perturbation", report, file_digest([args.a, args.b]), tol,
-                           args.out)
+    return _write_document("penrose", _penrose(op, op.dagger), file_digest([args.input]), tol)
 
 
 def _parse_spec_argument(text: str) -> dict:
@@ -179,25 +185,32 @@ def _command(sub, name: str, func, help: str, matrices: dict | None = None,
         for dest, text in matrices.items():
             parser.add_argument(dest, help=text)
         parser.add_argument("--format", choices=[FORMAT_MATRIXMARKET, FORMAT_JSON],
-                            default=None,
                             help="format of the matrix files read (default: from the suffix)")
     if tolerance:
         group = parser.add_mutually_exclusive_group()
-        group.add_argument("--tol-rank-rel", type=float, default=None,
+        group.add_argument("--tol-rank-rel", type=float,
                            help="rank threshold factor relative to sigma_max "
                                 "(default: max(m,n)*eps)")
-        group.add_argument("--tol-rank-abs", type=float, default=None,
+        group.add_argument("--tol-rank-abs", type=float,
                            help="absolute rank threshold on singular values")
-        parser.add_argument("--tol-subspace", type=float, default=None,
+        parser.add_argument("--tol-subspace", type=float,
                             help="projector-distance tolerance for subspace tests "
                                  "(default 1e-8; env EPLAB_TOL_SUBSPACE overrides)")
-        parser.add_argument("--tol-psd", type=float, default=None,
+        parser.add_argument("--tol-psd", type=float,
                             help="floor for the least eigenvalue of the Douglas "
                                  "majorization gap B B* - A A* (default 1e-9)")
     return parser
 
 
 _MATRIX_OUT = "output path; its suffix (.mtx, .mm or .json) sets the format"
+
+
+def _analysis_commands(sub, *names: str) -> None:
+    """The subcommands of the ``_ANALYSES`` rows ``names``, in that order,
+    each with its row's help text and matrix file positionals."""
+    for name in names:
+        _command(sub, name, _cmd_analysis, *_ANALYSES[name][2:]).add_argument(
+            "--out", help="write the JSON report here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,30 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "(.json with rows/cols/re/im).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = _command(
-        sub, "classify", _cmd_classify,
-        "evaluate every EP / hypo-EP condition for a square matrix; "
-        "gamma is reported as 0 for numerically rank-0 matrices rather than +inf",
-        {"input": "matrix file"})
-    p_classify.add_argument("--out", default=None, help="write the JSON report here")
-
+    # ``eplab --help`` lists the subcommands in the order they are added here.
+    _analysis_commands(sub, "classify")
     p_pinv = _command(
         sub, "pinv", _cmd_pinv,
         "compute the pseudoinverse and verify its defining conditions",
         {"input": "matrix file"})
     p_pinv.add_argument("--out", required=True, help="pseudoinverse " + _MATRIX_OUT)
-
-    p_douglas = _command(
-        sub, "douglas", _cmd_douglas,
-        "range inclusion, factorization and contraction checks for (A, B)",
-        {"a": "matrix file for A", "b": "matrix file for B"})
-    p_douglas.add_argument("--out", default=None)
-
-    p_perturb = _command(
-        sub, "perturb", _cmd_perturb,
-        "perturbation hypotheses and conclusions for an EP matrix A and B",
-        {"a": "matrix file for the EP base matrix A", "b": "matrix file for the perturbation B"})
-    p_perturb.add_argument("--out", default=None)
+    _analysis_commands(sub, "douglas", "perturb")
 
     p_zoo = _command(
         sub, "zoo", _cmd_zoo,
@@ -247,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("family", choices=[f.value for f in DETERMINISTIC_FAMILIES])
     p_sweep.add_argument("--sizes", type=_sizes, required=True,
                          help="comma-separated sizes, e.g. 3,5,7")
-    p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p_sweep.add_argument("--out", help="CSV output path (default stdout)")
 
     p_suite = _command(
         sub, "propsuite", _cmd_propsuite,
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=_at_least(0), default=0)
     p_suite.add_argument("--count", type=_at_least(1), default=100,
                          help="number of corpus matrices (default 100)")
-    p_suite.add_argument("--out", default=None)
+    p_suite.add_argument("--out")
 
     return parser
 

@@ -2,7 +2,8 @@
 record codec.
 
 The JSON format stores complex entries as parallel row-major ``re``/``im``
-arrays of JSON numbers: ``{"rows": m, "cols": n, "re": [...], "im": [...]}``.
+arrays of JSON numbers: ``{"rows": m, "cols": n, "re": [...], "im": [...]}``;
+any other key is a ParseError.
 Formats are sniffed from the extension (.mtx/.mm vs .json), for reading and
 writing alike, and can be forced.  Either format may declare at most
 :data:`MAX_DIMENSION` rows and columns; a Matrix Market header is checked
@@ -70,9 +71,8 @@ def sniff_format(path) -> str:
     try:
         return _EXTENSIONS[suffix]
     except KeyError:
-        raise ParseError(
-            f"cannot infer matrix format from {path!r}; pass an explicit format"
-        ) from None
+        raise ParseError(f"cannot infer matrix format from {path!r}: its suffix must be "
+                         f"one of {', '.join(_EXTENSIONS)}") from None
 
 
 def matrix_to_json_dict(a) -> dict:
@@ -106,6 +106,9 @@ def _entries(data: dict, key: str) -> np.ndarray:
 def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict):
         raise ParseError("dense JSON matrix must be an object")
+    unknown = set(data) - {"rows", "cols", "re", "im"}
+    if unknown:
+        raise ParseError(f"dense JSON matrix: unknown keys {sorted(unknown)}")
     with _malformed("malformed dense JSON matrix"):
         rows, cols = _dimension(data, "rows"), _dimension(data, "cols")
         re = _entries(data, "re")

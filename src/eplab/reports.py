@@ -10,7 +10,6 @@ The envelope and the report are one record of the codec in
 from __future__ import annotations
 
 import json
-import math
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
@@ -71,28 +70,28 @@ def dump_document(doc: dict) -> str:
 
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
     for any JSON tree with string keys and finite floats.  That call runs
-    json's pure-Python encoder; here each list of scalars, such as a matrix
-    payload, is written by json's C encoder in one call instead.  A NaN or
-    infinite float has no RFC 8259 form and raises NonFinite, so no document
-    carries ``NaN`` or ``Infinity``.
+    json's pure-Python encoder; here json's C encoder writes every scalar,
+    every empty container and each list of scalars, such as a matrix
+    payload, in one call.  A NaN or infinite float has no RFC 8259 form and
+    raises NonFinite, so no document carries ``NaN`` or ``Infinity``.
     """
     try:
         return _render(doc, "") + "\n"
-    except ValueError as exc:  # json's refusal of NaN and infinity, also _scalar's
+    except ValueError as exc:  # json's refusal of NaN and infinity
         raise NonFinite(f"the report holds a value with no JSON form: {exc}") from exc
+
+
+# json's C encoder for one scalar or an empty container.
+_encode_leaf = json.JSONEncoder(allow_nan=False).encode
 
 
 def _render(value, indent: str) -> str:
     """``value`` as json's ``indent=2`` text, its closing bracket at ``indent``."""
     inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+    if isinstance(value, dict) and value:
         items = [f"{_quote(key)}: {_render(item, inner)}" for key, item in sorted(value.items())]
         brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    elif isinstance(value, (list, tuple)) and value:
         if not any(isinstance(item, (dict, list, tuple)) for item in value):
             # The C encoder writes the items with the indented separator.
             text = json.JSONEncoder(separators=(",\n" + inner, ": "),
@@ -101,21 +100,5 @@ def _render(value, indent: str) -> str:
         items = [_render(item, inner) for item in value]
         brackets = "[]"
     else:
-        return _scalar(value)
+        return _encode_leaf(value)
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _scalar(value) -> str:
-    """One JSON scalar as json's encoder writes it."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or value is True or value is False:
-        return _CONSTANTS[value]
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    return int.__repr__(value)

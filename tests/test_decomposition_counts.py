@@ -150,16 +150,6 @@ def test_closed_range_panel_hermitian_decomposes_a_once(operands, counts):
     assert counts["svd"] == 2
 
 
-def test_douglas_analysis_decomposes_b_once(operands, counts):
-    # R(b) <= R(a) and b b* <= a a*, so every verdict is computed.
-    a, b = operands
-    report = douglas_analysis(b, a)
-    assert report.range_included and report.contraction_ok
-    assert counts["svd"] == 1
-    # One QR of [I; A] for the growth bound of the reported factor.
-    assert counts["qr"] == 1
-
-
 def test_douglas_analysis_excluded_pair_computes_no_growth_bound(counts):
     (_, a, b), = [case for case in douglas_cases() if case[0] == "not_included_majorized"]
     counts.clear()  # building the cases decomposes too

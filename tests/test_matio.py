@@ -22,7 +22,7 @@ def test_sniff_format():
     assert sniff_format("a.mtx") == "matrixmarket"
     assert sniff_format("A.MM") == "matrixmarket"
     assert sniff_format("b.json") == "json"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"\.mtx, \.mm, \.json"):
         sniff_format("matrix.txt")
 
 
@@ -78,6 +78,12 @@ def test_json_im_optional():
     data = {"rows": 1, "cols": 2, "re": [1.0, 2.0]}
     np.testing.assert_array_equal(matrix_from_json_dict(data),
                                   np.array([[1.0, 2.0]], dtype=complex))
+
+
+def test_json_undeclared_key_rejected():
+    # Else a misspelt "im" would read as a zero imaginary part.
+    with pytest.raises(ParseError, match="unknown keys"):
+        matrix_from_json_dict({"rows": 1, "cols": 1, "re": [1], "img": [2]})
 
 
 def test_json_length_mismatch_rejected():

@@ -57,6 +57,16 @@ def test_douglas_document_round_trip():
     np.testing.assert_array_equal(decoded.factor_c, rep.factor_c)
 
 
+def test_undeclared_key_in_a_matrix_payload_is_parse_error():
+    rng = np.random.default_rng(1)
+    b = random_complex(rng, 4, 3)
+    doc = roundtrip(make_document("douglas", douglas_analysis(b @ random_complex(rng, 3, 2), b),
+                                  "sha256:d", TolerancePolicy()))
+    doc["report"]["factor_c"]["bogus"] = 1
+    with pytest.raises(ParseError, match="unknown keys"):
+        decode_document(doc)
+
+
 def test_perturbation_document_round_trip():
     a = np.diag([2.0, 2.0, 0.0])
     b = np.diag([0.5, 0.0, 0.0])
