@@ -5,42 +5,19 @@ A square matrix is EP when its range equals the range of its adjoint
 of the adjoint.  Both notions admit several equivalent formulations;
 ``classify`` evaluates every one of them independently and reports each
 residual, because the mutual agreement of the routes is itself the main
-correctness check.  Condition ids:
+correctness check.  The condition ids, in report order, and the route that
+computes each, or the condition whose residual it copies, are the table
+``_ROUTES``; the README's "Classification conditions" states each condition
+and maps its route.  ep1..ep7 are equivalent, as are hypo1/hypo2;
+chain2..chain4 are one-way consequences of hypo2 (and collapse back to the
+EP conditions in finite dimension).  Every residual is tested against
+``subspace_tol``; nothing is sampled.
 
-======  =====================================  ==================================
-ep1     range equality                         ||R(A)_perp* R(A*)||
-ep2     commutation                            ||A A+ - A+ A||
-ep3     null-space match with A+               ||N(A)_perp* N(A+)||
-ep4     null-space match with A*               ||N(A)_perp* N(A*)||
-ep5     complement of the null space           ||N(A)* R(A)||
-ep6     carrier closure (range of A+)          ||R(A+)_perp* R(A)||
-ep7     orthogonal direct sum                  ||N(A)* R(A)||
-hypo1   null inclusion N(A) <= N(A*)           ||N(A*)_perp* N(A)||
-hypo2   absorption A+ A A A+ = A A+            ||R(A+)_perp* R(A)||
-chain2  absorption A (A+)^2 A = A A+           hypo2's residual
-chain3  projector order A A+ <= A+ A           -min eigenvalue of P_R(A+) - P_R(A)
-chain4  norm inequality on unit vectors        hypo2's residual, the exact supremum
-======  =====================================  ==================================
-
-``R(X)``, ``N(X)`` are the range and null bases from the SVD of ``X``'s own
-operand and ``_perp`` the other singular vectors of that SVD; nothing is
-sampled.  Each condition about subspaces reads the bases of the
-decompositions it compares; only ep2 reads the computed ``A+`` through the
-products ``A A+`` and ``A+ A``.  ep5 and ep7 are the same matrix up to sign
-and share one residual; with ``P = A A+`` and ``Q = A+ A``, chain2's
-``P Q = P`` is the adjoint of hypo2's ``Q P = P`` and shares its residual,
-which is also ep6's, computed once, when ``A+`` has ``A``'s rank.  chain4
-states ``||P x|| <= ||Q x||`` for every ``x``; its largest violation over
-unit ``x`` is exactly ``||(I - Q) P||``, hypo2's residual once more (a unit
-``x`` in ``R(P)`` that ``I - Q`` stretches most attains it).  ep1..ep7 are
-equivalent, as are hypo1/hypo2; chain2..chain4 are one-way consequences of
-hypo2 (and collapse back to the EP conditions in finite dimension).  Every
-residual is tested against ``subspace_tol``.
-
-``classify`` evaluates all twelve.  The callers that read only the EP
-verdict (the closure suite and its members, ``construct_factor_c``,
+``classify`` evaluates every id of the table.  The callers that read only
+the EP verdict (the closure suite and its members, ``construct_factor_c``,
 ``check_perturbation`` and ``generate_admissible``) evaluate ep1..ep7 only,
-and ``majorization_witness`` hypo1 and hypo2 only, through the same code.
+and ``majorization_witness`` hypo1 and hypo2 only, through the same
+evaluator.
 """
 
 from __future__ import annotations
@@ -119,96 +96,92 @@ def _modulus_from_factors(factors: SvdFactors) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-def _check(condition_id: str, residual: float, tol: TolerancePolicy) -> ConditionCheck:
-    return ConditionCheck(condition_id, float(residual), residual <= tol.subspace_tol)
-
-
-def _square(op: _Operand) -> np.ndarray:
-    """``A``'s matrix; NotSquare unless it is square."""
-    if op.arr.shape[0] != op.arr.shape[1]:
-        raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
-    return op.arr
-
-
-def _ep_checks(op: _Operand) -> list[ConditionCheck]:
-    """ep1..ep7 of ``A`` from the SVDs of the operands of ``A``, ``A*`` and ``A+``.
-
-    The rank, ``A+`` and the bases of ``R(A)`` and ``N(A)`` all come from
-    the SVD of ``A``; every condition but ep2 compares them with the bases
-    of ``A*`` and ``A+`` from their own SVDs, or with each other.  ep2
-    alone reads the products ``A A+`` and ``A+ A`` of the computed ``A+``.
-    """
-    arr, tol = _square(op), op.tol
-    rng_a, nul_a = op.bases
-    rng_star, nul_star = op.adjoint.bases
-    rng_dag, nul_dag = op.dagger.bases
-
+# The route of each condition, in report order: a function of the operand
+# that returns its residual, or the id of the condition whose residual it
+# copies.  Every route but ep2 reads the bases of the SVDs of A, A* and A+;
+# ep2 alone reads the products A A+ and A+ A of the computed A+.
+_ROUTES = {
+    "ep1": lambda op: subspace_equal(op.bases[0], op.adjoint.bases[0]).residual,
+    "ep2": lambda op: op_norm(op.arr @ op.pinv - op.pinv @ op.arr),
+    "ep3": lambda op: subspace_equal(op.bases[1], op.dagger.bases[1]).residual,
+    "ep4": lambda op: subspace_equal(op.bases[1], op.adjoint.bases[1]).residual,
     # ep5's (I - P_N(A)) - P_R(A) is minus ep7's P_R(A) + P_N(A) - I.  The
     # complement of N(A) and R(A) each have dimension r, so its norm is the
     # sine of their largest principal angle; N(A) is the complement of the
     # first, so that sine is ||N(A)* R(A)||.
-    complement = _cross_norm(nul_a.basis, rng_a.basis)
-    return [
-        _check("ep1", subspace_equal(rng_a, rng_star, tol).residual, tol),
-        _check("ep2", op_norm(arr @ op.pinv - op.pinv @ arr), tol),
-        _check("ep3", subspace_equal(nul_a, nul_dag, tol).residual, tol),
-        _check("ep4", subspace_equal(nul_a, nul_star, tol).residual, tol),
-        _check("ep5", complement, tol),
-        _check("ep6", subspace_equal(rng_dag, rng_a, tol).residual, tol),
-        _check("ep7", complement, tol),
-    ]
+    "ep5": lambda op: _cross_norm(op.bases[1].basis, op.bases[0].basis),
+    "ep6": lambda op: subspace_equal(op.dagger.bases[0], op.bases[0]).residual,
+    "ep7": "ep5",
+    "hypo1": lambda op: subspace_included(op.bases[1], op.adjoint.bases[1]).residual,
+    # hypo2's ||R(A+)_perp* R(A)|| is ep6's residual when A+ has A's rank,
+    # and its function then names ep6 instead of computing it again.
+    "hypo2": lambda op: ("ep6" if op.dagger.rank == op.rank else
+                         subspace_included(op.bases[0], op.dagger.bases[0]).residual),
+    # With P = A A+ and Q = A+ A, hypo2's Q P = P is R(A) <= R(A+), and
+    # chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.
+    "chain2": "hypo2",
+    # For subspaces of equal dimension the eigenvalues of P_R(A+) - P_R(A)
+    # are the +-sines of their principal angles, so chain3 is hypo2's sine
+    # again, read from an eigendecomposition.
+    "chain3": lambda op: max(0.0, -min_eigenvalue(projector(op.dagger.bases[0])
+                                                  - projector(op.bases[0]))),
+    # chain4's sup of ||P x|| - ||Q x|| over unit x is ||(I - Q) P||, hypo2's.
+    "chain4": "hypo2",
+}
+_IDS = tuple(_ROUTES)
+_EP_IDS = tuple(cid for cid in _IDS if cid.startswith("ep"))
+_HYPO_IDS = tuple(cid for cid in _IDS if cid.startswith("hypo"))
+
+
+def _residual(op: _Operand, cid: str, residuals: dict[str, float]) -> float:
+    """The residual of condition ``cid``, from ``residuals`` or else its route,
+    which adds it and that of each condition it copies to ``residuals``."""
+    if cid not in residuals:
+        route = _ROUTES[cid]
+        value = route if isinstance(route, str) else route(op)
+        residuals[cid] = _residual(op, value, residuals) if isinstance(value, str) else value
+    return residuals[cid]
+
+
+def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
+    """The checks of the conditions ``ids`` of ``A``, each distinct route run once;
+    a copy is computed by the route it names, requested or not.  NotSquare
+    unless ``A`` is square."""
+    if op.arr.shape[0] != op.arr.shape[1]:
+        raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
+    residuals: dict[str, float] = {}
+    tol = op.tol.subspace_tol
+    return tuple(ConditionCheck(cid, float(residual), residual <= tol)
+                 for cid in ids for residual in [_residual(op, cid, residuals)])
+
+
+def _passes(op: _Operand, ids: tuple[str, ...]) -> bool:
+    return all(check.passed for check in _evaluate(op, ids))
 
 
 def _is_ep(op: _Operand) -> bool:
     """Conjunction of ep1..ep7, for callers that read no other condition."""
-    return all(check.passed for check in _ep_checks(op))
+    return _passes(op, _EP_IDS)
 
 
-def _hypo_checks(op: _Operand, ep6: float | None = None) -> list[ConditionCheck]:
-    """hypo1 and hypo2 of ``A`` from the SVDs of the operands of ``A``, ``A*`` and ``A+``.
+_REQUIRED = {SourceNotEP: _EP_IDS, SourceNotHypoEP: _HYPO_IDS}
 
-    hypo1 compares ``N(A)`` with ``N(A*)``, hypo2 ``R(A)`` with ``R(A+)``.
-    When ``A+`` has ``A``'s rank, hypo2's ``||R(A+)_perp* R(A)||`` is ep6's
-    residual, taken from ``ep6`` when the caller has it.
-    """
-    _square(op)
-    tol = op.tol
-    rng_a, nul_a = op.bases
-    nul_star = op.adjoint.bases[1]
-    rng_dag = op.dagger.bases[0]
-    absorption = (ep6 if ep6 is not None and rng_dag.k == rng_a.k
-                  else subspace_included(rng_a, rng_dag, tol).residual)
-    return [_check("hypo1", subspace_included(nul_a, nul_star, tol).residual, tol),
-            _check("hypo2", absorption, tol)]
+
+def _source(op: _Operand, error: type[SourceNotEP | SourceNotHypoEP], message: str) -> _Operand:
+    """``op`` when it passes the conditions ``error`` is about, else ``error(message)``:
+    ep1..ep7 for SourceNotEP, hypo1 and hypo2 for SourceNotHypoEP."""
+    if not _passes(op, _REQUIRED[error]):
+        raise error(message)
+    return op
 
 
 def _classify(op: _Operand) -> ClassificationReport:
-    """Classify ``A``: :func:`_ep_checks`, :func:`_hypo_checks`, then the chain.
-
-    chain3 compares ``R(A)`` with ``R(A+)``, each from the SVD of its own
-    operand; chain2 and chain4 report hypo2's residual.
-    """
-    tol = op.tol
-    ep = _ep_checks(op)
-    hypo = _hypo_checks(op, ep[5].residual)
-    rng_a, rng_dag = op.bases[0], op.dagger.bases[0]
-
-    # With P = A A+ and Q = A+ A, hypo2's Q P = P is R(A) <= R(A+), and
-    # chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.  chain4's
-    # sup of ||P x|| - ||Q x|| over unit x is ||(I - Q) P||, hypo2's again.
-    absorption = hypo[1].residual
-    # For subspaces of equal dimension the eigenvalues of P_R(A+) - P_R(A)
-    # are the +-sines of their principal angles, so chain3 is hypo2's sine
-    # again, read from an eigendecomposition.
-    lam_min = min_eigenvalue(projector(rng_dag) - projector(rng_a))
-    chain = [_check("chain2", absorption, tol),
-             _check("chain3", max(0.0, -lam_min), tol),
-             _check("chain4", absorption, tol)]
-
-    return ClassificationReport(is_ep=all(check.passed for check in ep),
-                                is_hypo_ep=all(check.passed for check in hypo),
-                                rank=op.rank, gamma=op.gamma,
-                                conditions=tuple(ep + hypo + chain))
+    """Classify ``A``: every condition of ``_ROUTES``."""
+    checks = _evaluate(op, _IDS)
+    passed = {check.condition_id: check.passed for check in checks}
+    return ClassificationReport(is_ep=all(passed[cid] for cid in _EP_IDS),
+                                is_hypo_ep=all(passed[cid] for cid in _HYPO_IDS),
+                                rank=op.rank, gamma=op.gamma, conditions=checks)
 
 
 def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
@@ -231,10 +204,7 @@ def ep_closure_suite(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[str, b
     For EP input ``A`` this returns the EP verdicts of ``A*``, ``A A*``,
     ``A* A`` and ``|A|``; all four must come back EP.
     """
-    op = _Operand(a, tol)
-    if not _is_ep(op):
-        raise SourceNotEP("closure suite requires an EP input")
-    return _closure(op)
+    return _closure(_source(_Operand(a, tol), SourceNotEP, "closure suite requires an EP input"))
 
 
 def _closure(op: _Operand) -> list[tuple[str, bool]]:
@@ -273,9 +243,7 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     of the space into range and null space, acting invertibly on each part.
     The residual check is authoritative; the formula is not trusted blindly.
     """
-    source = _Operand(a, tol)
-    if not _is_ep(source):
-        raise SourceNotEP("factor construction requires an EP input")
+    source = _source(_Operand(a, tol), SourceNotEP, "factor construction requires an EP input")
 
     arr, a_dag, star = source.arr, source.pinv, source.adjoint.arr
     n = arr.shape[1]
@@ -300,9 +268,8 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     tolerance certifies the bound; SolveFailure otherwise.  Returns 0 when
     ``x`` is in the null space; NaN or Inf in ``x`` is NonFinite.
     """
-    source = _Operand(a, tol)
-    if not all(check.passed for check in _hypo_checks(source)):
-        raise SourceNotHypoEP("majorization witness requires a hypo-EP input")
+    source = _source(_Operand(a, tol), SourceNotHypoEP,
+                     "majorization witness requires a hypo-EP input")
     arr, star = source.arr, source.adjoint.arr
     n = arr.shape[1]
 

@@ -19,7 +19,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, _cross_norm, _Operand,
                    as_matrix, op_norm, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
-from .classify import _is_ep
+from .classify import _is_ep, _source
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     arr_a = base.arr
     if arr_a.shape != arr_b.shape:
         raise DimensionMismatch(f"shapes differ: {arr_a.shape} vs {arr_b.shape}")
-    if not _is_ep(base):
-        raise SourceNotEP("perturbation analysis requires an EP base matrix")
+    _source(base, SourceNotEP, "perturbation analysis requires an EP base matrix")
 
     gamma_a = base.gamma
     norm_b = op_norm(arr_b)
@@ -117,10 +116,9 @@ def generate_admissible(a, scale: float, seed: int) -> np.ndarray:
     compression hypotheses then hold by construction.  Returns the zero
     matrix when the compression degenerates (rank-0 input or a zero draw).
     """
-    source = _Operand(a)
+    source = _source(_Operand(a), SourceNotEP,
+                     "admissible perturbations are generated for EP matrices only")
     arr = source.arr
-    if not _is_ep(source):
-        raise SourceNotEP("admissible perturbations are generated for EP matrices only")
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must lie in (0, 1), got {scale}")
 

@@ -10,6 +10,7 @@ The envelope and the report are one record of the codec in
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
@@ -73,12 +74,27 @@ def dump_document(doc: dict) -> str:
     json's pure-Python encoder; here json's C encoder writes every scalar,
     every empty container and each list of scalars, such as a matrix
     payload, in one call.  A NaN or infinite float has no RFC 8259 form and
-    raises NonFinite, so no document carries ``NaN`` or ``Infinity``.
+    raises NonFinite, which names the key path and value of the first one in
+    key order, such as ``report.bound_k: inf``, so no document carries
+    ``NaN`` or ``Infinity``.
     """
     try:
         return _render(doc, "") + "\n"
     except ValueError as exc:  # json's refusal of NaN and infinity
-        raise NonFinite(f"the report holds a value with no JSON form: {exc}") from exc
+        found = next(_non_finite(doc, ""), str(exc))
+        raise NonFinite(f"the report holds a value with no JSON form: {found}") from exc
+
+
+def _non_finite(value, path: str):
+    """``key.path: value`` of each NaN or infinite float in ``value``, in key order."""
+    if isinstance(value, dict):
+        for key, item in sorted(value.items()):
+            yield from _non_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _non_finite(item, f"{path}[{index}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield f"{path}: {float(value)!r}"
 
 
 # json's C encoder for one scalar or an empty container.

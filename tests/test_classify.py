@@ -5,7 +5,8 @@ from eplab import (SubspaceBasis, TolerancePolicy, adjoint, classify, construct_
                    ep_closure_suite, gamma, majorization_witness, modulus,
                    null_basis, numerical_rank, op_norm, pinv, range_basis,
                    subspace_equal, subspace_included, svd)
-from eplab.classify import ConditionCheck, _classify, _is_ep
+from eplab.classify import (_EP_IDS, _HYPO_IDS, _ROUTES, ConditionCheck, _classify,
+                            _evaluate, _is_ep)
 from eplab.core import _Operand
 from eplab.errors import NonFinite, NotSquare, SourceNotEP, SourceNotHypoEP
 from eplab.zoo import corpus_matrix, haar_unitary, random_ep
@@ -277,6 +278,43 @@ def test_ep_only_path_matches_classify_on_hard_cases(a, tol):
     assert _is_ep(_Operand(a, tol)) == _classify(_Operand(a, tol)).is_ep
     for member in _closure_members(a, tol).values():
         assert _is_ep(member) == _classify(_Operand(member.arr, tol)).is_ep
+
+
+
+# -- route table -------------------------------------------------------------
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_copies_are_bitwise_the_residual_they_copy_on_corpus():
+    conditional = 0
+    for i in range(300):
+        label, a = corpus_matrix(i, seed=0)
+        op = _Operand(a)
+        report = _classify(op)
+        for cid, route in _ROUTES.items():
+            target = route if isinstance(route, str) else route(op)
+            if isinstance(target, str):
+                conditional += not isinstance(route, str)
+                assert (_bits(report.condition(cid).residual)
+                        == _bits(report.condition(target).residual)), (label, cid, target)
+    assert conditional > 200
+
+
+@pytest.mark.parametrize("ids", [_HYPO_IDS, _EP_IDS], ids=["hypo", "ep"])
+def test_subsets_match_classify_bitwise_on_corpus(ids):
+    # fresh operands on each side; the hypo subset reaches hypo2's copy of
+    # ep6 without ep6 being requested
+    for i in range(300):
+        label, a = corpus_matrix(i, seed=0)
+        subset = _evaluate(_Operand(a), ids)
+        full = _classify(_Operand(a))
+        assert [c.condition_id for c in subset] == list(ids)
+        for check in subset:
+            expected = full.condition(check.condition_id)
+            assert check.passed == expected.passed, (label, check)
+            assert _bits(check.residual) == _bits(expected.residual), (label, check)
 
 
 def test_hermitian_input_with_negative_zero_imaginary_parts():

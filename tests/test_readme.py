@@ -5,13 +5,17 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eplab import cli
+from eplab.classify import _ROUTES
+from eplab.core import _Operand
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
+CONDITIONS = TEXT.split("### Classification conditions")[1].split("\n### ")[0]
 COMMANDS = [shlex.split(line, comments=True)
             for block in re.findall(r"^```bash\n(.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
             for line in block.splitlines() if line.startswith("eplab ")]
@@ -35,3 +39,31 @@ def test_readme_has_eplab_commands():
 def test_readme_eplab_command_parses(argv):
     args = cli.build_parser().parse_args(argv[1:])
     assert args.command == argv[1]
+
+
+def _condition_tables() -> list[list[dict[str, str]]]:
+    """The rows of each table of "Classification conditions", keyed by header."""
+    tables = re.findall(r"^(\|.*\|\n\|[-| ]+\|\n(?:\|.*\|\n)+)", CONDITIONS, re.MULTILINE)
+    rows = [[[cell.strip() for cell in line.strip("|").split("|")]
+             for line in table.splitlines()] for table in tables]
+    return [[dict(zip(lines[0], line)) for line in lines[2:]] for lines in rows]
+
+
+def test_readme_condition_tables_list_the_route_table_ids_in_order():
+    tables = _condition_tables()
+    assert len(tables) == 2
+    for table in tables:
+        assert [row["id"] for row in table] == list(_ROUTES)
+
+
+def test_readme_route_map_names_every_copy_in_both_rows():
+    # hypo2's route names ep6 when A+ has A's rank, as it has for I.
+    op = _Operand(np.eye(2))
+    copies = {cid: route if isinstance(route, str) else route(op)
+              for cid, route in _ROUTES.items()}
+    copies = {cid: target for cid, target in copies.items() if isinstance(target, str)}
+    assert "ep7" in copies and "hypo2" in copies
+    same = {row["id"]: set(re.findall(r"\b(?:ep|hypo|chain)\d\b", row["same number as"]))
+            for row in _condition_tables()[1]}
+    for cid, target in copies.items():
+        assert target in same[cid] and cid in same[target], (cid, target)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ def test_dump_document_matches_indented_json_dumps(tree):
             dump_document(tree)
     else:
         assert dump_document(tree) == _indented(tree)
+
+
+@pytest.mark.parametrize("tree, found", [
+    ({"report": {"bound_k": float("inf"), "a": 1.0}}, "report.bound_k: inf"),
+    ({"report": {"c": {"re": [1.5, float("nan")], "im": [-float("inf")]}}},
+     "report.c.im[0]: -inf"),
+    ([{"x": [0.0, [np.float64(-np.inf)]]}], "[0].x[1][0]: -inf"),
+])
+def test_non_finite_names_the_first_key_path_in_key_order(tree, found):
+    with pytest.raises(NonFinite, match=re.escape(f"no JSON form: {found}") + "$"):
+        dump_document(tree)
 
 
 @pytest.mark.parametrize("argv", [
