@@ -10,18 +10,15 @@ precondition failure, 64 usage error (argparse's own errors included).
 Any failure to decode a matrix file or a spec is a ParseError with exit 2:
 bad UTF-8, bad JSON syntax or nesting depth, or a number out of range.
 Flag values are checked by their argparse types and TolerancePolicy only.
-A matrix written with ``--out`` takes the format of the path's suffix, as a
-read does; an unknown suffix is a ParseError and writes nothing.
-
-The environment variable EPLAB_TOL_SUBSPACE overrides the default subspace
-tolerance; an explicit ``--tol-subspace`` flag wins over it.
+The suffix sets the format of every matrix file read or written; an unknown
+suffix is a ParseError and writes nothing.  Tolerances come from the flags
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -30,8 +27,7 @@ from .classify import classify
 from .core import TolerancePolicy, _Operand
 from .douglas import douglas_analysis
 from .errors import OperatorAnalysisError, ParseError
-from .matio import (FORMAT_JSON, FORMAT_MATRIXMARKET, _malformed, bytes_digest, file_digest,
-                    read_matrix, write_matrix)
+from .matio import _malformed, bytes_digest, file_digest, read_matrix, write_matrix
 from .perturb import check_perturbation
 from .pinv import _penrose
 from .propsuite import run_property_suite
@@ -73,17 +69,14 @@ def _sizes(text: str) -> list[int]:
 
 
 def _tolerance(args) -> TolerancePolicy:
-    """The policy of the tolerance flags; EPLAB_TOL_SUBSPACE stands in for an
-    absent ``--tol-subspace``."""
+    """The policy of the tolerance flags."""
     fields = {"rank_rel": args.tol_rank_rel, "rank_abs": args.tol_rank_abs,
               "subspace_tol": args.tol_subspace, "psd_tol": args.tol_psd}
-    if fields["subspace_tol"] is None:
-        fields["subspace_tol"] = os.environ.get("EPLAB_TOL_SUBSPACE") or None
     try:
-        return TolerancePolicy(**{name: float(value) for name, value in fields.items()
+        return TolerancePolicy(**{name: value for name, value in fields.items()
                                   if value is not None})
     except ValueError as exc:
-        raise UsageError(f"invalid tolerance (flags or EPLAB_TOL_SUBSPACE): {exc}") from exc
+        raise UsageError(f"invalid tolerance flag: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -125,15 +118,17 @@ def _cmd_analysis(args) -> int:
     kind, analysis, _, matrices = _ANALYSES[args.command]
     tol = _tolerance(args)
     paths = [getattr(args, dest) for dest in matrices]
-    report = globals()[analysis](*[read_matrix(path, args.format) for path in paths], tol)
+    report = globals()[analysis](*map(read_matrix, paths), tol)
     return _write_document(kind, report, file_digest(paths), tol, args.out)
 
 
 def _cmd_pinv(args) -> int:
     tol = _tolerance(args)
-    op = _Operand(read_matrix(args.input, args.format), tol)
+    op = _Operand(read_matrix(args.input), tol)
+    # Digest the input before the write: ``--out`` may name the input itself.
+    digest = file_digest([args.input])
     write_matrix(args.out, op.pinv)
-    return _write_document("penrose", _penrose(op, op.dagger), file_digest([args.input]), tol)
+    return _write_document("penrose", _penrose(op, op.dagger), digest, tol)
 
 
 def _parse_spec_argument(text: str) -> dict:
@@ -177,15 +172,11 @@ def _cmd_propsuite(args) -> int:
 def _command(sub, name: str, func, help: str, matrices: dict | None = None,
              tolerance: bool = True) -> argparse.ArgumentParser:
     """Subcommand ``name`` running ``func``.  ``matrices`` maps each matrix
-    file positional to its help and brings ``--format``; ``tolerance``
-    brings the tolerance flags."""
+    file positional to its help; ``tolerance`` brings the tolerance flags."""
     parser = sub.add_parser(name, help=help)
     parser.set_defaults(func=func)
-    if matrices:
-        for dest, text in matrices.items():
-            parser.add_argument(dest, help=text)
-        parser.add_argument("--format", choices=[FORMAT_MATRIXMARKET, FORMAT_JSON],
-                            help="format of the matrix files read (default: from the suffix)")
+    for dest, text in (matrices or {}).items():
+        parser.add_argument(dest, help=text)
     if tolerance:
         group = parser.add_mutually_exclusive_group()
         group.add_argument("--tol-rank-rel", type=float,
@@ -195,7 +186,7 @@ def _command(sub, name: str, func, help: str, matrices: dict | None = None,
                            help="absolute rank threshold on singular values")
         parser.add_argument("--tol-subspace", type=float,
                             help="projector-distance tolerance for subspace tests "
-                                 "(default 1e-8; env EPLAB_TOL_SUBSPACE overrides)")
+                                 "(default 1e-8)")
         parser.add_argument("--tol-psd", type=float,
                             help="floor for the least eigenvalue of the Douglas "
                                  "majorization gap B B* - A A* (default 1e-9)")

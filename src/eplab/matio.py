@@ -4,10 +4,10 @@ record codec.
 The JSON format stores complex entries as parallel row-major ``re``/``im``
 arrays of JSON numbers: ``{"rows": m, "cols": n, "re": [...], "im": [...]}``;
 any other key is a ParseError.
-Formats are sniffed from the extension (.mtx/.mm vs .json), for reading and
-writing alike, and can be forced.  Either format may declare at most
-:data:`MAX_DIMENSION` rows and columns; a Matrix Market header is checked
-before its body is read.  :func:`_malformed` alone
+The suffix alone sets the format (.mtx/.mm vs .json), for reading and
+writing alike; any other suffix is a ParseError.  Either format may declare
+at most :data:`MAX_DIMENSION` rows and columns; a Matrix Market header is
+checked before its body is read.  :func:`_malformed` alone
 decides which failures to decode a file, spec or record are a ParseError.
 
 One codec serves every JSON record of the package: report documents and
@@ -124,10 +124,9 @@ def matrix_from_json_dict(data) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-def read_matrix(path, fmt: str | None = None) -> np.ndarray:
+def read_matrix(path) -> np.ndarray:
     """Load a dense complex matrix from a Matrix Market or JSON file."""
-    fmt = fmt or sniff_format(path)
-    if fmt == FORMAT_MATRIXMARKET:
+    if sniff_format(path) == FORMAT_MATRIXMARKET:
         # Imported here: scipy.io is most of the package's start-up time and
         # only Matrix Market files need it.
         import scipy.io
@@ -144,28 +143,23 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         if scipy.sparse.issparse(loaded):
             loaded = loaded.toarray()
         return as_matrix(loaded)
-    if fmt == FORMAT_JSON:
-        with open(path, "r", encoding="utf-8") as handle, \
-                _malformed(f"invalid JSON matrix file {path!r}"):
-            data = json.load(handle)
-        return as_matrix(matrix_from_json_dict(data))
-    raise ParseError(f"unknown matrix format {fmt!r}")
+    with open(path, "r", encoding="utf-8") as handle, \
+            _malformed(f"invalid JSON matrix file {path!r}"):
+        data = json.load(handle)
+    return as_matrix(matrix_from_json_dict(data))
 
 
-def write_matrix(path, a, fmt: str | None = None) -> None:
+def write_matrix(path, a) -> None:
     """Write a matrix in Matrix Market (precision 17, lossless) or JSON."""
     arr = as_matrix(a)
-    fmt = fmt or sniff_format(path)
-    if fmt == FORMAT_MATRIXMARKET:
+    if sniff_format(path) == FORMAT_MATRIXMARKET:
         import scipy.io
         # Through a handle: given a name, mmwrite appends ".mtx" unless it ends so.
         with open(path, "wb") as handle:
             scipy.io.mmwrite(handle, arr, precision=17)
-    elif fmt == FORMAT_JSON:
+    else:
         # json.dumps, unlike json.dump to a file, uses the C encoder.
         Path(path).write_text(json.dumps(matrix_to_json_dict(arr)) + "\n", encoding="utf-8")
-    else:
-        raise ParseError(f"unknown matrix format {fmt!r}")
 
 
 def file_digest(paths: Iterable) -> str:

@@ -31,6 +31,10 @@ The five deterministic families are the keys of the family table
 ``_DETERMINISTIC``, which maps each to its builder and its expected traits;
 ``DETERMINISTIC_FAMILIES`` lists them in that order.  The two random
 families need a rank (and take a seed) and are built in :func:`generate`.
+An :class:`OperatorSpec` holds only what :func:`generate` reads: family,
+size, rank and seed.  The kinds of the property-sweep corpus are the keys
+of the table ``_CORPUS``, in :func:`corpus_matrix`'s cycle order, each
+mapped to its builder.
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ class OperatorSpec:
     n: int
     rank: int | None = None
     seed: int | None = None
-    expected: ExpectedTraits | None = None
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIMENSION:
@@ -290,10 +293,6 @@ class CorpusEntry(NamedTuple):
     matrix: np.ndarray
 
 
-_CORPUS_KINDS = (
-    "random", "hermitian", "hermitian_rank_def", "normal", "nilpotent",
-    "ep_construction", "rank_deficient", "zero", "rank_one", "scaled",
-)
 _CORPUS_MAX_N = 32
 
 
@@ -307,6 +306,43 @@ def _hermitian(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
+def _normal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Normal ``Q D Q*`` of random rank ``r``: Haar ``Q``, the first ``r`` of
+    ``D`` with moduli log-uniform in [1/2, 2] and uniform phases, the rest 0."""
+    r = int(rng.integers(0, n + 1))
+    q = haar_unitary(n, rng)
+    d = np.zeros(n, dtype=np.complex128)
+    d[:r] = _log_uniform(rng, r) * np.exp(2j * np.pi * rng.random(r))
+    return (q * d) @ q.conj().T
+
+
+def _nilpotent(n: int, rng: np.random.Generator) -> np.ndarray:
+    """``c Q J Q*``: ``J`` nilpotent with each superdiagonal entry 1 with
+    probability 0.8, Haar ``Q``, ``c`` log-uniform in [1/2, 2]."""
+    jordan = np.zeros((n, n), dtype=np.complex128)
+    mask = rng.random(n - 1) < 0.8
+    for i in np.flatnonzero(mask):
+        jordan[i, i + 1] = 1.0
+    q = haar_unitary(n, rng)
+    return float(_log_uniform(rng, ())) * (q @ jordan @ q.conj().T)
+
+
+# The corpus kinds in cycle order, each mapped to its builder of (n, rng).
+_CORPUS = {
+    "random": lambda n, rng: random_conditioned(n, n, rng),
+    "hermitian": lambda n, rng: _hermitian(n, n, rng),
+    "hermitian_rank_def": lambda n, rng: _hermitian(n, int(rng.integers(0, n + 1)), rng),
+    "normal": _normal,
+    "nilpotent": _nilpotent,
+    "ep_construction": lambda n, rng: random_ep(n, int(rng.integers(0, n + 1)), rng),
+    "rank_deficient": lambda n, rng: random_conditioned(n, int(rng.integers(0, n)), rng),
+    "zero": lambda n, rng: np.zeros((n, n), dtype=np.complex128),
+    "rank_one": lambda n, rng: random_conditioned(n, 1, rng),
+    "scaled": lambda n, rng: ((10.0 if rng.random() < 0.5 else 0.1)
+                              * random_conditioned(n, n, rng)),
+}
+
+
 def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
     """Deterministic mixed-family square matrix for property sweeps.
 
@@ -318,39 +354,5 @@ def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
     """
     rng = np.random.default_rng([seed, index])
     n = int(rng.integers(1, _CORPUS_MAX_N + 1))
-    kind = _CORPUS_KINDS[index % len(_CORPUS_KINDS)]
-
-    if kind == "random":
-        a = random_conditioned(n, n, rng)
-    elif kind == "hermitian":
-        a = _hermitian(n, n, rng)
-    elif kind == "hermitian_rank_def":
-        a = _hermitian(n, int(rng.integers(0, n + 1)), rng)
-    elif kind == "normal":
-        r = int(rng.integers(0, n + 1))
-        q = haar_unitary(n, rng)
-        d = np.zeros(n, dtype=np.complex128)
-        d[:r] = _log_uniform(rng, r) * np.exp(2j * np.pi * rng.random(r))
-        a = (q * d) @ q.conj().T
-    elif kind == "nilpotent":
-        jordan = np.zeros((n, n), dtype=np.complex128)
-        mask = rng.random(n - 1) < 0.8
-        for i in np.flatnonzero(mask):
-            jordan[i, i + 1] = 1.0
-        q = haar_unitary(n, rng)
-        a = float(_log_uniform(rng, ())) * (q @ jordan @ q.conj().T)
-    elif kind == "ep_construction":
-        r = int(rng.integers(0, n + 1))
-        a = random_ep(n, r, rng)
-    elif kind == "rank_deficient":
-        r = int(rng.integers(0, n))
-        a = random_conditioned(n, r, rng)
-    elif kind == "zero":
-        a = np.zeros((n, n), dtype=np.complex128)
-    elif kind == "rank_one":
-        a = random_conditioned(n, 1, rng)
-    else:  # scaled
-        factor = 10.0 if rng.random() < 0.5 else 0.1
-        a = factor * random_conditioned(n, n, rng)
-
-    return CorpusEntry(label=f"{kind}-n{n}-i{index}", matrix=a)
+    kind = tuple(_CORPUS)[index % len(_CORPUS)]
+    return CorpusEntry(label=f"{kind}-n{n}-i{index}", matrix=_CORPUS[kind](n, rng))

@@ -64,23 +64,6 @@ def test_classify_tolerance_contrast(capsys, tmp_path):
     assert code == 0 and json.loads(out)["report"]["is_ep"] is True
 
 
-def test_classify_env_var_default(capsys, tmp_path, monkeypatch):
-    rng = np.random.default_rng(0)
-    n, r, eps = 5, 3, 1e-5
-    u = haar_unitary(n, rng)[:, :r]
-    w = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    v, _ = np.linalg.qr(u + eps * w)
-    path = tmp_path / "near_ep.mtx"
-    write_matrix(path, u @ v.conj().T)
-
-    monkeypatch.setenv("EPLAB_TOL_SUBSPACE", "1e-3")
-    code, out, _ = run(capsys, "classify", str(path))
-    assert json.loads(out)["report"]["is_ep"] is True
-    # explicit flag wins over the environment
-    code, out, _ = run(capsys, "classify", str(path), "--tol-subspace", "1e-8")
-    assert json.loads(out)["report"]["is_ep"] is False
-
-
 def test_pinv_writes_matrix_and_report(capsys, diag120, tmp_path):
     out_path = tmp_path / "dagger.mtx"
     code, out, _ = run(capsys, "pinv", diag120, "--out", str(out_path))
@@ -97,6 +80,16 @@ def test_pinv_writes_the_format_of_the_out_suffix(capsys, diag120, tmp_path):
     assert code == 0 and json.loads(out_path.read_text())["rows"] == 3
     code, out, _ = run(capsys, "classify", str(out_path))
     assert code == 0 and json.loads(out)["report"]["rank"] == 2
+
+
+def test_pinv_out_over_its_input_records_the_input_digest(capsys, tmp_path):
+    # The digest names the input read, not the pseudoinverse written over it.
+    path = tmp_path / "b.json"
+    write_matrix(path, np.diag([1.0, 2.0, 0.0]))
+    digest = file_digest([path])
+    code, out, _ = run(capsys, "pinv", str(path), "--out", str(path))
+    assert code == 0 and json.loads(out)["input_digest"] == digest
+    np.testing.assert_array_equal(read_matrix(path), np.diag([1.0, 0.5, 0.0]))
 
 
 @pytest.mark.parametrize("command", ["zoo", "pinv"])
@@ -308,10 +301,11 @@ def test_classify_malformed_json_exits_2(capsys, tmp_path, text):
     ["sweep", "DiagHarmonic", "--sizes", "-3"],
     ["sweep", "DiagHarmonic", "--sizes", "+5"],
     ["sweep", "DiagHarmonic", "--sizes", "1_0"],
+    ["classify", "a.mtx", "--format", "json"],
 ], ids=["no_command", "unknown_command", "no_input", "exclusive_flags", "bad_int",
         "propsuite_negative_seed", "douglas_negative_seed", "douglas_has_no_seed",
         "sweep_zero_size", "sweep_negative_size", "sweep_signed_size",
-        "sweep_underscored_size"])
+        "sweep_underscored_size", "classify_has_no_format"])
 def test_argparse_errors_exit_64(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and not out
@@ -378,21 +372,13 @@ def test_parser_built_once(capsys, monkeypatch, diag120):
     '{"family":"RandomEP","n":4,"rank":2,"sede":7}',
     '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes","hypo_ep":"Yes","nte":"x"}}',
     '{"family":"Custom","n":3}',
+    '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes","hypo_ep":"Yes"}}',
 ])
 def test_zoo_malformed_spec_exits_2(capsys, tmp_path, spec):
     out_path = tmp_path / "z.json"
     code, out, err = run(capsys, "zoo", spec, "--out", str(out_path))
     assert code == 2 and not out and not out_path.exists()
     assert "BadSpec" in err
-
-
-def test_zoo_expected_without_note_exits_0(capsys, tmp_path):
-    code, out, _ = run(capsys, "zoo", '{"family":"DiagHarmonic","n":3,'
-                       '"expected":{"ep":"Yes","hypo_ep":"Yes"}}',
-                       "--out", str(tmp_path / "z.json"))
-    assert code == 0
-    assert json.loads(out)["report"]["spec"]["expected"] == {
-        "ep": "Yes", "hypo_ep": "Yes", "note": ""}
 
 
 @pytest.mark.parametrize("data", [
@@ -420,10 +406,10 @@ TOLERANCE_FLAGS = ["--tol-rank-rel", "--tol-rank-abs", "--tol-subspace", "--tol-
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("classify", ["--format", "--out", *TOLERANCE_FLAGS]),
-    ("pinv", ["--format", "--out", *TOLERANCE_FLAGS]),
-    ("douglas", ["--format", "--out", *TOLERANCE_FLAGS]),
-    ("perturb", ["--format", "--out", *TOLERANCE_FLAGS]),
+    ("classify", ["--out", *TOLERANCE_FLAGS]),
+    ("pinv", ["--out", *TOLERANCE_FLAGS]),
+    ("douglas", ["--out", *TOLERANCE_FLAGS]),
+    ("perturb", ["--out", *TOLERANCE_FLAGS]),
     ("zoo", ["--out"]),
     ("sweep", ["--sizes", "--out"]),
     ("propsuite", ["--seed", "--count", "--out", *TOLERANCE_FLAGS]),

@@ -171,13 +171,12 @@ def test_expected_traits_match_at_large_sizes():
 
 
 def test_spec_json_round_trip():
-    spec = OperatorSpec(family=Family.RANDOM_EP, n=6, rank=2, seed=5,
-                        expected=ExpectedTraits(Expectation.YES, Expectation.YES, "x"))
+    spec = OperatorSpec(family=Family.RANDOM_EP, n=6, rank=2, seed=5)
     data = spec.to_json_dict()
     assert data["family"] == "RandomEP"
     assert OperatorSpec.from_json_dict(data) == spec
     minimal = OperatorSpec.from_json_dict({"family": "DiagHarmonic", "n": 4})
-    assert minimal.rank is None and minimal.seed is None and minimal.expected is None
+    assert minimal.rank is None and minimal.seed is None
 
 
 def test_spec_json_validation():
