@@ -346,11 +346,10 @@ _CORPUS = {
 def corpus_matrix(index: int, seed: int = 0) -> CorpusEntry:
     """Deterministic mixed-family square matrix for property sweeps.
 
-    Cycles through random full-rank, Hermitian, rank-deficient Hermitian,
-    normal, nilpotent, EP-by-construction, rank-deficient, zero, rank-one
-    and rescaled draws, with sizes from 1 to 32.  Spectra are kept in
-    [1/2, 2] (before rescaling) so residual criteria stated as absolute
-    bounds remain meaningful across the whole corpus.
+    Cycles through the kinds of ``_CORPUS`` in its order, with sizes from 1
+    to 32.  Spectra are kept in [1/2, 2] (before rescaling) so residual
+    criteria stated as absolute bounds remain meaningful across the whole
+    corpus.
     """
     rng = np.random.default_rng([seed, index])
     n = int(rng.integers(1, _CORPUS_MAX_N + 1))
