@@ -12,12 +12,11 @@ from .core import (DEFAULT_TOL, SubspaceBasis, SubspaceComparison, SvdFactors,
                    TolerancePolicy, adjoint, as_matrix, min_eigenvalue,
                    null_basis, numerical_rank, op_norm, projector, range_basis,
                    subspace_equal, subspace_included, svd, svdvals)
-from .pinv import (IdentityResidual, PenroseReport, dagger_identities,
-                   penrose_verify, pinv)
+from .pinv import PenroseReport, dagger_identities, penrose_verify, pinv
 from .classify import (ClassificationReport, ConditionCheck, FactorC,
                        classify, construct_factor_c, ep_closure_suite, gamma,
                        majorization_witness, modulus)
-from .douglas import DouglasReport, PanelItem, closed_range_panel, douglas_analysis
+from .douglas import DouglasReport, closed_range_panel, douglas_analysis
 from .perturb import PerturbationReport, check_perturbation, generate_admissible
 from .zoo import (CorpusEntry, ExpectedTraits, Expectation, Family,
                   OperatorSpec, SweepPoint, ZooReport, corpus_matrix,
@@ -30,12 +29,11 @@ __all__ = [
     "TolerancePolicy", "adjoint", "as_matrix", "min_eigenvalue", "null_basis",
     "numerical_rank", "op_norm", "projector", "range_basis", "subspace_equal",
     "subspace_included", "svd", "svdvals",
-    "IdentityResidual", "PenroseReport", "dagger_identities", "penrose_verify",
-    "pinv",
+    "PenroseReport", "dagger_identities", "penrose_verify", "pinv",
     "ClassificationReport", "ConditionCheck", "FactorC", "classify",
     "construct_factor_c", "ep_closure_suite", "gamma", "majorization_witness",
     "modulus",
-    "DouglasReport", "PanelItem", "closed_range_panel", "douglas_analysis",
+    "DouglasReport", "closed_range_panel", "douglas_analysis",
     "PerturbationReport", "check_perturbation", "generate_admissible",
     "CorpusEntry", "ExpectedTraits", "Expectation", "Family", "OperatorSpec",
     "SweepPoint", "ZooReport", "corpus_matrix", "gamma_sweep", "generate",

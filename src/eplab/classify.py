@@ -10,7 +10,8 @@ computes each, or the condition whose residual it copies, are the table
 ``_ROUTES``; the README's "Classification conditions" states each condition
 and maps its route.  ep1..ep7 are equivalent, as are hypo1/hypo2;
 chain2..chain4 are one-way consequences of hypo2 (and collapse back to the
-EP conditions in finite dimension).  Every residual is tested against
+EP conditions in finite dimension).  Every residual is a scale-free
+projector distance, tested against ``tol.residual_bound()``, that is
 ``subspace_tol``; nothing is sampled.
 
 ``classify`` evaluates every id of the table.  The callers that read only
@@ -35,9 +36,19 @@ from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
 
 
 class ConditionCheck(NamedTuple):
+    """A named residual and its verdict: every check of a classification, of
+    the closed-range panel and of the dagger identities is one."""
+
     condition_id: str
     residual: float
     passed: bool
+
+    @classmethod
+    def judge(cls, condition_id: str, residual: float, tol: TolerancePolicy,
+              scale: float = 1.0) -> ConditionCheck:
+        """The check of ``residual``, passed when it is at most
+        ``tol.residual_bound(scale)``."""
+        return cls(condition_id, float(residual), residual <= tol.residual_bound(scale))
 
 
 @dataclass(frozen=True)
@@ -150,9 +161,7 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
     if op.arr.shape[0] != op.arr.shape[1]:
         raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
     residuals: dict[str, float] = {}
-    tol = op.tol.subspace_tol
-    return tuple(ConditionCheck(cid, float(residual), residual <= tol)
-                 for cid in ids for residual in [_residual(op, cid, residuals)])
+    return tuple(ConditionCheck.judge(cid, _residual(op, cid, residuals), op.tol) for cid in ids)
 
 
 def _passes(op: _Operand, ids: tuple[str, ...]) -> bool:

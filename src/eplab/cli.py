@@ -185,8 +185,8 @@ def _command(sub, name: str, func, help: str, matrices: dict | None = None,
         group.add_argument("--tol-rank-abs", type=float,
                            help="absolute rank threshold on singular values")
         parser.add_argument("--tol-subspace", type=float,
-                            help="projector-distance tolerance for subspace tests "
-                                 "(default 1e-8)")
+                            help="a subspace sine passes at most this, a residual on a "
+                                 "matrix X at most this times max(1, ||X||) (default 1e-8)")
         parser.add_argument("--tol-psd", type=float,
                             help="floor for the least eigenvalue of the Douglas "
                                  "majorization gap B B* - A A* (default 1e-9)")

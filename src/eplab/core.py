@@ -78,10 +78,12 @@ class TolerancePolicy:
     absolute cutoff, mutually exclusive with ``rank_rel``.  With neither set,
     the threshold is ``max(m, n) * eps * sigma_max``, the standard
     pseudoinverse truncation rule (deterministic and scale invariant).
-    ``subspace_tol`` bounds projector-distance residuals and every
-    classification condition; ``psd_tol`` is the floor for the least
-    eigenvalue of the Douglas majorization gap ``B B* - A A*``.  Every value
-    that is set must be finite and positive; ValueError otherwise.
+    ``subspace_tol`` sets :meth:`residual_bound`, the acceptance rule of
+    subspace sines and of residuals whose exact value is 0 (those held to
+    ``RESIDUAL_SLACK`` aside), and the slack of the Douglas contraction
+    test; ``psd_tol`` is the floor for the least eigenvalue of the Douglas
+    majorization gap ``B B* - A A*``.  Every value that is set must be
+    finite and positive; ValueError otherwise.
     """
 
     rank_rel: float | None = None
@@ -104,6 +106,12 @@ class TolerancePolicy:
         smax = float(sigma[0]) if len(sigma) else 0.0
         factor = self.rank_rel if self.rank_rel is not None else max(shape) * _EPS
         return float(factor) * smax
+
+    def residual_bound(self, scale: float = 1.0) -> float:
+        """``subspace_tol * max(1, scale)``: a residual whose exact value is 0
+        passes when it is at most this.  ``scale`` is the norm of the matrix
+        the residual is measured on; a sine is scale-free and takes the default."""
+        return self.subspace_tol * max(1.0, scale)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -330,7 +338,7 @@ def _cross_norm(x: np.ndarray, y: np.ndarray) -> float:
 
 def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
                    tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
-    """Projector-distance equality test: ``||P_p - P_q||_2 <= subspace_tol``.
+    """Projector-distance equality test: ``||P_p - P_q||_2 <= tol.residual_bound()``.
 
     The distance is exactly 1 when the dimensions differ.  For equal
     dimensions k it is the sine of the largest principal angle,
@@ -338,7 +346,7 @@ def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
     """
     _check_ambient(p, q)
     residual = 1.0 if p.k != q.k else _cross_norm(p.complement, q.basis)
-    return SubspaceComparison(residual <= tol.subspace_tol, residual)
+    return SubspaceComparison(residual <= tol.residual_bound(), residual)
 
 
 def subspace_included(p: SubspaceBasis, q: SubspaceBasis,
@@ -346,7 +354,7 @@ def subspace_included(p: SubspaceBasis, q: SubspaceBasis,
     """Inclusion test p <= q via ``||(I - P_q) P_p||_2 = ||q_perp* p||_2``."""
     _check_ambient(p, q)
     residual = _cross_norm(q.complement, p.basis)
-    return SubspaceComparison(residual <= tol.subspace_tol, residual)
+    return SubspaceComparison(residual <= tol.residual_bound(), residual)
 
 
 def adjoint(a) -> np.ndarray:

@@ -6,16 +6,18 @@ factorization ``A = B C`` forces ``R(A) <= R(B)``, and range inclusion in
 turn produces a factor ``C`` with a finite quadratic growth bound.  The
 factor is always realized as ``pinv(B) @ A``, the minimal-norm solution,
 which witnesses all three statements in finite dimension.
-:func:`douglas_analysis` checks them together.
+:func:`douglas_analysis` checks them together; :func:`closed_range_panel`
+returns the closed-range checks as the :class:`~eplab.classify.ConditionCheck`
+records a classification holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from .classify import ConditionCheck
 from .core import (DEFAULT_TOL, SubspaceComparison, TolerancePolicy, _cross_norm,
                    _Operand, adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm,
                    subspace_equal)
@@ -42,13 +44,13 @@ class DouglasReport:
 
 
 def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> SubspaceComparison:
-    """``||U_perp* A|| <= tol * max(1, ||A||)``, ``norm_a`` being ``||A||``.
+    """``||U_perp* A|| <= tol.residual_bound(||A||)``, ``norm_a`` being ``||A||``.
 
     ``U_perp``, the left singular vectors of B's SVD past the rank, spans
     ``R(B)``'s complement, so the residual is ``||(I - P_R(B)) A||``.
     """
     residual = _cross_norm(op_b.bases[0].complement, arr_a)
-    return SubspaceComparison(residual <= op_b.tol.subspace_tol * max(1.0, norm_a), residual)
+    return SubspaceComparison(residual <= op_b.tol.residual_bound(norm_a), residual)
 
 
 def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
@@ -64,12 +66,13 @@ def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
 def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     """Inclusion, factorization and contraction verdicts for ``(A, B)`` together.
 
-    ``R(A) <= R(B)`` holds when ``||(I - P_R(B)) A|| <= subspace_tol *
-    max(1, ||A||)``; the factor fields (``C = pinv(B) A``, ``||B C - A||``
-    and the growth bound) are then filled, and None otherwise.
+    ``R(A) <= R(B)`` holds when ``||(I - P_R(B)) A||`` is at most
+    ``tol.residual_bound(||A||)``; the factor fields (``C = pinv(B) A``,
+    ``||B C - A||`` and the growth bound) are then filled, and None otherwise.
     ``A A* <= B B*`` holds when the least eigenvalue of ``B B* - A A*`` is
-    at least ``-psd_tol``; ``contraction_ok``, ``||C|| <= 1 + subspace_tol``,
-    is then filled whether or not the inclusion holds, and None otherwise.
+    at least ``-psd_tol``; ``contraction_ok``, ``||C|| <= 1 + subspace_tol``
+    (a rule of its own, not a residual bound), is then filled whether or
+    not the inclusion holds, and None otherwise.
     Neither failure raises; unequal row counts are DimensionMismatch.
     One SVD of ``B`` gives both the inclusion basis and ``pinv(B)``.
     """
@@ -87,33 +90,28 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
                          c if inclusion.ok else None, residual_bc_a, bound_k, contraction_ok)
 
 
-class PanelItem(NamedTuple):
-    condition_id: str
-    passed: bool
-    residual: float
-    note: str
-
-
-def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[PanelItem]:
+def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCheck]:
     """The closed-range checks that compute something on a finite matrix.
 
-    Three items, in this order: ``R(A) = R(A A*)``, ``R(A*) = R(A* A)``
-    and the factorization ``A = A A* S`` for ``S = pinv(A A*) A``, each a
-    residual from the operands' own SVDs.  Every range is closed in finite
-    dimension, so closedness itself, and what A's SVD gives by construction
-    (``gamma > 0`` at rank >= 1, the lower bound ``gamma`` on the carrier),
-    is not listed.  Nothing is sampled.
+    Three checks, in this order: ``range_matches_gram_right``
+    (``R(A) = R(A A*)``), ``adjoint_range_matches_gram_left``
+    (``R(A*) = R(A* A)``), each a sine judged at ``tol.residual_bound()``,
+    and ``factors_through_gram``, the factorization ``A = A A* S`` for
+    ``S = pinv(A A*) A``, judged at ``tol.residual_bound(||A||)``.  Each
+    residual comes from the operands' own SVDs.  Every range is closed in
+    finite dimension, so closedness itself, and what A's SVD gives by
+    construction (``gamma > 0`` at rank >= 1, the lower bound ``gamma`` on
+    the carrier), is not listed.  Nothing is sampled.
     """
     op = _Operand(a, tol)
-    eq_right = subspace_equal(op.bases[0], op.gram_right.bases[0], tol)
-    eq_left = subspace_equal(op.adjoint.bases[0], op.gram_left.bases[0], tol)
     arr, gram_right = op.arr, op.gram_right
-    res_s = op_norm(gram_right.arr @ (gram_right.pinv @ arr) - arr)
     return [
-        PanelItem("range_matches_gram_right", eq_right.ok, eq_right.residual,
-                  "R(A) = R(A A*)"),
-        PanelItem("adjoint_range_matches_gram_left", eq_left.ok, eq_left.residual,
-                  "R(A*) = R(A* A)"),
-        PanelItem("factors_through_gram", res_s <= tol.subspace_tol * op.scale,
-                  float(res_s), "A = A A* S with S = pinv(A A*) A"),
+        ConditionCheck.judge("range_matches_gram_right",
+                             subspace_equal(op.bases[0], gram_right.bases[0]).residual, tol),
+        ConditionCheck.judge("adjoint_range_matches_gram_left",
+                             subspace_equal(op.adjoint.bases[0], op.gram_left.bases[0]).residual,
+                             tol),
+        ConditionCheck.judge("factors_through_gram",
+                             op_norm(gram_right.arr @ (gram_right.pinv @ arr) - arr),
+                             tol, op.scale),
     ]

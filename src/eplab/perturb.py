@@ -71,10 +71,8 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     hyp_b_adag_a = _cross_norm(null_a.basis, arr_b.conj().T)
     hyp_a_adag_b = _cross_norm(range_a.complement, arr_b)
 
-    scale_b = max(1.0, norm_b)
-    hypotheses_pass = (hyp_norm_product < 1.0
-                       and hyp_b_adag_a <= tol.subspace_tol * scale_b
-                       and hyp_a_adag_b <= tol.subspace_tol * scale_b)
+    bound = tol.residual_bound(norm_b)
+    hypotheses_pass = hyp_norm_product < 1.0 and hyp_b_adag_a <= bound and hyp_a_adag_b <= bound
 
     perturbed = base.derive(arr_a + arr_b)
     concl_ep = _is_ep(perturbed)

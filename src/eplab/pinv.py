@@ -5,16 +5,17 @@ rest; the same TolerancePolicy instance should be passed to any downstream
 classification so that all rank decisions for one analysis agree.
 ``penrose_verify`` and ``dagger_identities`` re-derive the defining
 conditions and algebraic identities from scratch so they can certify a
-candidate pseudoinverse without trusting its construction.
+candidate pseudoinverse without trusting its construction.  Both judge each
+residual at ``tol.residual_bound(||A||)``, ``subspace_tol * max(1, ||A||)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
+from .classify import ConditionCheck
 from .core import (DEFAULT_TOL, TolerancePolicy, _Operand, min_eigenvalue, op_norm,
                    projector, subspace_equal)
 from .errors import DimensionMismatch
@@ -30,7 +31,7 @@ class PenroseReport:
     """Residuals of the six defining conditions for a candidate pseudoinverse.
 
     ``passed`` is true iff every residual is at most
-    ``subspace_tol * max(1, ||a||_2)``.
+    ``tol.residual_bound(||a||_2)``.
     """
 
     residual_a_dag_a_a_dag: float
@@ -77,22 +78,18 @@ def _penrose(op: _Operand, a_dag: _Operand) -> PenroseReport:
     r6 = op_norm(ada - projector(a_dag.bases[0]))
 
     residuals = (r1, r2, r3, r4, r5, r6)
-    passed = all(r <= op.tol.subspace_tol * op.scale for r in residuals)
-    return PenroseReport(*residuals, passed=passed)
+    bound = op.tol.residual_bound(op.scale)
+    return PenroseReport(*residuals, passed=all(r <= bound for r in residuals))
 
 
-class IdentityResidual(NamedTuple):
-    name: str
-    residual: float
-
-
-def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[IdentityResidual]:
-    """Residuals of the pseudoinverse calculus identities.
+def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCheck]:
+    """Checks of the pseudoinverse calculus identities.
 
     Covers the double pseudoinverse, the adjoint/dagger swap, the two Gram
     factorizations ``(A*A)+ = A+ A*+`` and ``(AA*)+ = A*+ A+``, the
     null-space match ``N(A*+) = N(A)``, and positivity of both Gram
-    matrices (reported as the magnitude of any negative eigenvalue).
+    matrices (reported as the magnitude of any negative eigenvalue).  Each
+    residual passes at ``tol.residual_bound(||A||)``.
     Six operands run one SVD each: ``A`` (for ``A+`` and ``N(A)``), ``A*``,
     ``A+``, ``A*+`` (for ``N(A*+)``), ``A* A`` and ``A A*``, except that an
     operand equal by value to one already decomposed takes its factors
@@ -102,18 +99,17 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[IdentityRes
     return _identities(_Operand(a, tol))
 
 
-def _identities(op: _Operand) -> list[IdentityResidual]:
+def _identities(op: _Operand) -> list[ConditionCheck]:
     """:func:`dagger_identities` for an operand, reusing what it holds."""
     arr, a_dag, star_dag = op.arr, op.pinv, op.adjoint.pinv
-    out = [
-        IdentityResidual("double_pinv", op_norm(op.dagger.pinv - arr)),
-        IdentityResidual("adjoint_pinv_swap", op_norm(star_dag - a_dag.conj().T)),
-        IdentityResidual("gram_left_pinv", op_norm(op.gram_left.pinv - a_dag @ star_dag)),
-        IdentityResidual("gram_right_pinv", op_norm(op.gram_right.pinv - star_dag @ a_dag)),
-        IdentityResidual("null_space_match",
-                         subspace_equal(op.adjoint.dagger.bases[1], op.bases[1],
-                                        op.tol).residual),
-    ]
-    for name, gram in (("gram_left_psd", op.gram_left), ("gram_right_psd", op.gram_right)):
-        out.append(IdentityResidual(name, max(0.0, -min_eigenvalue(gram.arr))))
-    return out
+    residuals = {
+        "double_pinv": op_norm(op.dagger.pinv - arr),
+        "adjoint_pinv_swap": op_norm(star_dag - a_dag.conj().T),
+        "gram_left_pinv": op_norm(op.gram_left.pinv - a_dag @ star_dag),
+        "gram_right_pinv": op_norm(op.gram_right.pinv - star_dag @ a_dag),
+        "null_space_match": subspace_equal(op.adjoint.dagger.bases[1], op.bases[1]).residual,
+        "gram_left_psd": max(0.0, -min_eigenvalue(op.gram_left.arr)),
+        "gram_right_psd": max(0.0, -min_eigenvalue(op.gram_right.arr)),
+    }
+    return [ConditionCheck.judge(name, residual, op.tol, op.scale)
+            for name, residual in residuals.items()]

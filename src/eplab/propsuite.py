@@ -70,11 +70,11 @@ def run_property_suite(count: int, seed: int = 0, tol: TolerancePolicy = DEFAULT
                 break
 
         checks_run["dagger"] += 1
-        for name, residual in _identities(op):
-            if residual > tol.subspace_tol * op.scale:
+        for check in _identities(op):
+            if not check.passed:
                 _record(disagreements, index, label, "dagger",
-                        f"identity {name} residual {residual:.3e} exceeds "
-                        f"{tol.subspace_tol * op.scale:.3e}", a)
+                        f"identity {check.condition_id} residual {check.residual:.3e} "
+                        f"exceeds {tol.residual_bound(op.scale):.3e}", a)
 
         if report.is_ep:
             checks_run["closure"] += 1
@@ -96,7 +96,7 @@ def run_property_suite(count: int, seed: int = 0, tol: TolerancePolicy = DEFAULT
         else:
             # ||A C' - A C|| for the minimal-norm factor C' = A+ (A C).
             residual = op_norm(op.arr @ (op.pinv @ product) - product)
-            bound = tol.subspace_tol * max(1.0, norm_product)
+            bound = tol.residual_bound(norm_product)
             if residual > bound:
                 _record(disagreements, index, label, "douglas",
                         f"factorization residual {residual:.3e} exceeds {bound:.3e}", a)

@@ -100,10 +100,10 @@ def test_criterion_5_dagger_identities(corpus1000):
     worst = 0.0
     offenders = []
     for label, a in corpus1000:
-        for name, residual in dagger_identities(a):
-            worst = max(worst, residual)
-            if residual > RESIDUAL_TOL:
-                offenders.append((label, name, residual))
+        for check in dagger_identities(a):
+            worst = max(worst, check.residual)
+            if check.residual > RESIDUAL_TOL:
+                offenders.append((label, check.condition_id, check.residual))
     report_line(5, "pseudoinverse identity residuals <= 1e-9 corpus-wide",
                 not offenders, f" (worst {worst:.2e})")
     assert not offenders, offenders[:5]

@@ -436,3 +436,24 @@ def test_no_random_numbers_in_analysis_code():
     assert _random_uses("from numpy.random import default_rng\n")
     assert _random_uses("from numpy import random\n")
     assert _random_uses("def f(rng=None):\n    return default_rng(0)\n")
+
+
+def _subspace_tol_reads(source: str) -> set[str | None]:
+    """The enclosing top-level function or class of each read of the
+    attribute ``subspace_tol`` in a module's source."""
+    return {top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "subspace_tol"}
+
+
+def test_subspace_tol_is_read_only_by_the_named_rules():
+    # TolerancePolicy.residual_bound is the one acceptance rule of
+    # subspace_tol; the Douglas contraction test and the majorization
+    # witness's solve check are the two other rules that read it.
+    package = Path(eplab.__file__).parent
+    reads = {(path.name, owner) for path in sorted(package.glob("*.py"))
+             for owner in _subspace_tol_reads(path.read_text(encoding="utf-8"))}
+    assert reads == {("core.py", "TolerancePolicy"), ("douglas.py", "douglas_analysis"),
+                     ("classify.py", "majorization_witness")}
+    assert _subspace_tol_reads("def f(tol):\n    return tol.subspace_tol\n") == {"f"}
+    assert _subspace_tol_reads("x = {'subspace_tol': 1}\n") == set()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eplab import (TolerancePolicy, adjoint, dagger_identities, null_basis,
-                   op_norm, penrose_verify, pinv, projector, range_basis)
+                   op_norm, penrose_verify, pinv, projector, range_basis, svd)
 from eplab.errors import DimensionMismatch
 from eplab.zoo import haar_unitary
 
@@ -124,7 +124,7 @@ def test_pinv_scaling():
 def test_dagger_identities_diagonal_involution():
     a = np.diag([2.0, 0.0])
     np.testing.assert_allclose(pinv(pinv(a)), a, atol=1e-14)
-    residuals = dict(dagger_identities(a))
+    residuals = {check.condition_id: check.residual for check in dagger_identities(a)}
     assert residuals["double_pinv"] < 1e-14
 
 
@@ -137,7 +137,7 @@ def test_dagger_identities_rank_one():
     lhs = pinv(adjoint(a) @ a)
     rhs = pinv(a) @ pinv(adjoint(a))
     assert op_norm(lhs - rhs) <= 1e-9
-    residuals = dict(dagger_identities(a))
+    residuals = {check.condition_id: check.residual for check in dagger_identities(a)}
     assert residuals["gram_left_pinv"] <= 1e-9
     assert residuals["gram_right_pinv"] <= 1e-9
 
@@ -145,14 +145,29 @@ def test_dagger_identities_rank_one():
 def test_dagger_identities_unitary():
     u = haar_unitary(4, np.random.default_rng(14))
     np.testing.assert_allclose(pinv(u), u.conj().T, atol=1e-12)
-    assert all(res <= 1e-12 for _, res in dagger_identities(u))
+    assert all(check.residual <= 1e-12 for check in dagger_identities(u))
 
 
 def test_dagger_identities_names_stable():
-    names = [name for name, _ in dagger_identities(np.eye(2))]
+    names = [check.condition_id for check in dagger_identities(np.eye(2))]
     assert names == ["double_pinv", "adjoint_pinv_swap", "gram_left_pinv",
                      "gram_right_pinv", "null_space_match", "gram_left_psd",
                      "gram_right_psd"]
+
+
+@pytest.mark.parametrize("tol, all_pass", [(TolerancePolicy(), True),
+                                           (TolerancePolicy(subspace_tol=1e-15), False)])
+def test_dagger_identities_judged_at_the_residual_bound(corpus1000, tol, all_pass):
+    # Each identity passes exactly when its residual is within
+    # subspace_tol * max(1, ||A||); at 1e-15 some identities fail.
+    verdicts = []
+    for _, a in corpus1000[:100]:
+        bound = tol.residual_bound(max(1.0, svd(a).sigma[0]))
+        for check in dagger_identities(a, tol):
+            assert check.passed == (check.residual <= bound), check
+            verdicts.append(check.passed)
+    assert any(verdicts)
+    assert all(verdicts) == all_pass
 
 
 def test_rank_threshold_shared_with_policy():
