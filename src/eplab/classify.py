@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SvdFactors, TolerancePolicy,
-                   _cross_norm, _Operand, as_matrix, min_eigenvalue, op_norm, projector,
-                   subspace_equal, subspace_included, svdvals)
+                   _cross_norm, _gamma_and_rank, _Operand, as_matrix, min_eigenvalue,
+                   op_norm, projector, subspace_equal, subspace_included)
 from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
 
@@ -79,13 +79,6 @@ def gamma(a, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     differ from this value in the last bits.
     """
     return _gamma_and_rank(as_matrix(a), tol)[0]
-
-
-def _gamma_and_rank(arr: np.ndarray, tol: TolerancePolicy) -> tuple[float, int]:
-    """:func:`gamma` and the numerical rank, both from one values-only SVD."""
-    sigma = svdvals(arr)
-    kept = sigma[sigma > tol.rank_threshold(sigma, arr.shape)]
-    return (float(kept[-1]) if len(kept) else 0.0), len(kept)
 
 
 def modulus(a) -> np.ndarray:

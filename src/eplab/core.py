@@ -159,8 +159,20 @@ def svd(a) -> SvdFactors:
 
 def numerical_rank(factors: SvdFactors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Number of singular values strictly above the resolved threshold."""
-    threshold = tol.rank_threshold(factors.sigma, factors.shape)
-    return int(np.count_nonzero(factors.sigma > threshold))
+    return _rank(factors.sigma, factors.shape, tol)
+
+
+def _rank(sigma: np.ndarray, shape: tuple[int, int], tol: TolerancePolicy) -> int:
+    """:func:`numerical_rank` of the singular values ``sigma`` of a matrix of ``shape``."""
+    return int(np.count_nonzero(sigma > tol.rank_threshold(sigma, shape)))
+
+
+def _gamma_and_rank(arr: np.ndarray, tol: TolerancePolicy) -> tuple[float, int]:
+    """The smallest singular value above the rank cut (0 at rank 0) and the
+    numerical rank, both from one values-only SVD of ``arr``."""
+    sigma = svdvals(arr)
+    rank = _rank(sigma, arr.shape, tol)
+    return (float(sigma[rank - 1]) if rank else 0.0), rank
 
 
 @dataclass(frozen=True)

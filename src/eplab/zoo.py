@@ -32,7 +32,8 @@ The five deterministic families are the keys of the family table
 ``DETERMINISTIC_FAMILIES`` lists them in that order.  The two random
 families need a rank (and take a seed) and are built in :func:`generate`.
 An :class:`OperatorSpec` holds only what :func:`generate` reads: family,
-size, rank and seed.  The kinds of the property-sweep corpus are the keys
+size, rank and seed; a spec of a deterministic family names no rank or
+seed.  The kinds of the property-sweep corpus are the keys
 of the table ``_CORPUS``, in :func:`corpus_matrix`'s cycle order, each
 mapped to its builder.
 """
@@ -45,8 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import _gamma_and_rank
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, _gamma_and_rank
 from .errors import BadSpec, ParseError
 from .matio import MAX_DIMENSION, _decode, _encode
 
@@ -87,7 +87,11 @@ class ExpectedTraits:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Declarative recipe for a zoo matrix: family, size, rank, seed."""
+    """Declarative recipe for a zoo matrix: family, size, rank, seed.
+
+    Only the random families read ``rank`` and ``seed``; BadSpec when a
+    deterministic family names either.
+    """
 
     family: Family
     n: int
@@ -101,6 +105,8 @@ class OperatorSpec:
             raise BadSpec(f"rank must lie in [0, n], got rank={self.rank} n={self.n}")
         if self.seed is not None and self.seed < 0:
             raise BadSpec(f"seed must be non-negative, got {self.seed}")
+        if self.family in _DETERMINISTIC and (self.rank, self.seed) != (None, None):
+            raise BadSpec(f"{self.family.value} is deterministic and takes no rank or seed")
 
     def to_json_dict(self) -> dict:
         return _encode(type(self), self)

@@ -373,6 +373,7 @@ def test_parser_built_once(capsys, monkeypatch, diag120):
     '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes","hypo_ep":"Yes","nte":"x"}}',
     '{"family":"Custom","n":3}',
     '{"family":"DiagHarmonic","n":3,"expected":{"ep":"Yes","hypo_ep":"Yes"}}',
+    '{"family":"DiagHarmonic","n":3,"rank":1,"seed":5}',
 ])
 def test_zoo_malformed_spec_exits_2(capsys, tmp_path, spec):
     out_path = tmp_path / "z.json"
