@@ -8,13 +8,13 @@ sections of classical operator examples.
 
 __version__ = "0.1.0"
 
-from .core import (DEFAULT_TOL, SubspaceBasis, SubspaceComparison, SvdFactors,
+from .core import (DEFAULT_TOL, ConditionCheck, SubspaceBasis, SvdFactors,
                    TolerancePolicy, adjoint, as_matrix, min_eigenvalue,
                    null_basis, numerical_rank, op_norm, projector, range_basis,
                    subspace_equal, subspace_included, svd, svdvals)
 from .pinv import PenroseReport, dagger_identities, penrose_verify, pinv
-from .classify import (ClassificationReport, ConditionCheck, FactorC,
-                       classify, construct_factor_c, ep_closure_suite, gamma,
+from .classify import (ClassificationReport, FactorC, classify,
+                       construct_factor_c, ep_closure_suite, gamma,
                        majorization_witness, modulus)
 from .douglas import DouglasReport, closed_range_panel, douglas_analysis
 from .perturb import PerturbationReport, check_perturbation, generate_admissible
@@ -25,12 +25,12 @@ from .matio import read_matrix, write_matrix
 from . import errors
 
 __all__ = [
-    "DEFAULT_TOL", "SubspaceBasis", "SubspaceComparison", "SvdFactors",
+    "DEFAULT_TOL", "ConditionCheck", "SubspaceBasis", "SvdFactors",
     "TolerancePolicy", "adjoint", "as_matrix", "min_eigenvalue", "null_basis",
     "numerical_rank", "op_norm", "projector", "range_basis", "subspace_equal",
     "subspace_included", "svd", "svdvals",
     "PenroseReport", "dagger_identities", "penrose_verify", "pinv",
-    "ClassificationReport", "ConditionCheck", "FactorC", "classify",
+    "ClassificationReport", "FactorC", "classify",
     "construct_factor_c", "ep_closure_suite", "gamma", "majorization_witness",
     "modulus",
     "DouglasReport", "closed_range_panel", "douglas_analysis",

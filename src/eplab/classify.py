@@ -24,31 +24,14 @@ evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, RESIDUAL_SLACK, SvdFactors, TolerancePolicy,
-                   _cross_norm, _gamma_and_rank, _Operand, as_matrix, min_eigenvalue,
-                   op_norm, projector, subspace_equal, subspace_included)
+from .core import (DEFAULT_TOL, RESIDUAL_SLACK, ConditionCheck, SvdFactors,
+                   TolerancePolicy, _cross_norm, _gamma_and_rank, _Operand, as_matrix,
+                   min_eigenvalue, op_norm, projector, subspace_equal, subspace_included)
 from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
-
-
-class ConditionCheck(NamedTuple):
-    """A named residual and its verdict: every check of a classification, of
-    the closed-range panel and of the dagger identities is one."""
-
-    condition_id: str
-    residual: float
-    passed: bool
-
-    @classmethod
-    def judge(cls, condition_id: str, residual: float, tol: TolerancePolicy,
-              scale: float = 1.0) -> ConditionCheck:
-        """The check of ``residual``, passed when it is at most
-        ``tol.residual_bound(scale)``."""
-        return cls(condition_id, float(residual), residual <= tol.residual_bound(scale))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ of their orthogonal complement, and compared through the 2-norm distance
 of their orthogonal projectors, evaluated as the norm of one complement-side
 cross product (the sine of the largest principal angle), so set-level
 statements such as range equality or null-space inclusion reduce to
-residuals tested against a :class:`TolerancePolicy`.  Every function here
-is pure: no hidden state, no mutation of inputs, safe for concurrent use.
-The private ``_Operand`` is the exception: it caches what derives from a
-matrix, and within one analysis a matrix equal by value to one already
-decomposed takes its factors.
+residuals judged against a :class:`TolerancePolicy`, each reported as a
+:class:`ConditionCheck`.  Every function here is pure: no hidden state, no
+mutation of inputs, safe for concurrent use.  The private ``_Operand`` is
+the exception: it caches what derives from a matrix, and within one
+analysis a matrix equal by value to one already decomposed takes its
+factors.
 """
 
 from __future__ import annotations
@@ -117,6 +118,24 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
+class ConditionCheck(NamedTuple):
+    """A named residual and its verdict.  Each subspace test, the Douglas
+    inclusion, every classification condition, every row of the closed-range
+    panel and of the dagger identities and each Penrose condition is one."""
+
+    condition_id: str
+    residual: float
+    passed: bool
+
+    @classmethod
+    def judge(cls, condition_id: str, residual: float, tol: TolerancePolicy,
+              scale: float = 1.0) -> ConditionCheck:
+        """The check of ``residual``, passed when it is at most
+        ``tol.residual_bound(scale)``."""
+        residual = float(residual)
+        return cls(condition_id, residual, residual <= tol.residual_bound(scale))
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Full decomposition ``a = u @ diag(sigma) @ v.conj().T``.
@@ -210,11 +229,6 @@ class SubspaceBasis:
         return _readonly(np.linalg.qr(self.basis, mode="complete")[0][:, self.k:])
 
 
-class SubspaceComparison(NamedTuple):
-    ok: bool
-    residual: float
-
-
 def factor_bases(factors: SvdFactors,
                  tol: TolerancePolicy = DEFAULT_TOL) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Range and null-space bases of the decomposed matrix at one rank decision.
@@ -286,8 +300,13 @@ class _Operand:
     @cached_property
     def pinv(self) -> np.ndarray:
         """``V diag(1/sigma_kept) U*``, truncated at the rank cut; at rank 0
-        the empty products give the n-by-m zero matrix."""
+        the empty products give the n-by-m zero matrix.  NonFinite, naming
+        ``sigma_r``, when ``1/sigma_r`` overflows, as it does for a finite
+        input with ``sigma_r`` below about 5.6e-309."""
         r, f = self.rank, self.factors
+        if r and 1.0 / float(f.sigma[r - 1]) == float("inf"):
+            raise NonFinite("the pseudoinverse overflows: 1/sigma_r is past the float range "
+                            f"at sigma_r = {f.sigma[r - 1]:.3e}")
         return (f.v[:, :r] * (1.0 / f.sigma[:r])) @ f.u[:, :r].conj().T
 
     @cached_property
@@ -349,7 +368,7 @@ def _cross_norm(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
+                   tol: TolerancePolicy = DEFAULT_TOL) -> ConditionCheck:
     """Projector-distance equality test: ``||P_p - P_q||_2 <= tol.residual_bound()``.
 
     The distance is exactly 1 when the dimensions differ.  For equal
@@ -358,15 +377,14 @@ def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
     """
     _check_ambient(p, q)
     residual = 1.0 if p.k != q.k else _cross_norm(p.complement, q.basis)
-    return SubspaceComparison(residual <= tol.residual_bound(), residual)
+    return ConditionCheck.judge("subspace_equal", residual, tol)
 
 
 def subspace_included(p: SubspaceBasis, q: SubspaceBasis,
-                      tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceComparison:
+                      tol: TolerancePolicy = DEFAULT_TOL) -> ConditionCheck:
     """Inclusion test p <= q via ``||(I - P_q) P_p||_2 = ||q_perp* p||_2``."""
     _check_ambient(p, q)
-    residual = _cross_norm(q.complement, p.basis)
-    return SubspaceComparison(residual <= tol.residual_bound(), residual)
+    return ConditionCheck.judge("subspace_included", _cross_norm(q.complement, p.basis), tol)
 
 
 def adjoint(a) -> np.ndarray:

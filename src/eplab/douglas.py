@@ -7,7 +7,7 @@ turn produces a factor ``C`` with a finite quadratic growth bound.  The
 factor is always realized as ``pinv(B) @ A``, the minimal-norm solution,
 which witnesses all three statements in finite dimension.
 :func:`douglas_analysis` checks them together; :func:`closed_range_panel`
-returns the closed-range checks as the :class:`~eplab.classify.ConditionCheck`
+returns the closed-range checks as the :class:`~eplab.core.ConditionCheck`
 records a classification holds.
 """
 
@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import ConditionCheck
-from .core import (DEFAULT_TOL, SubspaceComparison, TolerancePolicy, _cross_norm,
-                   _Operand, adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm,
-                   subspace_equal)
+from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _Operand,
+                   adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm, subspace_equal)
 from .errors import DimensionMismatch
 
 
@@ -43,14 +41,15 @@ class DouglasReport:
     contraction_ok: bool | None
 
 
-def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> SubspaceComparison:
-    """``||U_perp* A|| <= tol.residual_bound(||A||)``, ``norm_a`` being ``||A||``.
+def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> ConditionCheck:
+    """``range_included``, ``||U_perp* A||`` judged at ``tol.residual_bound(||A||)``,
+    ``norm_a`` being ``||A||``.
 
     ``U_perp``, the left singular vectors of B's SVD past the rank, spans
     ``R(B)``'s complement, so the residual is ``||(I - P_R(B)) A||``.
     """
-    residual = _cross_norm(op_b.bases[0].complement, arr_a)
-    return SubspaceComparison(residual <= op_b.tol.residual_bound(norm_a), residual)
+    return ConditionCheck.judge("range_included", _cross_norm(op_b.bases[0].complement, arr_a),
+                                op_b.tol, norm_a)
 
 
 def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
@@ -81,13 +80,13 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
         raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {op_b.arr.shape[0]}")
     inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
     majorized = _majorization_gap(arr_a, op_b.arr) >= -tol.psd_tol
-    c = op_b.pinv @ arr_a if inclusion.ok or majorized else None
+    c = op_b.pinv @ arr_a if inclusion.passed or majorized else None
     residual_bc_a = bound_k = None
-    if inclusion.ok:
+    if inclusion.passed:
         residual_bc_a, bound_k = float(op_norm(op_b.arr @ c - arr_a)), growth_bound(c, arr_a)
     contraction_ok = op_norm(c) <= 1.0 + tol.subspace_tol if majorized else None
-    return DouglasReport(bool(inclusion.ok), float(inclusion.residual),
-                         c if inclusion.ok else None, residual_bc_a, bound_k, contraction_ok)
+    return DouglasReport(inclusion.passed, inclusion.residual,
+                         c if inclusion.passed else None, residual_bc_a, bound_k, contraction_ok)
 
 
 def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCheck]:

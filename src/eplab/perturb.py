@@ -89,16 +89,16 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
         hyp_a_adag_b=float(hyp_a_adag_b),
         hypotheses_pass=hypotheses_pass,
         concl_ep=concl_ep,
-        concl_null_equal=null_cmp.ok,
+        concl_null_equal=null_cmp.passed,
         residual_null_equal=null_cmp.residual,
-        concl_range_equal=range_cmp.ok,
+        concl_range_equal=range_cmp.passed,
         residual_range_equal=range_cmp.residual,
         concl_gamma_bound=concl_gamma_bound,
         gamma_a=float(gamma_a),
         gamma_perturbed=float(gamma_perturbed),
         norm_b=float(norm_b),
     )
-    if hypotheses_pass and not (concl_ep and null_cmp.ok and range_cmp.ok
+    if hypotheses_pass and not (concl_ep and null_cmp.passed and range_cmp.passed
                                 and concl_gamma_bound):
         warnings.warn(
             "perturbation hypotheses hold but a conclusion failed; "

@@ -11,13 +11,12 @@ residual at ``tol.residual_bound(||A||)``, ``subspace_tol * max(1, ||A||)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import ConditionCheck
-from .core import (DEFAULT_TOL, TolerancePolicy, _Operand, min_eigenvalue, op_norm,
-                   projector, subspace_equal)
+from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _Operand, min_eigenvalue,
+                   op_norm, projector, subspace_equal)
 from .errors import DimensionMismatch
 
 
@@ -28,23 +27,14 @@ def pinv(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PenroseReport:
-    """Residuals of the six defining conditions for a candidate pseudoinverse.
-
-    ``passed`` is true iff every residual is at most
-    ``tol.residual_bound(||a||_2)``.
+    """The six defining conditions of a candidate pseudoinverse, in this order:
+    ``a_dag_a_a_dag``, ``a_a_dag_a``, ``sym_a_dag_a``, ``sym_a_a_dag``,
+    ``proj_range`` and ``proj_carrier``, each judged at
+    ``tol.residual_bound(||a||_2)``; ``passed`` is true iff all six pass.
     """
 
-    residual_a_dag_a_a_dag: float
-    residual_a_a_dag_a: float
-    residual_sym_a_dag_a: float
-    residual_sym_a_a_dag: float
-    residual_proj_range: float
-    residual_proj_carrier: float
+    conditions: tuple[ConditionCheck, ...]
     passed: bool
-
-    def residuals(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name.startswith("residual_")}
 
 
 def penrose_verify(a, a_dag, tol: TolerancePolicy = DEFAULT_TOL) -> PenroseReport:
@@ -68,18 +58,23 @@ def _penrose(op: _Operand, a_dag: _Operand) -> PenroseReport:
         raise DimensionMismatch(
             f"candidate must be {n}x{m} for a {m}x{n} matrix, got {cand.shape}")
 
-    ada = cand @ arr
-    aad = arr @ cand
-    r1 = op_norm(cand @ aad - cand)
-    r2 = op_norm(aad @ arr - arr)
-    r3 = op_norm(ada - ada.conj().T)
-    r4 = op_norm(aad - aad.conj().T)
-    r5 = op_norm(aad - projector(op.bases[0]))
-    r6 = op_norm(ada - projector(a_dag.bases[0]))
+    ada, aad = cand @ arr, arr @ cand
+    checks = _judged(op, {
+        "a_dag_a_a_dag": op_norm(cand @ aad - cand),
+        "a_a_dag_a": op_norm(aad @ arr - arr),
+        "sym_a_dag_a": op_norm(ada - ada.conj().T),
+        "sym_a_a_dag": op_norm(aad - aad.conj().T),
+        "proj_range": op_norm(aad - projector(op.bases[0])),
+        "proj_carrier": op_norm(ada - projector(a_dag.bases[0])),
+    })
+    return PenroseReport(tuple(checks), all(check.passed for check in checks))
 
-    residuals = (r1, r2, r3, r4, r5, r6)
-    bound = op.tol.residual_bound(op.scale)
-    return PenroseReport(*residuals, passed=all(r <= bound for r in residuals))
+
+def _judged(op: _Operand, residuals: dict[str, float]) -> list[ConditionCheck]:
+    """Each named residual of ``residuals``, in order, judged at
+    ``tol.residual_bound(||A||)``."""
+    return [ConditionCheck.judge(name, residual, op.tol, op.scale)
+            for name, residual in residuals.items()]
 
 
 def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCheck]:
@@ -102,7 +97,7 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCh
 def _identities(op: _Operand) -> list[ConditionCheck]:
     """:func:`dagger_identities` for an operand, reusing what it holds."""
     arr, a_dag, star_dag = op.arr, op.pinv, op.adjoint.pinv
-    residuals = {
+    return _judged(op, {
         "double_pinv": op_norm(op.dagger.pinv - arr),
         "adjoint_pinv_swap": op_norm(star_dag - a_dag.conj().T),
         "gram_left_pinv": op_norm(op.gram_left.pinv - a_dag @ star_dag),
@@ -110,6 +105,4 @@ def _identities(op: _Operand) -> list[ConditionCheck]:
         "null_space_match": subspace_equal(op.adjoint.dagger.bases[1], op.bases[1]).residual,
         "gram_left_psd": max(0.0, -min_eigenvalue(op.gram_left.arr)),
         "gram_right_psd": max(0.0, -min_eigenvalue(op.gram_right.arr)),
-    }
-    return [ConditionCheck.judge(name, residual, op.tol, op.scale)
-            for name, residual in residuals.items()]
+    })

@@ -52,7 +52,7 @@ def _violations(op: _Operand, report: ClassificationReport, rng: np.random.Gener
     product = op.arr @ c
     norm_product = op_norm(product)
     inclusion = _inclusion(product, norm_product, op)
-    if not inclusion.ok:
+    if not inclusion.passed:
         yield "douglas", f"R(A C) is not contained in R(A) (residual {inclusion.residual:.3e})"
         return
     # ||A C' - A C|| for the minimal-norm factor C' = A+ (A C).

@@ -32,8 +32,10 @@ The five deterministic families are the keys of the family table
 ``DETERMINISTIC_FAMILIES`` lists them in that order.  The two random
 families need a rank (and take a seed) and are built in :func:`generate`.
 An :class:`OperatorSpec` holds only what :func:`generate` reads: family,
-size, rank and seed; a spec of a deterministic family names no rank or
-seed.  The kinds of the property-sweep corpus are the keys
+size, rank and seed.  It constructs only when :func:`generate` can build
+it: a deterministic family names no rank or seed, a random family names a
+rank, and a FourierDerivative section has n >= 2.  The kinds of the
+property-sweep corpus are the keys
 of the table ``_CORPUS``, in :func:`corpus_matrix`'s cycle order, each
 mapped to its builder.
 """
@@ -89,8 +91,10 @@ class ExpectedTraits:
 class OperatorSpec:
     """Declarative recipe for a zoo matrix: family, size, rank, seed.
 
-    Only the random families read ``rank`` and ``seed``; BadSpec when a
-    deterministic family names either.
+    Only the random families read ``rank`` and ``seed``, and they need a
+    rank; BadSpec when a deterministic family names either, when a random
+    family has no rank and for a FourierDerivative section below n = 2.
+    So every spec that constructs is one :func:`generate` builds.
     """
 
     family: Family
@@ -107,6 +111,10 @@ class OperatorSpec:
             raise BadSpec(f"seed must be non-negative, got {self.seed}")
         if self.family in _DETERMINISTIC and (self.rank, self.seed) != (None, None):
             raise BadSpec(f"{self.family.value} is deterministic and takes no rank or seed")
+        if self.family not in _DETERMINISTIC and self.rank is None:
+            raise BadSpec(f"{self.family.value} requires an explicit rank")
+        if self.family is Family.FOURIER_DERIVATIVE and self.n < 2:
+            raise BadSpec("FourierDerivative sections need n >= 2")
 
     def to_json_dict(self) -> dict:
         return _encode(type(self), self)
@@ -198,8 +206,6 @@ def _mult_inv_sqrt(n: int) -> np.ndarray:
 
 
 def _fourier_derivative(n: int) -> np.ndarray:
-    if n < 2:
-        raise BadSpec("FourierDerivative sections need n >= 2")
     # Compression of i d/dt (periodic) onto the n lowest Fourier modes,
     # expressed on the uniform grid.  The mode window is symmetric for odd n
     # and one-sided at the top frequency for even n, which keeps the null
@@ -262,8 +268,6 @@ def generate(spec: OperatorSpec) -> tuple[np.ndarray, ExpectedTraits]:
     if family in _DETERMINISTIC:
         build, traits = _DETERMINISTIC[family]
         return build(n), traits
-    if spec.rank is None:
-        raise BadSpec(f"{family.value} requires an explicit rank")
     rng = np.random.default_rng(0 if spec.seed is None else spec.seed)
     if family is Family.RANDOM_CLOSED_RANGE:
         verdict = Expectation.YES if spec.rank in (0, n) else Expectation.NO

@@ -87,7 +87,7 @@ def test_criterion_4_penrose_verification(corpus1000):
     for label, a in corpus1000:
         rep = penrose_verify(a, pinv(a))
         bound = 1e-10 * max(1.0, op_norm(a))
-        top = max(rep.residuals().values())
+        top = max(check.residual for check in rep.conditions)
         worst = max(worst, top)
         if top > bound:
             offenders.append((label, top))

@@ -84,7 +84,7 @@ def test_modulus_square_root_property():
         assert op_norm(root @ root - adjoint(a) @ a) <= 1e-9 * scale
         assert op_norm(root - adjoint(root)) <= 1e-12 * scale
         # shared null space and R(|A|) = R(A*)
-        assert subspace_equal(null_basis(root), null_basis(a)).ok
+        assert subspace_equal(null_basis(root), null_basis(a)).passed
         assert subspace_equal(range_basis(root), range_basis(adjoint(a))).residual <= 1e-9
 
 

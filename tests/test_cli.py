@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from eplab import TolerancePolicy, douglas_analysis
+from eplab import TolerancePolicy, classify, douglas_analysis, pinv
 from eplab import cli
 from eplab.cli import main
+from eplab.errors import NonFinite
 from eplab.matio import file_digest, read_matrix, write_matrix
 from eplab.reports import dump_document, make_document
 from eplab.zoo import haar_unitary
@@ -90,6 +91,20 @@ def test_pinv_out_over_its_input_records_the_input_digest(capsys, tmp_path):
     code, out, _ = run(capsys, "pinv", str(path), "--out", str(path))
     assert code == 0 and json.loads(out)["input_digest"] == digest
     np.testing.assert_array_equal(read_matrix(path), np.diag([1.0, 0.5, 0.0]))
+
+
+def test_pinv_overflow_names_the_pseudoinverse_and_writes_nothing(capsys, tmp_path):
+    # [[1e-310]] is finite, but 1/sigma_r is past the float range.
+    message = ("the pseudoinverse overflows: 1/sigma_r is past the float range "
+               "at sigma_r = 1.000e-310")
+    for analysis in (pinv, classify):
+        with pytest.raises(NonFinite, match=message):
+            analysis([[1e-310]])
+    path, out_path = tmp_path / "tiny.json", tmp_path / "dag.json"
+    write_matrix(path, np.array([[1e-310]]))
+    code, out, err = run(capsys, "pinv", str(path), "--out", str(out_path))
+    assert code == 2 and not out and not out_path.exists()
+    assert err == f"error: NonFinite: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["zoo", "pinv"])

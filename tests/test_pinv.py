@@ -27,7 +27,7 @@ def test_pinv_diagonal():
     got = pinv(np.diag([1.0, 2.0, 0.0]))
     np.testing.assert_allclose(got, np.diag([1.0, 0.5, 0.0]), atol=1e-14)
     rep = penrose_verify(np.diag([1.0, 2.0, 0.0]), got)
-    assert all(r < 1e-12 for r in rep.residuals().values())
+    assert all(check.residual < 1e-12 for check in rep.conditions)
 
 
 def test_pinv_jordan_block_brute_force():
@@ -67,19 +67,26 @@ def test_penrose_verify_random():
     a = random_complex(rng, 6, 4)
     rep = penrose_verify(a, pinv(a))
     assert rep.passed
-    assert all(r <= 1e-10 for r in rep.residuals().values())
+    assert all(check.residual <= 1e-10 for check in rep.conditions)
 
 
 def test_penrose_verify_rejects_wrong_candidate():
     rep = penrose_verify(np.eye(3), 2 * np.eye(3))
     assert not rep.passed
-    assert abs(rep.residual_a_dag_a_a_dag - 2.0) < 1e-12  # ||4I - 2I||
+    residuals = {check.condition_id: check.residual for check in rep.conditions}
+    assert abs(residuals["a_dag_a_a_dag"] - 2.0) < 1e-12  # ||4I - 2I||
 
 
 def test_penrose_verify_zero_pair():
     rep = penrose_verify(np.zeros((2, 2)), np.zeros((2, 2)))
     assert rep.passed
-    assert all(r == 0.0 for r in rep.residuals().values())
+    assert all(check.residual == 0.0 for check in rep.conditions)
+
+
+def test_penrose_condition_names_stable():
+    names = [check.condition_id for check in penrose_verify(np.eye(2), np.eye(2)).conditions]
+    assert names == ["a_dag_a_a_dag", "a_a_dag_a", "sym_a_dag_a", "sym_a_a_dag",
+                     "proj_range", "proj_carrier"]
 
 
 def test_penrose_verify_shape_contract():
@@ -158,16 +165,21 @@ def test_dagger_identities_names_stable():
 @pytest.mark.parametrize("tol, all_pass", [(TolerancePolicy(), True),
                                            (TolerancePolicy(subspace_tol=1e-15), False)])
 def test_dagger_identities_judged_at_the_residual_bound(corpus1000, tol, all_pass):
-    # Each identity passes exactly when its residual is within
-    # subspace_tol * max(1, ||A||); at 1e-15 some identities fail.
-    verdicts = []
+    # Each dagger identity and each Penrose condition passes exactly when its
+    # residual is within subspace_tol * max(1, ||A||); at 1e-15 some of each fail.
+    verdicts = {"dagger": [], "penrose": []}
     for _, a in corpus1000[:100]:
         bound = tol.residual_bound(max(1.0, svd(a).sigma[0]))
-        for check in dagger_identities(a, tol):
-            assert check.passed == (check.residual <= bound), check
-            verdicts.append(check.passed)
-    assert any(verdicts)
-    assert all(verdicts) == all_pass
+        penrose = penrose_verify(a, pinv(a, tol), tol)
+        rows = {"dagger": dagger_identities(a, tol), "penrose": penrose.conditions}
+        for source, checks in rows.items():
+            for check in checks:
+                assert check.passed == (check.residual <= bound), (source, check)
+                verdicts[source].append(check.passed)
+        assert penrose.passed == all(check.passed for check in penrose.conditions)
+    for source, passed in verdicts.items():
+        assert any(passed), source
+        assert all(passed) == all_pass, source
 
 
 def test_rank_threshold_shared_with_policy():

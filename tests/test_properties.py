@@ -80,11 +80,11 @@ def test_projectors_hermitian_idempotent(a):
 def test_subspace_equal_reflexive_and_symmetric(a):
     p = range_basis(a)
     q = null_basis(a)
-    assert subspace_equal(p, p).ok
-    assert subspace_equal(q, q).ok
+    assert subspace_equal(p, p).passed
+    assert subspace_equal(q, q).passed
     forward = subspace_equal(p, range_basis(adjoint(a)))
     backward = subspace_equal(range_basis(adjoint(a)), p)
-    assert forward.ok == backward.ok
+    assert forward.passed == backward.passed
     assert abs(forward.residual - backward.residual) <= 1e-12
 
 
@@ -92,8 +92,8 @@ def test_subspace_equal_reflexive_and_symmetric(a):
 def test_mutual_inclusion_matches_equality(a):
     p = range_basis(a)
     q = range_basis(adjoint(a))
-    both = subspace_included(p, q).ok and subspace_included(q, p).ok
-    assert both == subspace_equal(p, q).ok
+    both = subspace_included(p, q).passed and subspace_included(q, p).passed
+    assert both == subspace_equal(p, q).passed
 
 
 @given(structured_matrix(), st.sampled_from([2.0, -3.0, 0.5j, 1.0 + 1.0j]))
@@ -108,7 +108,7 @@ def test_modulus_is_psd_square_root(a):
     scale = max(1.0, op_norm(a) ** 2)
     assert op_norm(root @ root - adjoint(a) @ a) <= 1e-9 * scale
     assert float(np.linalg.eigvalsh((root + root.conj().T) / 2)[0]) >= -1e-10 * scale
-    assert subspace_equal(null_basis(root), null_basis(a)).ok
+    assert subspace_equal(null_basis(root), null_basis(a)).passed
 
 
 @given(structured_matrix(square=True))

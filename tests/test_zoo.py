@@ -188,6 +188,12 @@ def test_spec_json_validation():
         OperatorSpec.from_json_dict({"family": "DiagHarmonic"})
     with pytest.raises(BadSpec):
         OperatorSpec.from_json_dict({"family": "DiagHarmonic", "n": 0})
+    # Specs that generate could not build: a random family with no rank and
+    # a FourierDerivative section below n = 2.
+    with pytest.raises(BadSpec):
+        OperatorSpec.from_json_dict({"family": "RandomEP", "n": 4})
+    with pytest.raises(BadSpec):
+        OperatorSpec.from_json_dict({"family": "FourierDerivative", "n": 1})
 
 
 def test_spec_size_cap():
