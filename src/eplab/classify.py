@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, RESIDUAL_SLACK, ConditionCheck, SvdFactors,
-                   TolerancePolicy, _cross_norm, _gamma_and_rank, _Operand, as_matrix,
-                   min_eigenvalue, op_norm, projector, subspace_equal, subspace_included)
+from .core import (DEFAULT_TOL, ConditionCheck, SvdFactors, TolerancePolicy, _cross_norm,
+                   _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm, projector,
+                   subspace_equal, subspace_included)
 from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
 
@@ -137,7 +137,8 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
     if op.arr.shape[0] != op.arr.shape[1]:
         raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
     residuals: dict[str, float] = {}
-    return tuple(ConditionCheck.judge(cid, _residual(op, cid, residuals), op.tol) for cid in ids)
+    bound = op.tol.residual_bound()
+    return tuple(ConditionCheck.judge(cid, _residual(op, cid, residuals), bound) for cid in ids)
 
 
 def _passes(op: _Operand, ids: tuple[str, ...]) -> bool:
@@ -233,14 +234,15 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     arr, a_dag, star = source.arr, source.pinv, source.adjoint.arr
     n = arr.shape[1]
     c = a_dag @ star + (np.eye(n, dtype=np.complex128) - a_dag @ arr)
-    residual = op_norm(star - arr @ c)
+    check = ConditionCheck.judge("factorization", op_norm(star - arr @ c),
+                                 tol.slack_bound(source.scale))
     bijective = source.derive(c).rank == n
 
-    if not bijective or residual > RESIDUAL_SLACK * source.scale:
+    if not bijective or not check.passed:
         raise SolveFailure(
             "carrier-restricted solve is numerically singular "
-            f"(residual={residual:.3e}, bijective={bijective}); gamma may be ~0")
-    return FactorC(c=c, residual_factorization=float(residual))
+            f"(residual={check.residual:.3e}, bijective={bijective}); gamma may be ~0")
+    return FactorC(c=c, residual_factorization=check.residual)
 
 
 def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -268,7 +270,8 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     k = float(np.linalg.norm(z))
 
     scale = source.scale * max(1.0, float(np.linalg.norm(vec)))
-    if np.linalg.norm(star @ z - ax) > max(tol.subspace_tol, RESIDUAL_SLACK) * scale:
+    bound = max(tol.residual_bound(scale), tol.slack_bound(scale))
+    if not ConditionCheck.judge("solve", np.linalg.norm(star @ z - ax), bound).passed:
         raise SolveFailure("A* z = A x is not solvable at tolerance; input may not be hypo-EP")
 
     return k

@@ -26,9 +26,9 @@ from .errors import BadShape, ConvergenceFailure, DimensionMismatch, NonFinite
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Relative slack on quantities whose exact value is 0: the factorization and
-# solve residuals and the gamma perturbation bound.  Callers scale it by
-# max(1, ||A||).
+# Relative slack on quantities whose exact value is 0: the factor-C and
+# solve residuals and the gamma perturbation bound.  Read only by
+# TolerancePolicy.slack_bound, which scales it by max(1, ||A||).
 RESIDUAL_SLACK = 1e-9
 # Largest ||B* B - I||_F accepted for the basis of a SubspaceBasis; the
 # Frobenius norm bounds the 2-norm from above.
@@ -79,12 +79,14 @@ class TolerancePolicy:
     absolute cutoff, mutually exclusive with ``rank_rel``.  With neither set,
     the threshold is ``max(m, n) * eps * sigma_max``, the standard
     pseudoinverse truncation rule (deterministic and scale invariant).
-    ``subspace_tol`` sets :meth:`residual_bound`, the acceptance rule of
-    subspace sines and of residuals whose exact value is 0 (those held to
-    ``RESIDUAL_SLACK`` aside), and the slack of the Douglas contraction
-    test; ``psd_tol`` is the floor for the least eigenvalue of the Douglas
-    majorization gap ``B B* - A A*``.  Every value that is set must be
-    finite and positive; ValueError otherwise.
+    The acceptance rules are its three bound methods, the only readers of
+    ``subspace_tol`` and ``RESIDUAL_SLACK``: :meth:`residual_bound` (subspace
+    sines and residuals whose exact value is 0), :meth:`slack_bound` (the
+    fixed rule of factor-C, solve and gamma-bound residuals) and
+    :meth:`contraction_bound` (the Douglas contraction).  ``psd_tol`` is the
+    floor for the least eigenvalue of the Douglas majorization gap
+    ``B B* - A A*``.  Every value that is set must be finite and positive;
+    ValueError otherwise.
     """
 
     rank_rel: float | None = None
@@ -114,26 +116,36 @@ class TolerancePolicy:
         the residual is measured on; a sine is scale-free and takes the default."""
         return self.subspace_tol * max(1.0, scale)
 
+    def slack_bound(self, scale: float = 1.0) -> float:
+        """``RESIDUAL_SLACK * max(1, scale)``, whatever ``subspace_tol`` is: the
+        bound of a residual held to a fixed relative slack."""
+        return RESIDUAL_SLACK * max(1.0, scale)
+
+    def contraction_bound(self) -> float:
+        """``1 + subspace_tol``: an operator norm passes as a contraction when
+        it is at most this."""
+        return 1.0 + self.subspace_tol
+
 
 DEFAULT_TOL = TolerancePolicy()
 
 
 class ConditionCheck(NamedTuple):
-    """A named residual and its verdict.  Each subspace test, the Douglas
-    inclusion, every classification condition, every row of the closed-range
-    panel and of the dagger identities and each Penrose condition is one."""
+    """A named residual and its verdict.  Each subspace test, every
+    classification condition, every row of the closed-range panel and of the
+    dagger identities, each Penrose condition and each condition of the
+    Douglas and perturbation reports is one."""
 
     condition_id: str
     residual: float
     passed: bool
 
     @classmethod
-    def judge(cls, condition_id: str, residual: float, tol: TolerancePolicy,
-              scale: float = 1.0) -> ConditionCheck:
-        """The check of ``residual``, passed when it is at most
-        ``tol.residual_bound(scale)``."""
+    def judge(cls, condition_id: str, residual: float, bound: float) -> ConditionCheck:
+        """The check of ``residual``, passed when it is at most ``bound``, a
+        value of one of the bound methods of :class:`TolerancePolicy`."""
         residual = float(residual)
-        return cls(condition_id, residual, residual <= tol.residual_bound(scale))
+        return cls(condition_id, residual, residual <= bound)
 
 
 @dataclass(frozen=True)
@@ -377,14 +389,15 @@ def subspace_equal(p: SubspaceBasis, q: SubspaceBasis,
     """
     _check_ambient(p, q)
     residual = 1.0 if p.k != q.k else _cross_norm(p.complement, q.basis)
-    return ConditionCheck.judge("subspace_equal", residual, tol)
+    return ConditionCheck.judge("subspace_equal", residual, tol.residual_bound())
 
 
 def subspace_included(p: SubspaceBasis, q: SubspaceBasis,
                       tol: TolerancePolicy = DEFAULT_TOL) -> ConditionCheck:
     """Inclusion test p <= q via ``||(I - P_q) P_p||_2 = ||q_perp* p||_2``."""
     _check_ambient(p, q)
-    return ConditionCheck.judge("subspace_included", _cross_norm(q.complement, p.basis), tol)
+    return ConditionCheck.judge("subspace_included", _cross_norm(q.complement, p.basis),
+                                tol.residual_bound())
 
 
 def adjoint(a) -> np.ndarray:

@@ -19,26 +19,33 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _Operand,
                    adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm, subspace_equal)
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 
 
 @dataclass(frozen=True)
 class DouglasReport:
     """Joint outcome of the inclusion / factorization / contraction checks.
 
-    ``bound_k`` is the least growth constant of the factor: the exact
-    supremum of ``||C x||^2 / (||x||^2 + ||A x||^2)`` over nonzero ``x``,
+    ``conditions`` is ``range_included`` (``||(I - P_R(B)) A||``) and, only
+    on the majorization path, ``contraction`` (``||C||``).  ``bound_k`` is
+    the least growth constant of the factor: the exact supremum of
+    ``||C x||^2 / (||x||^2 + ||A x||^2)`` over nonzero ``x``,
     ``||C (I + A* A)^(-1/2)||_2^2`` (see :func:`eplab.core.growth_bound`).
-    ``contraction_ok`` is only evaluated on the majorization path and stays
-    None otherwise.
     """
 
-    range_included: bool
-    residual_range: float
+    conditions: tuple[ConditionCheck, ...]
     factor_c: np.ndarray | None
     residual_bc_a: float | None
     bound_k: float | None
-    contraction_ok: bool | None
+
+    @property
+    def range_included(self) -> bool:
+        return self.conditions[0].passed
+
+    @property
+    def contraction_ok(self) -> bool | None:
+        """The contraction verdict; None without a contraction check."""
+        return self.conditions[1].passed if len(self.conditions) > 1 else None
 
 
 def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> ConditionCheck:
@@ -49,16 +56,19 @@ def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> ConditionChe
     ``R(B)``'s complement, so the residual is ``||(I - P_R(B)) A||``.
     """
     return ConditionCheck.judge("range_included", _cross_norm(op_b.bases[0].complement, arr_a),
-                                op_b.tol, norm_a)
+                                op_b.tol.residual_bound(norm_a))
 
 
 def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
     """Minimum eigenvalue of ``B B* - A A*``; ``A A* <= B B*`` iff it is >= 0.
 
-    A Gram matrix that overflows is NonFinite, raised without numpy's warnings.
+    A gap that overflows is NonFinite, naming the gap, raised without numpy's
+    warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gap = arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a)
+    if not np.isfinite(gap).all():
+        raise NonFinite("the majorization gap B B* - A A* overflows the float range")
     return min_eigenvalue(gap)
 
 
@@ -69,9 +79,9 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     ``tol.residual_bound(||A||)``; the factor fields (``C = pinv(B) A``,
     ``||B C - A||`` and the growth bound) are then filled, and None otherwise.
     ``A A* <= B B*`` holds when the least eigenvalue of ``B B* - A A*`` is
-    at least ``-psd_tol``; ``contraction_ok``, ``||C|| <= 1 + subspace_tol``
-    (a rule of its own, not a residual bound), is then filled whether or
-    not the inclusion holds, and None otherwise.
+    at least ``-psd_tol``; the ``contraction`` check, ``||C||`` judged at
+    ``tol.contraction_bound()``, is then made whether or not the inclusion
+    holds, and left out otherwise.
     Neither failure raises; unequal row counts are DimensionMismatch.
     One SVD of ``B`` gives both the inclusion basis and ``pinv(B)``.
     """
@@ -84,9 +94,10 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     residual_bc_a = bound_k = None
     if inclusion.passed:
         residual_bc_a, bound_k = float(op_norm(op_b.arr @ c - arr_a)), growth_bound(c, arr_a)
-    contraction_ok = op_norm(c) <= 1.0 + tol.subspace_tol if majorized else None
-    return DouglasReport(inclusion.passed, inclusion.residual,
-                         c if inclusion.passed else None, residual_bc_a, bound_k, contraction_ok)
+    conditions = (inclusion,)
+    if majorized:
+        conditions += (ConditionCheck.judge("contraction", op_norm(c), tol.contraction_bound()),)
+    return DouglasReport(conditions, c if inclusion.passed else None, residual_bc_a, bound_k)
 
 
 def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCheck]:
@@ -94,7 +105,8 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionC
 
     Three checks, in this order: ``range_matches_gram_right``
     (``R(A) = R(A A*)``), ``adjoint_range_matches_gram_left``
-    (``R(A*) = R(A* A)``), each a sine judged at ``tol.residual_bound()``,
+    (``R(A*) = R(A* A)``), each the :func:`~eplab.core.subspace_equal` check
+    of its ranges, a sine judged at ``tol.residual_bound()``,
     and ``factors_through_gram``, the factorization ``A = A A* S`` for
     ``S = pinv(A A*) A``, judged at ``tol.residual_bound(||A||)``.  Each
     residual comes from the operands' own SVDs.  Every range is closed in
@@ -105,12 +117,11 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionC
     op = _Operand(a, tol)
     arr, gram_right = op.arr, op.gram_right
     return [
-        ConditionCheck.judge("range_matches_gram_right",
-                             subspace_equal(op.bases[0], gram_right.bases[0]).residual, tol),
-        ConditionCheck.judge("adjoint_range_matches_gram_left",
-                             subspace_equal(op.adjoint.bases[0], op.gram_left.bases[0]).residual,
-                             tol),
+        subspace_equal(op.bases[0], gram_right.bases[0], tol)._replace(
+            condition_id="range_matches_gram_right"),
+        subspace_equal(op.adjoint.bases[0], op.gram_left.bases[0], tol)._replace(
+            condition_id="adjoint_range_matches_gram_left"),
         ConditionCheck.judge("factors_through_gram",
                              op_norm(gram_right.arr @ (gram_right.pinv @ arr) - arr),
-                             tol, op.scale),
+                             tol.residual_bound(op.scale)),
     ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, RESIDUAL_SLACK, TolerancePolicy, _cross_norm, _Operand,
+from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _Operand,
                    as_matrix, op_norm, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
 from .classify import _is_ep, _source
@@ -26,25 +26,33 @@ from .classify import _is_ep, _source
 class PerturbationReport:
     """Hypothesis residuals and conclusion checks for a pair ``(A, B)``.
 
-    Conclusions are evaluated regardless of whether the hypotheses hold,
-    since falsification data is useful when probing sharpness.  When the
-    hypotheses pass, all four conclusion flags must be true; a violation is
-    a tolerance failure and is reported loudly via ``warnings``.
+    ``conditions`` holds, in this order, the compression hypotheses
+    ``b_adag_a`` (``||B A+ A - B||``) and ``a_adag_b`` (``||A A+ B - B||``),
+    each judged at ``tol.residual_bound(||B||)``, and the conclusions
+    ``null_equal`` (``N(A + B) = N(A)``) and ``range_equal``
+    (``R(A + B) = R(A)``), each a subspace sine.  Conclusions are evaluated
+    regardless of whether the hypotheses hold, since falsification data is
+    useful when probing sharpness.  When the hypotheses pass, all four
+    conclusion flags must be true; a violation is a tolerance failure and
+    is reported loudly via ``warnings``.
     """
 
+    conditions: tuple[ConditionCheck, ...]
     hyp_norm_product: float
-    hyp_b_adag_a: float
-    hyp_a_adag_b: float
     hypotheses_pass: bool
     concl_ep: bool
-    concl_null_equal: bool
-    residual_null_equal: float
-    concl_range_equal: bool
-    residual_range_equal: float
     concl_gamma_bound: bool
     gamma_a: float
     gamma_perturbed: float
     norm_b: float
+
+    @property
+    def concl_null_equal(self) -> bool:
+        return self.conditions[2].passed
+
+    @property
+    def concl_range_equal(self) -> bool:
+        return self.conditions[3].passed
 
 
 def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> PerturbationReport:
@@ -55,6 +63,8 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     because finite sections have total domains.  They are the range
     inclusions ``R(B*) <= R(A*)`` and ``R(B) <= R(A)`` and are measured as
     such, against the bases of A's SVD, with no product of ``A+``.
+    ``||B|| ||A+|| < 1`` is the theorem's strict hypothesis, not a
+    residual, and stays the number ``hyp_norm_product``.
     """
     base, arr_b = _Operand(a, tol), as_matrix(b)
     arr_a = base.arr
@@ -68,37 +78,25 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     # I - A+ A and I - A A+ project onto N(A) and R(A)'s complement, so
     # ||B A+ A - B|| = ||N(A)* B*|| and ||A A+ B - B|| = ||R(A)_perp* B||.
     range_a, null_a = base.bases
-    hyp_b_adag_a = _cross_norm(null_a.basis, arr_b.conj().T)
-    hyp_a_adag_b = _cross_norm(range_a.complement, arr_b)
-
     bound = tol.residual_bound(norm_b)
-    hypotheses_pass = hyp_norm_product < 1.0 and hyp_b_adag_a <= bound and hyp_a_adag_b <= bound
+    hypotheses = (
+        ConditionCheck.judge("b_adag_a", _cross_norm(null_a.basis, arr_b.conj().T), bound),
+        ConditionCheck.judge("a_adag_b", _cross_norm(range_a.complement, arr_b), bound))
+    hypotheses_pass = hyp_norm_product < 1.0 and all(check.passed for check in hypotheses)
 
     perturbed = base.derive(arr_a + arr_b)
     concl_ep = _is_ep(perturbed)
-    null_cmp = subspace_equal(perturbed.bases[1], null_a, tol)
-    range_cmp = subspace_equal(perturbed.bases[0], range_a, tol)
+    conclusions = (
+        subspace_equal(perturbed.bases[1], null_a, tol)._replace(condition_id="null_equal"),
+        subspace_equal(perturbed.bases[0], range_a, tol)._replace(condition_id="range_equal"))
 
     gamma_perturbed = perturbed.gamma
-    bound_slack = RESIDUAL_SLACK * base.scale
-    concl_gamma_bound = gamma_perturbed >= gamma_a - norm_b - bound_slack
+    concl_gamma_bound = gamma_perturbed >= gamma_a - norm_b - tol.slack_bound(base.scale)
 
-    report = PerturbationReport(
-        hyp_norm_product=float(hyp_norm_product),
-        hyp_b_adag_a=float(hyp_b_adag_a),
-        hyp_a_adag_b=float(hyp_a_adag_b),
-        hypotheses_pass=hypotheses_pass,
-        concl_ep=concl_ep,
-        concl_null_equal=null_cmp.passed,
-        residual_null_equal=null_cmp.residual,
-        concl_range_equal=range_cmp.passed,
-        residual_range_equal=range_cmp.residual,
-        concl_gamma_bound=concl_gamma_bound,
-        gamma_a=float(gamma_a),
-        gamma_perturbed=float(gamma_perturbed),
-        norm_b=float(norm_b),
-    )
-    if hypotheses_pass and not (concl_ep and null_cmp.passed and range_cmp.passed
+    report = PerturbationReport(hypotheses + conclusions, float(hyp_norm_product),
+                                hypotheses_pass, concl_ep, concl_gamma_bound, float(gamma_a),
+                                float(gamma_perturbed), float(norm_b))
+    if hypotheses_pass and not (concl_ep and all(check.passed for check in conclusions)
                                 and concl_gamma_bound):
         warnings.warn(
             "perturbation hypotheses hold but a conclusion failed; "

@@ -73,8 +73,8 @@ def _penrose(op: _Operand, a_dag: _Operand) -> PenroseReport:
 def _judged(op: _Operand, residuals: dict[str, float]) -> list[ConditionCheck]:
     """Each named residual of ``residuals``, in order, judged at
     ``tol.residual_bound(||A||)``."""
-    return [ConditionCheck.judge(name, residual, op.tol, op.scale)
-            for name, residual in residuals.items()]
+    bound = op.tol.residual_bound(op.scale)
+    return [ConditionCheck.judge(name, residual, bound) for name, residual in residuals.items()]
 
 
 def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCheck]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import _EP_IDS, ClassificationReport, _classify, _closure
-from .core import DEFAULT_TOL, TolerancePolicy, _Operand, op_norm
+from .core import DEFAULT_TOL, ConditionCheck, TolerancePolicy, _Operand, op_norm
 from .douglas import _inclusion
 from .matio import matrix_to_json_dict
 from .pinv import _identities
@@ -58,7 +58,7 @@ def _violations(op: _Operand, report: ClassificationReport, rng: np.random.Gener
     # ||A C' - A C|| for the minimal-norm factor C' = A+ (A C).
     residual = op_norm(op.arr @ (op.pinv @ product) - product)
     bound = op.tol.residual_bound(norm_product)
-    if residual > bound:
+    if not ConditionCheck.judge("factorization", residual, bound).passed:
         yield "douglas", f"factorization residual {residual:.3e} exceeds {bound:.3e}"
 
 

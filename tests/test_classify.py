@@ -8,7 +8,8 @@ from eplab import (SubspaceBasis, TolerancePolicy, adjoint, classify, construct_
 from eplab.classify import (_EP_IDS, _HYPO_IDS, _ROUTES, ConditionCheck, _classify,
                             _evaluate, _is_ep)
 from eplab.core import _Operand
-from eplab.errors import NonFinite, NotSquare, SourceNotEP, SourceNotHypoEP
+from eplab.errors import (NonFinite, NotSquare, SolveFailure, SourceNotEP,
+                          SourceNotHypoEP)
 from eplab.zoo import corpus_matrix, haar_unitary, random_ep
 
 from conftest import random_complex
@@ -415,6 +416,13 @@ def test_majorization_witness_bound_holds():
 def test_majorization_witness_rejects_non_finite_vector(bad):
     with pytest.raises(NonFinite):
         majorization_witness(np.diag([1.0, 2.0, 3.0]), [bad, 0.0, 0.0])
+
+
+def test_majorization_witness_refuses_an_overflowed_solve():
+    # A x overflows, so the solve residual is NaN; a NaN residual never
+    # passes its bound, so no NaN constant is returned.
+    with np.errstate(all="ignore"), pytest.raises(SolveFailure):
+        majorization_witness(np.diag([1e200, 1e200]), [1e200, 1e200])
 
 
 def test_majorization_witness_requires_hypo_ep():

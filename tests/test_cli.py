@@ -126,7 +126,8 @@ def test_douglas_command(capsys, tmp_path):
     code, out, _ = run(capsys, "douglas", str(a_path), str(b_path))
     assert code == 0
     doc = json.loads(out)
-    assert doc["report"]["range_included"] is True
+    assert doc["report"]["conditions"][0]["id"] == "range_included"
+    assert doc["report"]["conditions"][0]["passed"] is True
     assert doc["report"]["residual_bc_a"] < 1e-9
 
 
@@ -137,7 +138,7 @@ def test_douglas_not_included_still_exits_0(capsys, tmp_path):
     code, out, _ = run(capsys, "douglas", str(a_path), str(b_path))
     assert code == 0
     doc = json.loads(out)
-    assert doc["report"]["range_included"] is False
+    assert doc["report"]["conditions"][0]["passed"] is False
     assert doc["report"]["factor_c"] is None
 
 

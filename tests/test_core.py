@@ -438,22 +438,34 @@ def test_no_random_numbers_in_analysis_code():
     assert _random_uses("def f(rng=None):\n    return default_rng(0)\n")
 
 
-def _subspace_tol_reads(source: str) -> set[str | None]:
-    """The enclosing top-level function or class of each read of the
-    attribute ``subspace_tol`` in a module's source."""
+def _reads(source: str, name: str) -> set[str | None]:
+    """The enclosing top-level function or class of each read of ``name`` in
+    a module's source: an attribute ``x.name``, a loaded bare ``name`` or an
+    import of it (None at module level)."""
     return {top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
             for top in ast.parse(source).body for node in ast.walk(top)
-            if isinstance(node, ast.Attribute) and node.attr == "subspace_tol"}
+            if isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.alias) and node.name == name}
+
+
+def _package_reads(name: str) -> set[tuple[str, str | None]]:
+    package = Path(eplab.__file__).parent
+    return {(path.name, owner) for path in sorted(package.glob("*.py"))
+            for owner in _reads(path.read_text(encoding="utf-8"), name)}
 
 
 def test_subspace_tol_is_read_only_by_the_named_rules():
-    # TolerancePolicy.residual_bound is the one acceptance rule of
-    # subspace_tol; the Douglas contraction test and the majorization
-    # witness's solve check are the two other rules that read it.
-    package = Path(eplab.__file__).parent
-    reads = {(path.name, owner) for path in sorted(package.glob("*.py"))
-             for owner in _subspace_tol_reads(path.read_text(encoding="utf-8"))}
-    assert reads == {("core.py", "TolerancePolicy"), ("douglas.py", "douglas_analysis"),
-                     ("classify.py", "majorization_witness")}
-    assert _subspace_tol_reads("def f(tol):\n    return tol.subspace_tol\n") == {"f"}
-    assert _subspace_tol_reads("x = {'subspace_tol': 1}\n") == set()
+    # TolerancePolicy's bound methods are the acceptance rules of
+    # subspace_tol; every other site takes its bound from one of them.
+    assert _package_reads("subspace_tol") == {("core.py", "TolerancePolicy")}
+    assert _reads("def f(tol):\n    return tol.subspace_tol\n", "subspace_tol") == {"f"}
+    assert _reads("x = {'subspace_tol': 1}\n", "subspace_tol") == set()
+
+
+def test_residual_slack_is_read_only_by_the_named_rules():
+    # TolerancePolicy.slack_bound is the one rule that reads RESIDUAL_SLACK.
+    assert _package_reads("RESIDUAL_SLACK") == {("core.py", "TolerancePolicy")}
+    assert _reads("RESIDUAL_SLACK = 1e-9\n", "RESIDUAL_SLACK") == set()
+    assert _reads("def f(x):\n    return x * RESIDUAL_SLACK\n", "RESIDUAL_SLACK") == {"f"}
+    assert _reads("from .core import RESIDUAL_SLACK\n", "RESIDUAL_SLACK") == {None}

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from eplab import (DEFAULT_TOL, adjoint, closed_range_panel, douglas_analysis,
-                   generate_admissible, min_eigenvalue, op_norm, pinv, projector,
-                   range_basis, subspace_equal)
+from eplab import (DEFAULT_TOL, TolerancePolicy, adjoint, closed_range_panel,
+                   douglas_analysis, generate_admissible, min_eigenvalue, op_norm, pinv,
+                   projector, range_basis, subspace_equal)
 from eplab import douglas as douglas_module
 from eplab.core import growth_bound
 from eplab.errors import DimensionMismatch, NonFinite
@@ -20,7 +20,7 @@ def test_inclusion_into_identity():
     rng = np.random.default_rng(0)
     a = random_complex(rng, 4, 3)
     rep = douglas_analysis(a, np.eye(4))
-    assert rep.range_included and rep.residual_range <= 1e-12
+    assert rep.range_included and rep.conditions[0].residual <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -32,7 +32,7 @@ def test_inclusion_residual_matches_projector_form(seed):
     b = random_complex(rng, m, r) @ random_complex(rng, r, k)
     a = random_complex(rng, m, n) if seed % 2 else b @ random_complex(rng, k, n)
     a = a * 10.0 ** rng.uniform(-3, 3)
-    residual = douglas_analysis(a, b).residual_range
+    residual = douglas_analysis(a, b).conditions[0].residual
     p_b = projector(range_basis(b))
     expected = op_norm((np.eye(m) - p_b) @ a)
     assert abs(residual - expected) <= 1e-13 * max(1.0, op_norm(a))
@@ -40,7 +40,7 @@ def test_inclusion_residual_matches_projector_form(seed):
 
 def test_inclusion_disjoint_axes():
     rep = douglas_analysis(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-    assert not rep.range_included and abs(rep.residual_range - 1.0) < 1e-12
+    assert not rep.range_included and abs(rep.conditions[0].residual - 1.0) < 1e-12
 
 
 def test_inclusion_of_exhibited_factor():
@@ -179,6 +179,35 @@ def test_panel_residuals_are_the_public_routes(corpus1000):
         assert factors == op_norm(gram_right @ (pinv(gram_right) @ a) - a)
 
 
+def test_panel_judges_each_row_once_at_the_callers_tolerance(corpus1000, monkeypatch):
+    # At subspace_tol = 1e-15 each range row is the subspace_equal check made
+    # at that tolerance, renamed, and no check is made at the default; rows
+    # of each kind that pass at the default fail here.
+    tol = TolerancePolicy(subspace_tol=1e-15)
+    tols = []
+
+    def recording(p, q, tol=DEFAULT_TOL):
+        tols.append(tol)
+        return subspace_equal(p, q, tol)
+
+    flipped = set()
+    for _, a in corpus1000[:100]:
+        default = closed_range_panel(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(douglas_module, "subspace_equal", recording)
+            items = closed_range_panel(a, tol)
+        assert [item.condition_id for item in items] == _PANEL_IDS
+        assert [item.residual for item in items] == [item.residual for item in default]
+        right, left, factors = items
+        assert right.passed == (right.residual <= 1e-15)
+        assert left.passed == (left.residual <= 1e-15)
+        assert factors.passed == (factors.residual <= 1e-15 * max(1.0, op_norm(a)))
+        flipped |= {item.condition_id for item, was in zip(items, default)
+                    if was.passed and not item.passed}
+    assert tols and all(seen is tol for seen in tols)
+    assert flipped == set(_PANEL_IDS)
+
+
 def test_panel_gram_identities_always_hold():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -207,11 +236,13 @@ def test_douglas_analysis_four_cases(case):
     report = douglas_analysis(a, b)
     assert (report.range_included, report.contraction_ok) == _DOUGLAS_VERDICTS[name]
     residual = op_norm(adjoint(range_basis(b).complement) @ a)
-    assert report.residual_range == residual
-    assert report.range_included == (residual <= tol.subspace_tol * max(1.0, op_norm(a)))
+    assert report.conditions[0] == ("range_included", residual,
+                                    residual <= tol.subspace_tol * max(1.0, op_norm(a)))
     c = pinv(b) @ a
     majorized = min_eigenvalue(b @ adjoint(b) - a @ adjoint(a)) >= -tol.psd_tol
-    assert report.contraction_ok == (op_norm(c) <= 1.0 + tol.subspace_tol if majorized else None)
+    contraction = ("contraction", op_norm(c), op_norm(c) <= 1.0 + tol.subspace_tol)
+    assert report.conditions[1:] == ((contraction,) if majorized else ())
+    assert report.contraction_ok == (contraction[2] if majorized else None)
     if report.range_included:
         np.testing.assert_array_equal(report.factor_c, c)
         assert report.residual_bc_a == op_norm(b @ c - a)
@@ -245,14 +276,16 @@ def test_douglas_analysis_decomposition_counts(monkeypatch):
 
 
 def test_majorization_rejects_overflowed_gram():
-    # B B* - A A* overflows to [[nan, 0], [0, -8]]; it must not pass as PSD.
-    with pytest.raises(NonFinite):
+    # B B* - A A* overflows to [[nan, 0], [0, -8]]; it must not pass as PSD,
+    # and the error names the gap, not the input.
+    with pytest.raises(NonFinite, match=r"majorization gap B B\* - A A\* overflows"):
         douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 1.0]))
 
 
 def test_overflowed_gram_raises_without_warnings():
     # A = B, so the pair is majorized, but its Gram matrices overflow.
-    with warnings.catch_warnings(record=True) as caught, pytest.raises(NonFinite):
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(NonFinite, match=r"majorization gap B B\* - A A\* overflows"):
         warnings.simplefilter("always")
         douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 3.0]))
     assert not caught

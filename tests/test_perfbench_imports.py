@@ -1,10 +1,12 @@
 """The benchmark under ``perfbench/`` reads eplab names that no other test
 imports: each ``from eplab... import`` name there must resolve, and each
 attribute read off such a name must exist, so a change that renames or
-deletes one fails here and not first in the benchmark."""
+deletes one fails here and not first in the benchmark.  The first op of
+each workload also runs through the benchmark's own output check."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,21 @@ def test_workloads_reads_the_four_modules():
     # Also fails when perfbench/ is missing, where the test above has no cases.
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     assert {"cli", "matio", "reports", "zoo"} <= set(_eplab_imports(tree))
+
+
+def _workloads():
+    """``perfbench/workloads.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["propsuite_corpus", "classify_large", "pair_json_io"])
+def test_workload_checker_passes_its_first_op(workload, tmp_path):
+    # The benchmark's gate reads the documents eplab writes; a report field
+    # it reads that is renamed or gone fails here, not as failed ops.
+    workloads = _workloads()
+    ops = workloads.build(workload, 0, tmp_path)
+    assert workloads.Checker(ops).check(0, *workloads.execute(ops[0])) is None

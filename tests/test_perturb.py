@@ -12,7 +12,7 @@ def test_supported_diagonal_perturbation():
     b = np.diag([0.5, 0.0, 0.0])
     rep = check_perturbation(a, b)
     assert abs(rep.hyp_norm_product - 0.25) < 1e-12
-    assert rep.hyp_b_adag_a == 0.0 and rep.hyp_a_adag_b == 0.0
+    assert rep.conditions[:2] == (("b_adag_a", 0.0, True), ("a_adag_b", 0.0, True))
     assert rep.hypotheses_pass
     assert rep.concl_ep and rep.concl_null_equal and rep.concl_range_equal
     # gamma(A+B) = 2 >= 2 - 0.5
@@ -24,7 +24,8 @@ def test_perturbation_hitting_null_space_fails_hypotheses():
     a = np.diag([2.0, 0.0])
     b = np.diag([0.0, 1.0])
     rep = check_perturbation(a, b)
-    assert abs(rep.hyp_a_adag_b - 1.0) < 1e-12  # A A+ B = 0, residual ||B||
+    assert rep.conditions[1].condition_id == "a_adag_b"
+    assert abs(rep.conditions[1].residual - 1.0) < 1e-12  # A A+ B = 0, residual ||B||
     assert not rep.hypotheses_pass
     # conclusions are still evaluated: A+B is invertible diagonal, so EP
     assert rep.concl_ep

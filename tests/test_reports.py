@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eplab
-from eplab import (DouglasReport, TolerancePolicy, ZooReport, check_perturbation,
-                   classify, cli, douglas_analysis, penrose_verify, pinv)
+from eplab import (ConditionCheck, DouglasReport, TolerancePolicy, ZooReport,
+                   check_perturbation, classify, cli, douglas_analysis, penrose_verify, pinv)
 from eplab.errors import NonFinite, ParseError
 from eplab.matio import _decode, _encode
 from eplab.reports import decode_document, dump_document, make_document
@@ -50,8 +50,7 @@ def test_douglas_document_round_trip():
     rep = douglas_analysis(b @ random_complex(rng, 3, 2), b)
     doc = make_document("douglas", rep, "sha256:d", TolerancePolicy())
     _, decoded, _, _ = decode_document(roundtrip(doc))
-    assert decoded.range_included == rep.range_included
-    assert decoded.residual_range == rep.residual_range
+    assert decoded.conditions == rep.conditions
     assert decoded.residual_bc_a == rep.residual_bc_a
     assert decoded.bound_k == rep.bound_k
     assert decoded.contraction_ok is None
@@ -98,8 +97,8 @@ def test_signed_zeros_round_trip_byte_exactly():
     c = np.empty((2, 2), dtype=np.complex128)
     c.real = [[-0.0, 1.0], [0.0, -2.0]]
     c.imag = [[0.0, -0.0], [-0.0, 3.0]]
-    rep = DouglasReport(range_included=True, residual_range=0.0, factor_c=c,
-                        residual_bc_a=-0.0, bound_k=0.5, contraction_ok=None)
+    rep = DouglasReport(conditions=(ConditionCheck("range_included", 0.0, True),), factor_c=c,
+                        residual_bc_a=-0.0, bound_k=0.5)
     text = dump_document(make_document("douglas", rep, "sha256:z", TolerancePolicy()))
     assert text.count("-0.0") == 4
     kind, decoded, digest, tol = decode_document(json.loads(text))
@@ -147,6 +146,16 @@ def _classification_document() -> dict:
                                    TolerancePolicy()))
 
 
+# Reports of an earlier version, whose checks were bare field pairs.
+_BARE_DOUGLAS = {"range_included": True, "residual_range": 0.0, "factor_c": None,
+                 "residual_bc_a": None, "bound_k": None, "contraction_ok": None}
+_BARE_PERTURBATION = {
+    "hyp_norm_product": 0.25, "hyp_b_adag_a": 0.0, "hyp_a_adag_b": 0.0,
+    "hypotheses_pass": True, "concl_ep": True, "concl_null_equal": True,
+    "residual_null_equal": 0.0, "concl_range_equal": True, "residual_range_equal": 0.0,
+    "concl_gamma_bound": True, "gamma_a": 2.0, "gamma_perturbed": 2.0, "norm_b": 0.5}
+
+
 def _without(key: str):
     return lambda doc: {name: value for name, value in doc.items() if name != key}
 
@@ -162,8 +171,11 @@ _ENVELOPE_KEYS = ("tool_version", "input_digest", "tolerance", "kind", "report")
     lambda doc: {**doc, "input_digest": 5},
     lambda doc: {**doc, "kind": "nosuch"},
     lambda doc: {**doc, "kind": "propsuite", "report": []},
+    lambda doc: {**doc, "kind": "douglas", "report": _BARE_DOUGLAS},
+    lambda doc: {**doc, "kind": "perturbation", "report": _BARE_PERTURBATION},
 ], ids=["empty_object", "list", *[f"without_{key}" for key in _ENVELOPE_KEYS],
-        "undeclared_key", "numeric_digest", "unknown_kind", "propsuite_list_report"])
+        "undeclared_key", "numeric_digest", "unknown_kind", "propsuite_list_report",
+        "bare_field_douglas", "bare_field_perturbation"])
 def test_malformed_document_is_parse_error(edit):
     doc = _classification_document()
     decode_document(doc)
