@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, SvdFactors, TolerancePolicy, _cross_norm,
-                   _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm, projector,
-                   subspace_equal, subspace_included)
+                   _formed, _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm,
+                   projector, subspace_equal, subspace_included)
 from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
 
@@ -253,7 +253,8 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     works.  For every ``y``, ``|<A x, y>| <= ||z|| ||A y|| + ||A* z - A x|| ||y||``
     (Cauchy-Schwarz), so the check that the solve residual is within
     tolerance certifies the bound; SolveFailure otherwise.  Returns 0 when
-    ``x`` is in the null space; NaN or Inf in ``x`` is NonFinite.
+    ``x`` is in the null space; NaN or Inf in ``x`` is NonFinite, as is an
+    ``A x`` or ``z`` past the float range, each named, without numpy warnings.
     """
     source = _source(_Operand(a, tol), SourceNotHypoEP,
                      "majorization witness requires a hypo-EP input")
@@ -265,8 +266,9 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
         raise DimensionMismatch(
             f"vector length {vec.shape[0]} does not match matrix size {n}")
 
-    ax = arr @ vec
-    z = source.pinv.conj().T @ ax  # pinv(A*) = pinv(A)*
+    ax = _formed("the image A x", lambda: arr @ vec)
+    # The minimal-norm z is pinv(A*) A x, and pinv(A*) = pinv(A)*.
+    z = _formed("the solution z of A* z = A x", lambda: source.pinv.conj().T @ ax)
     k = float(np.linalg.norm(z))
 
     scale = source.scale * max(1.0, float(np.linalg.norm(vec)))

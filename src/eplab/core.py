@@ -49,6 +49,17 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
+def _formed(what: str, form) -> np.ndarray:
+    """``form()``, a matrix formed from finite operands, computed without
+    numpy's overflow warnings; NonFinite naming ``what`` when an entry is
+    past the float range, so a finite input is never blamed for it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = form()
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite(f"{what} overflows the float range")
+    return arr
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
@@ -337,13 +348,13 @@ class _Operand:
 
     @cached_property
     def gram_left(self) -> _Operand:
-        """``A* A``."""
-        return self.derive(self.arr.conj().T @ self.arr)
+        """``A* A``; NonFinite, naming it, when it overflows."""
+        return self.derive(_formed("the Gram matrix A* A", lambda: self.arr.conj().T @ self.arr))
 
     @cached_property
     def gram_right(self) -> _Operand:
-        """``A A*``."""
-        return self.derive(self.arr @ self.arr.conj().T)
+        """``A A*``; NonFinite, naming it, when it overflows."""
+        return self.derive(_formed("the Gram matrix A A*", lambda: self.arr @ self.arr.conj().T))
 
 
 def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _Operand,
-                   adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm, subspace_equal)
-from .errors import DimensionMismatch, NonFinite
+from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
+                   _Operand, adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm,
+                   subspace_equal)
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,8 @@ def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
     A gap that overflows is NonFinite, naming the gap, raised without numpy's
     warnings.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a)
-    if not np.isfinite(gap).all():
-        raise NonFinite("the majorization gap B B* - A A* overflows the float range")
-    return min_eigenvalue(gap)
+    return min_eigenvalue(_formed("the majorization gap B B* - A A*",
+                                  lambda: arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a)))
 
 
 def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:

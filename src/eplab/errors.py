@@ -6,7 +6,8 @@ class OperatorAnalysisError(Exception):
 
 
 class NonFinite(OperatorAnalysisError):
-    """A matrix contains NaN or Inf entries."""
+    """A value is NaN or infinite: an input entry, or a matrix or report
+    value the library formed that is past the float range."""
 
 
 class BadShape(OperatorAnalysisError, ValueError):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _Operand,
-                   as_matrix, op_norm, subspace_equal)
+from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
+                   _Operand, as_matrix, op_norm, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
 from .classify import _is_ep, _source
 
@@ -64,7 +64,8 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     inclusions ``R(B*) <= R(A*)`` and ``R(B) <= R(A)`` and are measured as
     such, against the bases of A's SVD, with no product of ``A+``.
     ``||B|| ||A+|| < 1`` is the theorem's strict hypothesis, not a
-    residual, and stays the number ``hyp_norm_product``.
+    residual, and stays the number ``hyp_norm_product``.  An ``A + B`` past
+    the float range is NonFinite, naming it, without numpy warnings.
     """
     base, arr_b = _Operand(a, tol), as_matrix(b)
     arr_a = base.arr
@@ -84,7 +85,7 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
         ConditionCheck.judge("a_adag_b", _cross_norm(range_a.complement, arr_b), bound))
     hypotheses_pass = hyp_norm_product < 1.0 and all(check.passed for check in hypotheses)
 
-    perturbed = base.derive(arr_a + arr_b)
+    perturbed = base.derive(_formed("the perturbed matrix A + B", lambda: arr_a + arr_b))
     concl_ep = _is_ep(perturbed)
     conclusions = (
         subspace_equal(perturbed.bases[1], null_a, tol)._replace(condition_id="null_equal"),

@@ -78,43 +78,35 @@ def dump_document(doc: dict) -> str:
     key order, such as ``report.bound_k: inf``, so no document carries
     ``NaN`` or ``Infinity``.
     """
-    try:
-        return _render(doc, "") + "\n"
-    except ValueError as exc:  # json's refusal of NaN and infinity
-        found = next(_non_finite(doc, ""), str(exc))
-        raise NonFinite(f"the report holds a value with no JSON form: {found}") from exc
-
-
-def _non_finite(value, path: str):
-    """``key.path: value`` of each NaN or infinite float in ``value``, in key order."""
-    if isinstance(value, dict):
-        for key, item in sorted(value.items()):
-            yield from _non_finite(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            yield from _non_finite(item, f"{path}[{index}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        yield f"{path}: {float(value)!r}"
+    return _render(doc, "", "") + "\n"
 
 
 # json's C encoder for one scalar or an empty container.
 _encode_leaf = json.JSONEncoder(allow_nan=False).encode
 
 
-def _render(value, indent: str) -> str:
-    """``value`` as json's ``indent=2`` text, its closing bracket at ``indent``."""
+def _render(value, indent: str, path: str) -> str:
+    """``value``, found at the key path ``path``, as json's ``indent=2`` text,
+    its closing bracket at ``indent``; NonFinite at its first NaN or infinity."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        items = [f"{_quote(key)}: {_render(item, inner)}" for key, item in sorted(value.items())]
+        items = [f"{_quote(key)}: {_render(item, inner, f'{path}.{key}' if path else key)}"
+                 for key, item in sorted(value.items())]
         brackets = "{}"
     elif isinstance(value, (list, tuple)) and value:
         if not any(isinstance(item, (dict, list, tuple)) for item in value):
-            # The C encoder writes the items with the indented separator.
-            text = json.JSONEncoder(separators=(",\n" + inner, ": "),
-                                    allow_nan=False).encode(value)
-            return f"[\n{inner}{text[1:-1]}\n{indent}]"
-        items = [_render(item, inner) for item in value]
+            # The C encoder writes the items with the indented separator; it
+            # refuses a NaN or infinity, which the walk below then names.
+            try:
+                text = json.JSONEncoder(separators=(",\n" + inner, ": "),
+                                        allow_nan=False).encode(value)
+                return f"[\n{inner}{text[1:-1]}\n{indent}]"
+            except ValueError:
+                pass
+        items = [_render(item, inner, f"{path}[{index}]") for index, item in enumerate(value)]
         brackets = "[]"
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise NonFinite(f"the report holds a value with no JSON form: {path}: {float(value)!r}")
     else:
         return _encode_leaf(value)
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"

@@ -194,10 +194,7 @@ def _diag_alternating(n: int) -> np.ndarray:
 
 
 def _weighted_shift(n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=np.complex128)
-    for k in range(1, n):
-        a[k, k - 1] = k
-    return a
+    return np.diag(np.arange(1, n, dtype=np.complex128), -1)
 
 
 def _mult_inv_sqrt(n: int) -> np.ndarray:
@@ -207,15 +204,12 @@ def _mult_inv_sqrt(n: int) -> np.ndarray:
 
 def _fourier_derivative(n: int) -> np.ndarray:
     # Compression of i d/dt (periodic) onto the n lowest Fourier modes,
-    # expressed on the uniform grid.  The mode window is symmetric for odd n
-    # and one-sided at the top frequency for even n, which keeps the null
-    # space exactly one-dimensional (the constants) for every n.
-    j = np.arange(n)
-    if n % 2:
-        ks = np.arange(-(n // 2), n // 2 + 1)
-    else:
-        ks = np.arange(-(n // 2) + 1, n // 2 + 1)
-    u = np.exp(2j * np.pi * np.outer(j, ks) / n) / np.sqrt(n)
+    # expressed on the uniform grid.  The mode window -(n-1)//2 .. n//2 is
+    # symmetric for odd n and one-sided at the top frequency for even n,
+    # which keeps the null space exactly one-dimensional (the constants)
+    # for every n.
+    ks = np.arange(n) - (n - 1) // 2
+    u = np.exp(2j * np.pi * np.outer(np.arange(n), ks) / n) / np.sqrt(n)
     eigenvalues = -2.0 * np.pi * ks
     a = (u * eigenvalues) @ u.conj().T
     return (a + a.conj().T) / 2.0
@@ -329,10 +323,7 @@ def _normal(n: int, rng: np.random.Generator) -> np.ndarray:
 def _nilpotent(n: int, rng: np.random.Generator) -> np.ndarray:
     """``c Q J Q*``: ``J`` nilpotent with each superdiagonal entry 1 with
     probability 0.8, Haar ``Q``, ``c`` log-uniform in [1/2, 2]."""
-    jordan = np.zeros((n, n), dtype=np.complex128)
-    mask = rng.random(n - 1) < 0.8
-    for i in np.flatnonzero(mask):
-        jordan[i, i + 1] = 1.0
+    jordan = np.diag((rng.random(n - 1) < 0.8).astype(np.complex128), 1)
     q = haar_unitary(n, rng)
     return float(_log_uniform(rng, ())) * (q @ jordan @ q.conj().T)
 

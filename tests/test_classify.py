@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from eplab import (SubspaceBasis, TolerancePolicy, adjoint, classify, construct_
 from eplab.classify import (_EP_IDS, _HYPO_IDS, _ROUTES, ConditionCheck, _classify,
                             _evaluate, _is_ep)
 from eplab.core import _Operand
-from eplab.errors import (NonFinite, NotSquare, SolveFailure, SourceNotEP,
+from eplab.errors import (DimensionMismatch, NonFinite, NotSquare, SolveFailure, SourceNotEP,
                           SourceNotHypoEP)
 from eplab.zoo import corpus_matrix, haar_unitary, random_ep
 
@@ -419,12 +421,34 @@ def test_majorization_witness_rejects_non_finite_vector(bad):
 
 
 def test_majorization_witness_refuses_an_overflowed_solve():
-    # A x overflows, so the solve residual is NaN; a NaN residual never
-    # passes its bound, so no NaN constant is returned.
-    with np.errstate(all="ignore"), pytest.raises(SolveFailure):
-        majorization_witness(np.diag([1e200, 1e200]), [1e200, 1e200])
+    # A x overflows.  The error names it, with no numpy warning, and does
+    # not blame the input, which is hypo-EP.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"^the image A x overflows the float range$"):
+            majorization_witness(np.diag([1e200, 1e200]), [1e200, 1e200])
+
+
+def test_majorization_witness_vector_length_must_match():
+    with pytest.raises(DimensionMismatch, match="vector length 3 does not match matrix size 2"):
+        majorization_witness(np.eye(2), [1.0, 0.0, 0.0])
 
 
 def test_majorization_witness_requires_hypo_ep():
     with pytest.raises(SourceNotHypoEP):
         majorization_witness(JORDAN, np.array([1.0, 0.0]))
+
+
+def test_condition_lookup_of_an_unknown_id_is_key_error():
+    with pytest.raises(KeyError, match="ep8"):
+        classify(np.eye(2)).condition("ep8")
+
+
+def test_construct_factor_c_refuses_a_matrix_ep_only_at_a_loose_tolerance():
+    # R(A) = span{e1} and R(A*) = span{(1, 0.01)} are about 0.01 apart, so A
+    # is EP at subspace_tol 0.1; A* = A C then fails the fixed slack rule.
+    a = np.array([[1.0, 0.01], [0.0, 0.0]])
+    tol = TolerancePolicy(subspace_tol=0.1)
+    assert classify(a, tol).is_ep
+    with pytest.raises(SolveFailure, match=r"numerically singular \(residual=1\.000e-02"):
+        construct_factor_c(a, tol)

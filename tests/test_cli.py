@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -317,11 +318,12 @@ def test_classify_malformed_json_exits_2(capsys, tmp_path, text):
     ["sweep", "DiagHarmonic", "--sizes", "-3"],
     ["sweep", "DiagHarmonic", "--sizes", "+5"],
     ["sweep", "DiagHarmonic", "--sizes", "1_0"],
+    ["sweep", "DiagHarmonic", "--sizes", ","],
     ["classify", "a.mtx", "--format", "json"],
 ], ids=["no_command", "unknown_command", "no_input", "exclusive_flags", "bad_int",
         "propsuite_negative_seed", "douglas_negative_seed", "douglas_has_no_seed",
         "sweep_zero_size", "sweep_negative_size", "sweep_signed_size",
-        "sweep_underscored_size", "classify_has_no_format"])
+        "sweep_underscored_size", "sweep_no_size", "classify_has_no_format"])
 def test_argparse_errors_exit_64(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and not out
@@ -438,3 +440,14 @@ def test_subcommand_help_lists_its_flags(capsys, command, flags):
     listed = {word.strip("[],") for word in capsys.readouterr().out.split()
               if word.lstrip("[").startswith("--")}
     assert listed == {"--help", *flags}
+
+
+def test_perturb_overflowed_sum_exits_2_without_warnings(capsys, tmp_path):
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, np.diag([1.5e308, 1.0]))
+    write_matrix(b_path, np.diag([1.5e308, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "perturb", str(a_path), str(b_path))
+    assert (code, out) == (2, "")
+    assert err == "error: NonFinite: the perturbed matrix A + B overflows the float range\n"

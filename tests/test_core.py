@@ -1,16 +1,19 @@
 import ast
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eplab
-from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint, classify,
-                   min_eigenvalue, null_basis, numerical_rank, op_norm,
-                   projector, range_basis, subspace_equal, subspace_included,
+from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint, check_perturbation,
+                   classify, closed_range_panel, dagger_identities, ep_closure_suite,
+                   majorization_witness, min_eigenvalue, null_basis, numerical_rank,
+                   op_norm, projector, range_basis, subspace_equal, subspace_included,
                    svd, svdvals)
 from eplab.core import factor_bases
-from eplab.errors import DimensionMismatch, NonFinite
+from eplab.errors import ConvergenceFailure, DimensionMismatch, NonFinite
 from eplab.zoo import haar_frame
 
 from conftest import random_complex
@@ -215,6 +218,8 @@ def test_subspace_basis_validation():
         SubspaceBasis(2, np.array([[1.0], [1.0]], dtype=complex))  # not unit
     with pytest.raises(ValueError):
         SubspaceBasis(3, np.eye(2, dtype=complex))  # wrong ambient
+    with pytest.raises(ValueError, match="subspace dimension exceeds ambient dimension"):
+        SubspaceBasis(2, np.zeros((2, 3), dtype=complex))
 
 
 # -- projector distance as a principal-angle sine ----------------------------
@@ -469,3 +474,52 @@ def test_residual_slack_is_read_only_by_the_named_rules():
     assert _reads("RESIDUAL_SLACK = 1e-9\n", "RESIDUAL_SLACK") == set()
     assert _reads("def f(x):\n    return x * RESIDUAL_SLACK\n", "RESIDUAL_SLACK") == {"f"}
     assert _reads("from .core import RESIDUAL_SLACK\n", "RESIDUAL_SLACK") == {None}
+
+
+_SIGMA_RULE = "sigma must be non-negative, finite and non-increasing"
+
+
+@pytest.mark.parametrize("u, sigma, v, message", [
+    (np.ones((2, 3)), np.ones(2), np.eye(3), "u and v must be square"),
+    (np.eye(2), np.ones(3), np.eye(3), r"sigma must have min\(m, n\) entries"),
+    (np.eye(2), np.array([1.0, -1.0]), np.eye(2), _SIGMA_RULE),
+    (np.eye(2), np.array([1.0, 2.0]), np.eye(2), _SIGMA_RULE),
+    (np.eye(2), np.array([np.inf, 1.0]), np.eye(2), _SIGMA_RULE),
+    (2 * np.eye(2), np.ones(2), np.eye(2), "u columns are not orthonormal"),
+], ids=["not_square", "sigma_length", "negative", "increasing", "infinite", "u_not_unitary"])
+def test_svd_factors_validation(u, sigma, v, message):
+    with pytest.raises(ValueError, match=message):
+        SvdFactors(u=u, sigma=sigma, v=v)
+
+
+@pytest.mark.parametrize("call, routine, name", [
+    (svd, "svd", "SVD"), (svdvals, "svd", "SVD"), (min_eigenvalue, "eigvalsh", "eigvalsh"),
+], ids=["svd", "svdvals", "min_eigenvalue"])
+def test_lapack_failure_is_convergence_failure(monkeypatch, call, routine, name):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(ConvergenceFailure, match=f"^{name} did not converge: no convergence$"):
+        call(np.eye(2))
+
+
+_BIG_EP = np.diag([1e200, 3.0])
+
+
+# Each input is finite; the matrix the call forms from it is not.
+@pytest.mark.parametrize("call, args, formed", [
+    (dagger_identities, (_BIG_EP,), "the Gram matrix A* A"),
+    (closed_range_panel, (_BIG_EP,), "the Gram matrix A A*"),
+    (ep_closure_suite, (_BIG_EP,), "the Gram matrix A A*"),
+    (check_perturbation, (np.diag([1.5e308, 1.0]), np.diag([1.5e308, 0.0])),
+     "the perturbed matrix A + B"),
+    # Invertible, hence hypo-EP, with A x finite; ||A+|| ~ 1e5 takes z past the range.
+    (majorization_witness, (np.array([[1.0, 1e5], [0.0, 1e-5]]), [1e300, 1e300]),
+     "the solution z of A* z = A x"),
+], ids=["dagger_identities", "closed_range_panel", "ep_closure_suite", "check_perturbation",
+        "majorization_witness_z"])
+def test_an_overflowed_formed_matrix_is_named_without_warnings(call, args, formed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=f"^{re.escape(formed)} overflows the float range$"):
+            call(*args)

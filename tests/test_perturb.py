@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from eplab import (check_perturbation, classify, generate_admissible, op_norm,
-                   pinv)
+from eplab import (TolerancePolicy, check_perturbation, classify, generate_admissible,
+                   op_norm, pinv)
 from eplab.errors import DimensionMismatch, NotSquare, SourceNotEP
 from eplab.zoo import random_ep
 
@@ -106,3 +106,12 @@ def test_sharpness_probe_recorded_not_asserted():
     assert not rep.hypotheses_pass
     assert not rep.concl_null_equal  # N(A+B) = {0} != span{e2}
     assert isinstance(rep.concl_ep, bool)
+
+
+def test_failed_conclusion_under_passing_hypotheses_warns():
+    # At subspace_tol 0.1 the 0.05 of B off R(A) passes both compression
+    # hypotheses, but A + B is invertible, so N(A + B) is not N(A).
+    a, b = np.diag([1.0, 1.0, 0.0]), np.diag([0.1, 0.0, 0.05])
+    with pytest.warns(UserWarning, match="hypotheses hold but a conclusion failed"):
+        report = check_perturbation(a, b, TolerancePolicy(subspace_tol=0.1))
+    assert report.hypotheses_pass and not report.concl_null_equal

@@ -1,0 +1,248 @@
+"""Print one sha256 per output family of eplab.
+
+A change meant to keep every byte the program emits the same runs this
+on the parent checkout and on its own and compares the lines; a family
+whose line differs names what changed.  Run from the root of a checkout::
+
+    python3 tools/outputs_digest.py
+
+It takes no flags and imports eplab from the ``src`` of its own checkout.
+Each line is ``<sha256>  <family>``.  The families:
+
+- the propsuite documents of ``--count 1000 --seed 0`` and of
+  ``--count 200 --tol-subspace 1e-15``, with their exit codes;
+- the deterministic zoo sections for n 1..64 and 96..192, random zoo
+  sections, and ``corpus_matrix(i, 0)`` for i < 2000, as raw bytes;
+- the ``eplab sweep`` tables of the deterministic families;
+- ``eplab classify``, ``pinv`` (its document and the written A+),
+  ``douglas`` and ``perturb`` over fixed same-size corpus pairs, each at
+  the default tolerances and at ``--tol-subspace 1e-15``;
+- the ``NonFinite`` messages of fixed cases, in two families: non-finite
+  inputs and report values, the pseudoinverse's ``1/sigma_r`` and the
+  majorization gap; and the other matrices an analysis forms from finite
+  input (the Gram matrices, ``A + B``, ``A x`` and the witness's ``z``).
+
+A CLI output is its exit code, standard output, standard error, the
+warnings it raised and the bytes of every file it wrote.  The commands run
+in-process, in a temporary directory, under relative file names, so no
+digest depends on where the checkout lives.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from eplab import (check_perturbation, closed_range_panel, cli, corpus_matrix,  # noqa: E402
+                   dagger_identities, douglas_analysis, ep_closure_suite, generate,
+                   generate_admissible, majorization_witness, write_matrix)
+from eplab.core import as_matrix  # noqa: E402
+from eplab.reports import dump_document  # noqa: E402
+from eplab.zoo import DETERMINISTIC_FAMILIES, Family, OperatorSpec  # noqa: E402
+
+PROPSUITE_RUNS = (["--count", "1000", "--seed", "0"],
+                  ["--count", "200", "--tol-subspace", "1e-15"])
+ZOO_SIZES = (*range(1, 65), *range(96, 193))
+CORPUS_COUNT = 2000
+PAIR_COUNT = 48
+TOLERANCES = ([], ["--tol-subspace", "1e-15"])
+
+
+def _sha256(items) -> str:
+    """sha256 of ``items``, each as its bytes (``repr`` unless bytes), NUL-separated."""
+    digest = hashlib.sha256()
+    for item in items:
+        digest.update(item if isinstance(item, bytes) else repr(item).encode())
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+def _matrix(arr: np.ndarray) -> tuple:
+    return arr.shape, str(arr.dtype), arr.tobytes()
+
+
+def _caught(call, *args):
+    """``(outcome, warnings)`` of ``call(*args)``: its value, or the name and
+    text of what it raised, and the text of each warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = call(*args)
+        except Exception as exc:  # the digest records every failure by its text
+            outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+def _run(argv: list[str], written: tuple[str, ...] = ()) -> tuple:
+    """One in-process ``eplab`` command in the current directory: its exit
+    code, stdout, stderr, warnings and the bytes of the files ``written``,
+    which are deleted."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code, caught = _caught(cli.main, argv)
+    files = []
+    for name in written:
+        path = Path(name)
+        files.append(path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return argv, code, out.getvalue(), err.getvalue(), caught, files
+
+
+@contextlib.contextmanager
+def _scratch_directory():
+    """Run the block in a new temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
+def propsuite() -> dict[str, str]:
+    with _scratch_directory():
+        return {f"propsuite {' '.join(flags)}": _sha256(_run(["propsuite", *flags]))
+                for flags in PROPSUITE_RUNS}
+
+
+def zoo_sections() -> str:
+    specs = [OperatorSpec(family, n) for family in DETERMINISTIC_FAMILIES for n in ZOO_SIZES
+             if (family, n) != (Family.FOURIER_DERIVATIVE, 1)]
+    specs += [OperatorSpec(family, n, rank, seed)
+              for family in (Family.RANDOM_CLOSED_RANGE, Family.RANDOM_EP)
+              for n in range(1, 33) for rank in sorted({0, n // 2, n}) for seed in (0, n)]
+    return _sha256((spec, *_matrix(matrix), traits)
+                   for spec in specs for matrix, traits in [generate(spec)])
+
+
+def corpus_matrices() -> str:
+    return _sha256((entry.label, *_matrix(entry.matrix))
+                   for entry in map(corpus_matrix, range(CORPUS_COUNT)))
+
+
+def sweep() -> str:
+    sizes = ",".join(map(str, ZOO_SIZES))
+    with _scratch_directory():
+        return _sha256(_run(["sweep", family.value, "--sizes", sizes])
+                       for family in DETERMINISTIC_FAMILIES
+                       if family is not Family.FOURIER_DERIVATIVE)
+
+
+def _pairs(count: int):
+    """``count`` pairs ``(index, A, B)`` of same-size corpus matrices: each
+    corpus matrix is paired with the next one of its size."""
+    waiting, index = {}, 0
+    while count:
+        a = corpus_matrix(index).matrix
+        first = waiting.pop(a.shape, None)
+        if first is None:
+            waiting[a.shape] = a
+        else:
+            yield index, first, a
+            count -= 1
+        index += 1
+
+
+def analyses() -> dict[str, str]:
+    """The CLI outputs of every pair, by command."""
+    runs = {"classify": [], "pinv": [], "douglas": [], "perturb": []}
+    with _scratch_directory():
+        for index, a, b in _pairs(PAIR_COUNT):
+            suffix = (".json", ".mtx")[index % 2]
+            names = {"a": a, "b": b}
+            admissible, _ = _caught(generate_admissible, a, 0.5, index)
+            if isinstance(admissible, np.ndarray):
+                names["adm"] = admissible
+            for name, matrix in names.items():
+                write_matrix(name + suffix, matrix)
+            a_file, b_file = "a" + suffix, "b" + suffix
+            for flags in TOLERANCES:
+                runs["classify"].append(_run(["classify", a_file, *flags]))
+                runs["pinv"].append(_run(["pinv", a_file, "--out", "p" + suffix, *flags],
+                                         written=("p" + suffix,)))
+                runs["douglas"].append(_run(["douglas", a_file, b_file, *flags]))
+                runs["perturb"].append(_run(["perturb", a_file, b_file, *flags]))
+                if "adm" in names:
+                    adm_file = "adm" + suffix
+                    runs["douglas"].append(_run(["douglas", adm_file, a_file, *flags]))
+                    runs["perturb"].append(_run(["perturb", a_file, adm_file, *flags]))
+            for name in names:
+                os.unlink(name + suffix)
+    return {f"cli {command}": _sha256(outputs) for command, outputs in runs.items()}
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+def non_finite_messages() -> str:
+    """Non-finite inputs and report values, an overflowing ``1/sigma_r`` and
+    an overflowing majorization gap."""
+    cases = [
+        (as_matrix, [[1.0, _NAN]]),
+        (majorization_witness, np.diag([1.0, 2.0]), [_INF, 0.0]),
+        (douglas_analysis, np.diag([1e200, 3.0]), np.diag([1e200, 1.0])),
+        (douglas_analysis, np.diag([1e200, 1e200]), np.diag([1e200, 1e200])),
+        (dump_document, {"report": {"bound_k": _INF, "a": 1.0}}),
+        (dump_document, {"report": {"c": {"re": [1.5, _NAN], "im": [-_INF]}}}),
+        (dump_document, [{"x": [0.0, [np.float64(-np.inf)]]}]),
+        (dump_document, {"b": [1.0, 2.0, _NAN, _INF], "a": {"z": -_INF}}),
+    ]
+    with _scratch_directory():
+        write_matrix("tiny.json", [[1e-310]])
+        write_matrix("i.json", np.eye(2))
+        write_matrix("small.json", 1e-200 * np.eye(2))
+        write_matrix("thin.json", np.diag([1.0, 1e-14]))
+        write_matrix("huge.json", np.diag([1e300, 0.0]))
+        runs = [_run(["pinv", "tiny.json", "--out", "p.json"], written=("p.json",)),
+                _run(["classify", "tiny.json"]),
+                _run(["douglas", "i.json", "small.json"]),
+                _run(["perturb", "thin.json", "huge.json"])]
+    return _sha256([*(_caught(*case) for case in cases), *runs])
+
+
+def overflow_messages() -> str:
+    """Finite inputs whose analysis forms a Gram matrix, ``A + B``, ``A x``
+    or the witness's ``z`` past the float range."""
+    big = np.diag([1e200, 3.0])
+    cases = [
+        (majorization_witness, np.diag([1e200, 1e200]), [1e200, 1e200]),
+        (majorization_witness, np.array([[1.0, 1e5], [0.0, 1e-5]]), [1e300, 1e300]),
+        (dagger_identities, big),
+        (closed_range_panel, big),
+        (ep_closure_suite, big),
+        (check_perturbation, np.diag([1.5e308, 1.0]), np.diag([1.5e308, 0.0])),
+    ]
+    with _scratch_directory():
+        write_matrix("a.json", np.diag([1.5e308, 1.0]))
+        write_matrix("b.json", np.diag([1.5e308, 0.0]))
+        runs = [_run(["perturb", "a.json", "b.json"])]
+    return _sha256([*(_caught(*case) for case in cases), *runs])
+
+
+def digests() -> dict[str, str]:
+    """Every family's sha256, by family name, in a fixed order."""
+    return {**propsuite(), "zoo sections": zoo_sections(),
+            "corpus matrices": corpus_matrices(), "sweep": sweep(), **analyses(),
+            "nonfinite messages": non_finite_messages(),
+            "overflow messages": overflow_messages()}
+
+
+def main() -> int:
+    for family, digest in digests().items():
+        print(f"{digest}  {family}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
