@@ -142,12 +142,9 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
 
 
 def _passes(op: _Operand, ids: tuple[str, ...]) -> bool:
+    """Whether every condition of ``ids`` passes; with ``_EP_IDS`` the EP
+    verdict of the callers that read no other condition."""
     return all(check.passed for check in _evaluate(op, ids))
-
-
-def _is_ep(op: _Operand) -> bool:
-    """Conjunction of ep1..ep7, for callers that read no other condition."""
-    return _passes(op, _EP_IDS)
 
 
 _REQUIRED = {SourceNotEP: _EP_IDS, SourceNotHypoEP: _HYPO_IDS}
@@ -206,7 +203,7 @@ def _closure(op: _Operand) -> list[tuple[str, bool]]:
         ("a_star_a", op.gram_left),
         ("modulus", op.derive(_modulus_from_factors(op.factors))),
     )
-    return [(name, _is_ep(member)) for name, member in members]
+    return [(name, _passes(member, _EP_IDS)) for name, member in members]
 
 
 @dataclass(frozen=True)
@@ -269,11 +266,24 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     ax = _formed("the image A x", lambda: arr @ vec)
     # The minimal-norm z is pinv(A*) A x, and pinv(A*) = pinv(A)*.
     z = _formed("the solution z of A* z = A x", lambda: source.pinv.conj().T @ ax)
-    k = float(np.linalg.norm(z))
+    k = _norm(z)
 
-    scale = source.scale * max(1.0, float(np.linalg.norm(vec)))
+    scale = source.scale * max(1.0, _norm(vec))
     bound = max(tol.residual_bound(scale), tol.slack_bound(scale))
-    if not ConditionCheck.judge("solve", np.linalg.norm(star @ z - ax), bound).passed:
+    if not ConditionCheck.judge("solve", _norm(star @ z - ax), bound).passed:
         raise SolveFailure("A* z = A x is not solvable at tolerance; input may not be hypo-EP")
 
     return k
+
+
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a vector whose sum of squares may overflow, with no
+    decomposition: ``np.linalg.norm`` of the vector scaled by the power of
+    two at its largest modulus (Blue 1978).  The scaling is exact, so the
+    value is ``np.linalg.norm``'s wherever that does not overflow or
+    underflow; past the float range it is inf, without numpy warnings."""
+    top = float(np.max(np.abs(vec)))
+    if not 0.0 < top < np.inf:
+        return top
+    power = float(np.ldexp(1.0, np.frexp(top)[1] - 1))
+    return power * float(np.linalg.norm(vec / power))

@@ -148,7 +148,7 @@ def _cmd_zoo(args) -> int:
     spec = OperatorSpec.from_json_dict(_parse_spec_argument(args.spec))
     matrix, traits = generate(spec)
     write_matrix(args.out, matrix)
-    report = ZooReport(spec, traits, str(args.out), *matrix.shape)
+    report = ZooReport(spec, traits, str(args.out))
     digest = bytes_digest(json.dumps(spec.to_json_dict(), sort_keys=True).encode())
     return _write_document("zoo", report, digest, TolerancePolicy())
 

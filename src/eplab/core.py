@@ -205,7 +205,11 @@ def numerical_rank(factors: SvdFactors, tol: TolerancePolicy = DEFAULT_TOL) -> i
 
 
 def _rank(sigma: np.ndarray, shape: tuple[int, int], tol: TolerancePolicy) -> int:
-    """:func:`numerical_rank` of the singular values ``sigma`` of a matrix of ``shape``."""
+    """:func:`numerical_rank` of the singular values ``sigma`` of a matrix of
+    ``shape``; NonFinite when ``sigma_1``, the 2-norm, is past the float range,
+    as it is for a finite matrix whose entries are all 1.5e308."""
+    if len(sigma) and sigma[0] == np.inf:
+        raise NonFinite("the 2-norm sigma_1 of the matrix overflows the float range")
     return int(np.count_nonzero(sigma > tol.rank_threshold(sigma, shape)))
 
 
@@ -223,8 +227,8 @@ class SubspaceBasis:
 
     ``basis`` is ambient_dim-by-k with orthonormal columns; k = 0 encodes the
     zero subspace via an empty basis (never a null value).  A basis built
-    by a caller is checked on construction; those from :func:`factor_bases`
-    are not.
+    by a caller is checked on construction; those from an SVD (the bases of
+    :func:`range_basis`, :func:`null_basis` and of an operand) are not.
     """
 
     ambient_dim: int
@@ -245,29 +249,15 @@ class SubspaceBasis:
     def complement(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement, ambient_dim-by-(ambient_dim - k).
 
-        A basis from :func:`factor_bases` carries the other singular vectors
+        A basis from an SVD carries the other singular vectors
         of its decomposition; any other gets it from one complete QR of
         ``basis`` on first use.
         """
         return _readonly(np.linalg.qr(self.basis, mode="complete")[0][:, self.k:])
 
 
-def factor_bases(factors: SvdFactors,
-                 tol: TolerancePolicy = DEFAULT_TOL) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Range and null-space bases of the decomposed matrix at one rank decision.
-
-    The range basis is the leading left singular vectors, the null basis
-    the trailing right singular vectors; each carries a view of the
-    remaining vectors of the same factor as its complement.
-    """
-    m, n = factors.shape
-    r = numerical_rank(factors, tol)
-    u, v = factors.u, factors.v
-    return _split(m, u[:, :r], u[:, r:]), _split(n, v[:, r:], v[:, :r])
-
-
-def _split(ambient_dim: int, basis: np.ndarray, complement: np.ndarray) -> SubspaceBasis:
-    return _trusted(SubspaceBasis, ambient_dim=ambient_dim, basis=_readonly(basis),
+def _split(basis: np.ndarray, complement: np.ndarray) -> SubspaceBasis:
+    return _trusted(SubspaceBasis, ambient_dim=basis.shape[0], basis=_readonly(basis),
                     complement=complement)
 
 
@@ -334,8 +324,14 @@ class _Operand:
 
     @cached_property
     def bases(self) -> tuple[SubspaceBasis, SubspaceBasis]:
-        """Bases of ``R(A)`` and ``N(A)``, as :func:`factor_bases` gives them."""
-        return factor_bases(self.factors, self.tol)
+        """Bases of ``R(A)`` and ``N(A)``, split at :attr:`rank`.
+
+        The range basis is the leading left singular vectors, the null basis
+        the trailing right singular vectors; each carries a view of the
+        remaining vectors of the same factor as its complement.
+        """
+        r, u, v = self.rank, self.factors.u, self.factors.v
+        return _split(u[:, :r], u[:, r:]), _split(v[:, r:], v[:, :r])
 
     @cached_property
     def adjoint(self) -> _Operand:
@@ -359,12 +355,12 @@ class _Operand:
 
 def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space (leading left singular vectors)."""
-    return factor_bases(svd(a), tol)[0]
+    return _Operand(a, tol).bases[0]
 
 
 def null_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the null space (trailing right singular vectors)."""
-    return factor_bases(svd(a), tol)[1]
+    return _Operand(a, tol).bases[1]
 
 
 def projector(s: SubspaceBasis) -> np.ndarray:

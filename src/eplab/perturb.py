@@ -19,7 +19,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
                    _Operand, as_matrix, op_norm, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
-from .classify import _is_ep, _source
+from .classify import _EP_IDS, _passes, _source
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
     hypotheses_pass = hyp_norm_product < 1.0 and all(check.passed for check in hypotheses)
 
     perturbed = base.derive(_formed("the perturbed matrix A + B", lambda: arr_a + arr_b))
-    concl_ep = _is_ep(perturbed)
+    concl_ep = _passes(perturbed, _EP_IDS)
     conclusions = (
         subspace_equal(perturbed.bases[1], null_a, tol)._replace(condition_id="null_equal"),
         subspace_equal(perturbed.bases[0], range_a, tol)._replace(condition_id="range_equal"))

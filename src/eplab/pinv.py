@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _Operand, min_eigenvalue,
-                   op_norm, projector, subspace_equal)
+from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _formed, _Operand,
+                   min_eigenvalue, op_norm, projector, subspace_equal)
 from .errors import DimensionMismatch
 
 
@@ -58,10 +58,13 @@ def _penrose(op: _Operand, a_dag: _Operand) -> PenroseReport:
         raise DimensionMismatch(
             f"candidate must be {n}x{m} for a {m}x{n} matrix, got {cand.shape}")
 
-    ada, aad = cand @ arr, arr @ cand
+    def product(name: str, form) -> np.ndarray:
+        return _formed(f"the product {name} of the candidate", form)
+
+    ada, aad = product("A+ A", lambda: cand @ arr), product("A A+", lambda: arr @ cand)
     checks = _judged(op, {
-        "a_dag_a_a_dag": op_norm(cand @ aad - cand),
-        "a_a_dag_a": op_norm(aad @ arr - arr),
+        "a_dag_a_a_dag": op_norm(product("A+ A A+", lambda: cand @ aad) - cand),
+        "a_a_dag_a": op_norm(product("A A+ A", lambda: aad @ arr) - arr),
         "sym_a_dag_a": op_norm(ada - ada.conj().T),
         "sym_a_a_dag": op_norm(aad - aad.conj().T),
         "proj_range": op_norm(aad - projector(op.bases[0])),

@@ -130,20 +130,13 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class ZooReport:
-    """The report of ``eplab zoo``: the spec, its expected traits, the path
-    the matrix was written to and the matrix's shape."""
+    """The report of ``eplab zoo``: the spec, its expected traits and the path
+    the matrix was written to.  Every family builds a ``spec.n``-by-``spec.n``
+    section, so the spec is the matrix's shape."""
 
     spec: OperatorSpec
     expected: ExpectedTraits
     written: str
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        for name in ("rows", "cols"):
-            value = getattr(self, name)
-            if not 1 <= value <= MAX_DIMENSION:
-                raise ValueError(f"{name} must lie in [1, {MAX_DIMENSION}], got {value}")
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

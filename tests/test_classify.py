@@ -8,7 +8,7 @@ from eplab import (SubspaceBasis, TolerancePolicy, adjoint, classify, construct_
                    null_basis, numerical_rank, op_norm, pinv, range_basis,
                    subspace_equal, subspace_included, svd)
 from eplab.classify import (_EP_IDS, _HYPO_IDS, _ROUTES, ConditionCheck, _classify,
-                            _evaluate, _is_ep)
+                            _evaluate, _norm, _passes)
 from eplab.core import _Operand
 from eplab.errors import (DimensionMismatch, NonFinite, NotSquare, SolveFailure, SourceNotEP,
                           SourceNotHypoEP)
@@ -248,7 +248,7 @@ def test_ep_only_path_matches_classify_on_corpus():
     # fresh operands on each side, so neither reads what the other cached
     for i in range(300):
         label, a = corpus_matrix(i, seed=0)
-        assert _is_ep(_Operand(a)) == _classify(_Operand(a)).is_ep, label
+        assert _passes(_Operand(a), _EP_IDS) == _classify(_Operand(a)).is_ep, label
 
 
 def test_ep_only_path_matches_classify_on_closure_members():
@@ -271,9 +271,9 @@ def test_ep_only_path_matches_classify_on_closure_members():
     (_tilted(3e-9), TolerancePolicy()),
 ])
 def test_ep_only_path_matches_classify_on_hard_cases(a, tol):
-    assert _is_ep(_Operand(a, tol)) == _classify(_Operand(a, tol)).is_ep
+    assert _passes(_Operand(a, tol), _EP_IDS) == _classify(_Operand(a, tol)).is_ep
     for member in _closure_members(a, tol).values():
-        assert _is_ep(member) == _classify(_Operand(member.arr, tol)).is_ep
+        assert _passes(member, _EP_IDS) == _classify(_Operand(member.arr, tol)).is_ep
 
 
 
@@ -427,6 +427,21 @@ def test_majorization_witness_refuses_an_overflowed_solve():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match=r"^the image A x overflows the float range$"):
             majorization_witness(np.diag([1e200, 1e200]), [1e200, 1e200])
+
+
+def test_majorization_witness_norms_do_not_overflow():
+    # ||z|| = sqrt(2) 1e200 is finite although its sum of squares is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = majorization_witness(np.eye(2), [1e200, 1e200])
+    assert k == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+def test_scaled_norm_is_numpys_norm_bit_for_bit_within_the_float_range():
+    rng = np.random.default_rng(71)
+    for n in range(1, 40):
+        vec = random_complex(rng, n, 1).ravel() * 10.0 ** rng.uniform(-100, 100)
+        assert _norm(vec) == np.linalg.norm(vec)
 
 
 def test_majorization_witness_vector_length_must_match():

@@ -451,3 +451,22 @@ def test_perturb_overflowed_sum_exits_2_without_warnings(capsys, tmp_path):
         code, out, err = run(capsys, "perturb", str(a_path), str(b_path))
     assert (code, out) == (2, "")
     assert err == "error: NonFinite: the perturbed matrix A + B overflows the float range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "big.json"],
+    ["pinv", "big.json", "--out", "p.json"],
+    ["douglas", "big.json", "big.json"],
+    ["perturb", "eye.json", "big.json"],
+], ids=["classify", "pinv", "douglas", "perturb"])
+def test_an_overflowed_two_norm_exits_2_without_warnings(capsys, monkeypatch, tmp_path, argv):
+    # Every entry of big.json is finite; its 2-norm 4.5e308 is not.
+    monkeypatch.chdir(tmp_path)
+    write_matrix("big.json", np.full((3, 3), 1.5e308))
+    write_matrix("eye.json", np.eye(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: NonFinite: the 2-norm sigma_1 of the matrix overflows the float range\n"
+    assert not (tmp_path / "p.json").exists()

@@ -9,10 +9,10 @@ import pytest
 import eplab
 from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint, check_perturbation,
                    classify, closed_range_panel, dagger_identities, ep_closure_suite,
-                   majorization_witness, min_eigenvalue, null_basis, numerical_rank,
-                   op_norm, projector, range_basis, subspace_equal, subspace_included,
-                   svd, svdvals)
-from eplab.core import factor_bases
+                   gamma, majorization_witness, min_eigenvalue, null_basis, numerical_rank,
+                   op_norm, penrose_verify, pinv, projector, range_basis, subspace_equal,
+                   subspace_included, svd, svdvals)
+from eplab.core import _Operand
 from eplab.errors import ConvergenceFailure, DimensionMismatch, NonFinite
 from eplab.zoo import haar_frame
 
@@ -281,18 +281,24 @@ def test_subspace_basis_rejects_gram_error_2e_10():
 def test_factor_bases_match_range_and_null_basis():
     rng = np.random.default_rng(41)
     for m, n, r in [(5, 5, 3), (4, 6, 2), (6, 3, 3), (3, 3, 0)]:
-        a = random_complex(rng, m, r) @ random_complex(rng, r, n)
-        rng_a, nul_a = factor_bases(svd(a))
+        x, y = random_complex(rng, m, r), random_complex(rng, r, n)
+        a = x @ y
+        rng_a, nul_a = _Operand(a).bases
         np.testing.assert_array_equal(rng_a.basis, range_basis(a).basis)
         np.testing.assert_array_equal(nul_a.basis, null_basis(a).basis)
+        # independent reference: R(A) = R(x) and N(A) = R(y*)^perp, from QRs of the factors
+        q_x, q_y = np.linalg.qr(x)[0], np.linalg.qr(y.conj().T)[0]
+        assert (rng_a.k, nul_a.k) == (r, n - r)
+        np.testing.assert_allclose(projector(rng_a), q_x @ q_x.conj().T, atol=1e-12)
+        np.testing.assert_allclose(projector(nul_a), np.eye(n) - q_y @ q_y.conj().T, atol=1e-12)
 
 
 # -- complement-side residuals ------------------------------------------------
 
 def _haar_subspace(n, k, rng):
-    """A Haar subspace of dimension k, as a caller-built and as a factor_bases basis."""
+    """A Haar subspace of dimension k, as a caller-built and as an SVD basis."""
     frame = haar_frame(n, k, rng)
-    return SubspaceBasis(n, frame), factor_bases(svd(frame @ random_complex(rng, k, n)))[0]
+    return SubspaceBasis(n, frame), _Operand(frame @ random_complex(rng, k, n)).bases[0]
 
 
 def test_complement_residuals_match_projector_forms():
@@ -327,7 +333,7 @@ def test_zero_and_whole_space_residuals_are_zero():
 def test_complement_is_orthonormal_and_orthogonal():
     rng = np.random.default_rng(53)
     a = random_complex(rng, 7, 3) @ random_complex(rng, 3, 5)
-    rng_a, nul_a = factor_bases(svd(a))
+    rng_a, nul_a = _Operand(a).bases
     for s in (rng_a, nul_a, SubspaceBasis(7, rng_a.basis.copy())):
         comp = s.complement
         assert comp.shape == (s.ambient_dim, s.ambient_dim - s.k)
@@ -359,7 +365,7 @@ def test_factor_bases_and_svd_skip_construction_checks(monkeypatch):
     monkeypatch.setattr("eplab.core._check_orthonormal", unexpected)
     a = random_complex(np.random.default_rng(59), 6, 4) @ random_complex(
         np.random.default_rng(61), 4, 6)
-    rng_a, nul_a = factor_bases(svd(a))
+    rng_a, nul_a = _Operand(a).bases
     assert (rng_a.k, nul_a.k) == (4, 2)
     assert classify(a).rank == 4
     with pytest.raises(AssertionError):
@@ -504,9 +510,12 @@ def test_lapack_failure_is_convergence_failure(monkeypatch, call, routine, name)
 
 
 _BIG_EP = np.diag([1e200, 3.0])
+# Every entry is finite and ||A||_2 = 4.5e308 is not: sigma_1 is inf, so the
+# rank cut max(m, n) eps sigma_1 would be inf and the rank 0.
+_BIG_NORM = np.full((3, 3), 1.5e308)
 
 
-# Each input is finite; the matrix the call forms from it is not.
+# Each input is finite; the matrix or norm the call forms from it is not.
 @pytest.mark.parametrize("call, args, formed", [
     (dagger_identities, (_BIG_EP,), "the Gram matrix A* A"),
     (closed_range_panel, (_BIG_EP,), "the Gram matrix A A*"),
@@ -516,8 +525,15 @@ _BIG_EP = np.diag([1e200, 3.0])
     # Invertible, hence hypo-EP, with A x finite; ||A+|| ~ 1e5 takes z past the range.
     (majorization_witness, (np.array([[1.0, 1e5], [0.0, 1e-5]]), [1e300, 1e300]),
      "the solution z of A* z = A x"),
+    (penrose_verify, (np.diag([1e200, 1.0]), np.diag([1e200, 1.0])),
+     "the product A+ A of the candidate"),
+    # the one rank rule, under each kind of rank policy
+    (classify, (_BIG_NORM,), "the 2-norm sigma_1 of the matrix"),
+    (pinv, (_BIG_NORM, TolerancePolicy(rank_rel=1e-6)), "the 2-norm sigma_1 of the matrix"),
+    (gamma, (_BIG_NORM, TolerancePolicy(rank_abs=1e-6)), "the 2-norm sigma_1 of the matrix"),
 ], ids=["dagger_identities", "closed_range_panel", "ep_closure_suite", "check_perturbation",
-        "majorization_witness_z"])
+        "majorization_witness_z", "penrose_verify", "classify_sigma_1",
+        "pinv_sigma_1_rank_rel", "gamma_sigma_1_rank_abs"])
 def test_an_overflowed_formed_matrix_is_named_without_warnings(call, args, formed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

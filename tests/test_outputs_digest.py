@@ -20,6 +20,7 @@ def test_run_records_exit_code_streams_and_written_files(monkeypatch, tmp_path):
 def test_prints_one_stable_digest_per_family(capsys, monkeypatch):
     monkeypatch.setattr(outputs_digest, "PROPSUITE_RUNS", (["--count", "2"],))
     monkeypatch.setattr(outputs_digest, "ZOO_SIZES", (1, 2, 3))
+    monkeypatch.setattr(outputs_digest, "ZOO_CLI_SIZES", (2,))
     monkeypatch.setattr(outputs_digest, "CORPUS_COUNT", 4)
     monkeypatch.setattr(outputs_digest, "PAIR_COUNT", 2)
     assert outputs_digest.main() == 0
@@ -27,6 +28,7 @@ def test_prints_one_stable_digest_per_family(capsys, monkeypatch):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     assert [line.split("  ", 1)[1] for line in lines] == [
         "propsuite --count 2", "zoo sections", "corpus matrices", "sweep", "cli classify",
-        "cli pinv", "cli douglas", "cli perturb", "nonfinite messages", "overflow messages"]
+        "cli pinv", "cli douglas", "cli perturb", "cli zoo", "nonfinite messages",
+        "overflow messages"]
     outputs_digest.main()
     assert capsys.readouterr().out.splitlines() == lines

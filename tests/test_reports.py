@@ -185,9 +185,9 @@ def test_malformed_document_is_parse_error(edit):
 
 @pytest.mark.parametrize("edit", [
     lambda report: report["spec"].update(n=0),
-    lambda report: report.update(rows=-3),
-    lambda report: report.update(cols=5000),
-], ids=["spec_n_zero", "negative_rows", "cols_above_cap"])
+    # the earlier shape, which repeated spec.n as rows and cols
+    lambda report: report.update(rows=3, cols=3),
+], ids=["spec_n_zero", "rows_and_cols"])
 def test_out_of_range_zoo_document_is_parse_error(capsys, monkeypatch, tmp_path, edit):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["zoo", '{"family":"WeightedShift","n":3}', "--out", "z.json"]) == 0

@@ -17,10 +17,13 @@ Each line is ``<sha256>  <family>``.  The families:
 - ``eplab classify``, ``pinv`` (its document and the written A+),
   ``douglas`` and ``perturb`` over fixed same-size corpus pairs, each at
   the default tolerances and at ``--tol-subspace 1e-15``;
+- the ``eplab zoo`` documents and the matrix files they write, for every
+  deterministic family at a few sizes and two random specs;
 - the ``NonFinite`` messages of fixed cases, in two families: non-finite
   inputs and report values, the pseudoinverse's ``1/sigma_r`` and the
-  majorization gap; and the other matrices an analysis forms from finite
-  input (the Gram matrices, ``A + B``, ``A x`` and the witness's ``z``).
+  majorization gap; and what overflows from finite input (the Gram
+  matrices, ``A + B``, ``A x``, the witness's ``z`` and its norms, the
+  products of a Penrose candidate, and the 2-norm ``sigma_1``).
 
 A CLI output is its exit code, standard output, standard error, the
 warnings it raised and the bytes of every file it wrote.  The commands run
@@ -33,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -43,9 +47,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from eplab import (check_perturbation, closed_range_panel, cli, corpus_matrix,  # noqa: E402
-                   dagger_identities, douglas_analysis, ep_closure_suite, generate,
-                   generate_admissible, majorization_witness, write_matrix)
+from eplab import (check_perturbation, classify, closed_range_panel, cli,  # noqa: E402
+                   corpus_matrix, dagger_identities, douglas_analysis, ep_closure_suite,
+                   generate, generate_admissible, majorization_witness, penrose_verify,
+                   write_matrix)
 from eplab.core import as_matrix  # noqa: E402
 from eplab.reports import dump_document  # noqa: E402
 from eplab.zoo import DETERMINISTIC_FAMILIES, Family, OperatorSpec  # noqa: E402
@@ -53,6 +58,7 @@ from eplab.zoo import DETERMINISTIC_FAMILIES, Family, OperatorSpec  # noqa: E402
 PROPSUITE_RUNS = (["--count", "1000", "--seed", "0"],
                   ["--count", "200", "--tol-subspace", "1e-15"])
 ZOO_SIZES = (*range(1, 65), *range(96, 193))
+ZOO_CLI_SIZES = (2, 3, 8)
 CORPUS_COUNT = 2000
 PAIR_COUNT = 48
 TOLERANCES = ([], ["--tol-subspace", "1e-15"])
@@ -182,6 +188,21 @@ def analyses() -> dict[str, str]:
     return {f"cli {command}": _sha256(outputs) for command, outputs in runs.items()}
 
 
+def zoo_documents() -> str:
+    """The ``eplab zoo`` outputs, matrix files alternately dense JSON and
+    Matrix Market."""
+    specs = [{"family": family.value, "n": n}
+             for family in DETERMINISTIC_FAMILIES for n in ZOO_CLI_SIZES]
+    specs += [{"family": Family.RANDOM_CLOSED_RANGE.value, "n": 5, "rank": 2, "seed": 1},
+              {"family": Family.RANDOM_EP.value, "n": 4, "rank": 3, "seed": 7}]
+    runs = []
+    with _scratch_directory():
+        for index, spec in enumerate(specs):
+            name = "z" + (".json", ".mtx")[index % 2]
+            runs.append(_run(["zoo", json.dumps(spec), "--out", name], written=(name,)))
+    return _sha256(runs)
+
+
 _INF, _NAN = float("inf"), float("nan")
 
 
@@ -212,21 +233,32 @@ def non_finite_messages() -> str:
 
 
 def overflow_messages() -> str:
-    """Finite inputs whose analysis forms a Gram matrix, ``A + B``, ``A x``
-    or the witness's ``z`` past the float range."""
+    """Finite inputs whose analysis forms a Gram matrix, ``A + B``, ``A x``,
+    the witness's ``z``, a norm of the witness, a product of a Penrose
+    candidate or the 2-norm ``sigma_1`` past the float range."""
     big = np.diag([1e200, 3.0])
+    norm_past_range = np.full((3, 3), 1.5e308)
     cases = [
         (majorization_witness, np.diag([1e200, 1e200]), [1e200, 1e200]),
         (majorization_witness, np.array([[1.0, 1e5], [0.0, 1e-5]]), [1e300, 1e300]),
+        (majorization_witness, np.eye(2), [1e200, 1e200]),
         (dagger_identities, big),
         (closed_range_panel, big),
         (ep_closure_suite, big),
         (check_perturbation, np.diag([1.5e308, 1.0]), np.diag([1.5e308, 0.0])),
+        (penrose_verify, np.diag([1e200, 1.0]), np.diag([1e200, 1.0])),
+        (classify, norm_past_range),
     ]
     with _scratch_directory():
         write_matrix("a.json", np.diag([1.5e308, 1.0]))
         write_matrix("b.json", np.diag([1.5e308, 0.0]))
-        runs = [_run(["perturb", "a.json", "b.json"])]
+        write_matrix("big.json", norm_past_range)
+        write_matrix("eye.json", np.eye(3))
+        runs = [_run(["perturb", "a.json", "b.json"]),
+                _run(["classify", "big.json"]),
+                _run(["pinv", "big.json", "--out", "p.json"], written=("p.json",)),
+                _run(["douglas", "big.json", "big.json"]),
+                _run(["perturb", "eye.json", "big.json"])]
     return _sha256([*(_caught(*case) for case in cases), *runs])
 
 
@@ -234,7 +266,7 @@ def digests() -> dict[str, str]:
     """Every family's sha256, by family name, in a fixed order."""
     return {**propsuite(), "zoo sections": zoo_sections(),
             "corpus matrices": corpus_matrices(), "sweep": sweep(), **analyses(),
-            "nonfinite messages": non_finite_messages(),
+            "cli zoo": zoo_documents(), "nonfinite messages": non_finite_messages(),
             "overflow messages": overflow_messages()}
 
 
