@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, ConditionCheck, SvdFactors, TolerancePolicy, _cross_norm,
-                   _formed, _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm,
-                   projector, subspace_equal, subspace_included)
-from .errors import (DimensionMismatch, NotSquare, SolveFailure, SourceNotEP,
+from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
+                   _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm, projector,
+                   subspace_equal, subspace_included)
+from .errors import (DimensionMismatch, NonFinite, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
 
 
@@ -70,17 +70,19 @@ def modulus(a) -> np.ndarray:
     Computed from the singular decomposition of ``A`` itself, which is the
     spectral decomposition of ``A* A`` with exactly ``A``'s singular values;
     this keeps ``N(|A|) = N(A)`` at the rank-threshold level instead of
-    inflating tiny eigenvalues through the squared Gram matrix.
+    inflating tiny eigenvalues through the squared Gram matrix.  NonFinite
+    when ``sigma_1`` is past the float range, as for :func:`classify`; the
+    root is symmetrized by halves, so a finite ``|A|`` does not overflow.
     """
-    return _modulus_from_factors(_Operand(a).factors)
+    return _modulus(_Operand(a))
 
 
-def _modulus_from_factors(factors: SvdFactors) -> np.ndarray:
-    m, n = factors.shape
-    s_full = np.zeros(n)
-    s_full[: min(m, n)] = factors.sigma
-    root = (factors.v * s_full) @ factors.v.conj().T
-    return (root + root.conj().T) / 2.0
+def _modulus(op: _Operand) -> np.ndarray:
+    """``|A|`` of an operand: ``V diag(sigma) V*`` with its Hermitian part taken."""
+    op.rank  # the rank rule's NonFinite when sigma_1 overflows
+    v, sigma = op.factors.v[:, :len(op.factors.sigma)], op.factors.sigma
+    root = (v * sigma) @ v.conj().T
+    return root / 2.0 + root.conj().T / 2.0
 
 
 # The route of each condition, in report order: a function of the operand
@@ -201,7 +203,7 @@ def _closure(op: _Operand) -> list[tuple[str, bool]]:
         ("adjoint", op.adjoint),
         ("aa_star", op.gram_right),
         ("a_star_a", op.gram_left),
-        ("modulus", op.derive(_modulus_from_factors(op.factors))),
+        ("modulus", op.derive(_modulus(op))),
     )
     return [(name, _passes(member, _EP_IDS)) for name, member in members]
 
@@ -267,13 +269,26 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     # The minimal-norm z is pinv(A*) A x, and pinv(A*) = pinv(A)*.
     z = _formed("the solution z of A* z = A x", lambda: source.pinv.conj().T @ ax)
     k = _norm(z)
+    if k == np.inf:
+        raise NonFinite("the norm ||z|| of the solution z overflows the float range")
 
-    scale = source.scale * max(1.0, _norm(vec))
+    # The solve is judged with both sides divided by p, the power of two at
+    # x's largest modulus (1 when that is below 2), so neither overflows for
+    # a finite x.  The scaling is exact: where the unscaled sides are finite,
+    # the verdict is theirs.
+    p = max(1.0, _power_of_two(vec))
+    scale = source.scale * max(1.0 / p, _norm(vec / p))
     bound = max(tol.residual_bound(scale), tol.slack_bound(scale))
-    if not ConditionCheck.judge("solve", _norm(star @ z - ax), bound).passed:
+    if not ConditionCheck.judge("solve", _norm(star @ (z / p) - ax / p), bound).passed:
         raise SolveFailure("A* z = A x is not solvable at tolerance; input may not be hypo-EP")
 
     return k
+
+
+def _power_of_two(vec: np.ndarray) -> float:
+    """The power of two at the largest modulus of ``vec``'s entries; 0.5 for
+    a zero vector."""
+    return float(np.ldexp(1.0, np.frexp(float(np.max(np.abs(vec))))[1] - 1))
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -281,9 +296,9 @@ def _norm(vec: np.ndarray) -> float:
     decomposition: ``np.linalg.norm`` of the vector scaled by the power of
     two at its largest modulus (Blue 1978).  The scaling is exact, so the
     value is ``np.linalg.norm``'s wherever that does not overflow or
-    underflow; past the float range it is inf, without numpy warnings."""
-    top = float(np.max(np.abs(vec)))
-    if not 0.0 < top < np.inf:
-        return top
-    power = float(np.ldexp(1.0, np.frexp(top)[1] - 1))
-    return power * float(np.linalg.norm(vec / power))
+    underflow; past the float range it is inf, without numpy warnings.  The
+    real and imaginary parts are divided apart: numpy divides a complex
+    number by multiplying with the divisor's reciprocal, which overflows at
+    a subnormal power."""
+    power = _power_of_two(vec)
+    return power * float(np.linalg.norm(vec.real / power + 1j * (vec.imag / power)))

@@ -113,14 +113,6 @@ class TolerancePolicy:
             if value is not None and not 0 < value < float("inf"):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
-    def rank_threshold(self, sigma: np.ndarray, shape: tuple[int, int]) -> float:
-        """Resolve the singular-value cutoff for a matrix of the given shape."""
-        if self.rank_abs is not None:
-            return float(self.rank_abs)
-        smax = float(sigma[0]) if len(sigma) else 0.0
-        factor = self.rank_rel if self.rank_rel is not None else max(shape) * _EPS
-        return float(factor) * smax
-
     def residual_bound(self, scale: float = 1.0) -> float:
         """``subspace_tol * max(1, scale)``: a residual whose exact value is 0
         passes when it is at most this.  ``scale`` is the norm of the matrix
@@ -161,32 +153,13 @@ class ConditionCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Full decomposition ``a = u @ diag(sigma) @ v.conj().T``.
-
-    ``u`` is m-by-m unitary, ``v`` is n-by-n unitary and ``sigma`` holds the
-    min(m, n) singular values sorted non-increasing.  Factors built by a
-    caller are checked for all of this; those from :func:`svd` are not.
-    """
+    """Full decomposition ``a = u @ diag(sigma) @ v.conj().T``, as :func:`svd`
+    returns it: ``u`` is m-by-m unitary, ``v`` is n-by-n unitary and ``sigma``
+    holds the min(m, n) singular values sorted non-increasing."""
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-    def __post_init__(self):
-        m, n = self.u.shape[0], self.v.shape[0]
-        if self.u.shape != (m, m) or self.v.shape != (n, n):
-            raise ValueError("u and v must be square")
-        if len(self.sigma) != min(m, n):
-            raise ValueError("sigma must have min(m, n) entries")
-        s = np.asarray(self.sigma)
-        if np.any(s < 0) or np.any(s[:-1] < s[1:]) or not np.all(np.isfinite(s)):
-            raise ValueError("sigma must be non-negative, finite and non-increasing")
-        _check_orthonormal(self.u, "u")
-        _check_orthonormal(self.v, "v")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.u.shape[0], self.v.shape[0]
 
 
 def svd(a) -> SvdFactors:
@@ -196,21 +169,26 @@ def svd(a) -> SvdFactors:
         u, s, vh = np.linalg.svd(arr, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    return _trusted(SvdFactors, u=_readonly(u), sigma=_readonly(s), v=_readonly(vh.conj().T))
+    return SvdFactors(_readonly(u), _readonly(s), _readonly(vh.conj().T))
 
 
-def numerical_rank(factors: SvdFactors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Number of singular values strictly above the resolved threshold."""
-    return _rank(factors.sigma, factors.shape, tol)
+def numerical_rank(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+    """Number of singular values of ``a`` strictly above the rank cut of ``tol``:
+    the rank of its full SVD that :func:`eplab.classify` reports."""
+    return _Operand(a, tol).rank
 
 
 def _rank(sigma: np.ndarray, shape: tuple[int, int], tol: TolerancePolicy) -> int:
-    """:func:`numerical_rank` of the singular values ``sigma`` of a matrix of
-    ``shape``; NonFinite when ``sigma_1``, the 2-norm, is past the float range,
-    as it is for a finite matrix whose entries are all 1.5e308."""
-    if len(sigma) and sigma[0] == np.inf:
+    """The number of the singular values ``sigma`` of a matrix of ``shape``
+    strictly above the cut: ``rank_abs`` if set, else ``rank_rel`` if set,
+    else ``max(m, n) * eps``, times ``sigma_1``.  NonFinite when ``sigma_1``,
+    the 2-norm, is past the float range, as it is for a finite matrix whose
+    entries are all 1.5e308."""
+    if sigma[0] == np.inf:
         raise NonFinite("the 2-norm sigma_1 of the matrix overflows the float range")
-    return int(np.count_nonzero(sigma > tol.rank_threshold(sigma, shape)))
+    factor = tol.rank_rel if tol.rank_rel is not None else max(shape) * _EPS
+    cut = float(tol.rank_abs) if tol.rank_abs is not None else float(factor) * float(sigma[0])
+    return int(np.count_nonzero(sigma > cut))
 
 
 def _gamma_and_rank(arr: np.ndarray, tol: TolerancePolicy) -> tuple[float, int]:
@@ -298,7 +276,7 @@ class _Operand:
 
     @cached_property
     def rank(self) -> int:
-        return numerical_rank(self.factors, self.tol)
+        return _rank(self.factors.sigma, self.arr.shape, self.tol)
 
     @property
     def scale(self) -> float:
@@ -444,9 +422,10 @@ def growth_bound(c, a) -> float:
 
 
 def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of the Hermitian part ``(A + A*) / 2`` of a square matrix."""
+    """Smallest eigenvalue of the Hermitian part ``(A + A*) / 2`` of a square
+    matrix, formed as ``A/2 + A*/2`` so a finite part does not overflow."""
     arr = as_matrix(a)
-    herm = (arr + arr.conj().T) / 2.0
+    herm = arr / 2.0 + arr.conj().T / 2.0
     try:
         return float(np.linalg.eigvalsh(herm)[0])
     except np.linalg.LinAlgError as exc:

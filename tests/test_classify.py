@@ -6,7 +6,7 @@ import pytest
 from eplab import (SubspaceBasis, TolerancePolicy, adjoint, classify, construct_factor_c,
                    ep_closure_suite, gamma, majorization_witness, modulus,
                    null_basis, numerical_rank, op_norm, pinv, range_basis,
-                   subspace_equal, subspace_included, svd)
+                   subspace_equal, subspace_included)
 from eplab.classify import (_EP_IDS, _HYPO_IDS, _ROUTES, ConditionCheck, _classify,
                             _evaluate, _norm, _passes)
 from eplab.core import _Operand
@@ -89,6 +89,14 @@ def test_modulus_square_root_property():
         # shared null space and R(|A|) = R(A*)
         assert subspace_equal(null_basis(root), null_basis(a)).passed
         assert subspace_equal(range_basis(root), range_basis(adjoint(a))).residual <= 1e-9
+
+
+def test_modulus_of_a_finite_root_does_not_overflow():
+    # |A| = diag(1.5e308, 1): the sum root + root* overflows, its halves do not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = modulus(np.diag([1.5e308, 1.0]))
+    np.testing.assert_array_equal(root, np.diag([1.5e308, 1.0]))
 
 
 # -- classify ----------------------------------------------------------------
@@ -354,7 +362,7 @@ def test_closure_suite_requires_ep():
 def test_factor_c_identity():
     fc = construct_factor_c(np.eye(3))
     np.testing.assert_allclose(fc.c, np.eye(3), atol=1e-14)
-    assert numerical_rank(svd(fc.c)) == 3
+    assert numerical_rank(fc.c) == 3
 
 
 def test_factor_c_hermitian_rank_deficient():
@@ -378,7 +386,7 @@ def test_factor_c_on_random_ep():
         fc = construct_factor_c(a)
         scale = max(1.0, op_norm(a))
         assert fc.residual_factorization <= 1e-9 * scale
-        assert numerical_rank(svd(fc.c)) == 6
+        assert numerical_rank(fc.c) == 6
         assert op_norm(adjoint(a) - a @ fc.c) <= 1e-9 * scale
 
 
@@ -435,6 +443,28 @@ def test_majorization_witness_norms_do_not_overflow():
         warnings.simplefilter("error")
         k = majorization_witness(np.eye(2), [1e200, 1e200])
     assert k == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+def test_majorization_witness_judges_the_solve_at_a_finite_bound(monkeypatch):
+    # ||x|| = 2.1e308 is past the float range, A x = z = (1.5e308, 0) are
+    # not: the constant is right and the solve is judged at a finite bound.
+    bounds, judge = [], ConditionCheck.judge
+    monkeypatch.setattr(ConditionCheck, "judge", lambda cid, residual, bound: (
+        bounds.append((cid, bound)) or judge(cid, residual, bound)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert majorization_witness(np.diag([1.0, 0.0]), [1.5e308, 1.5e308]) == 1.5e308
+    solve = [bound for cid, bound in bounds if cid == "solve"]
+    assert len(solve) == 1 and 0.0 < solve[0] < np.inf
+
+
+def test_majorization_witness_of_a_subnormal_vector():
+    # ||z|| = 1e-320: scaling z by its subnormal power of two must not
+    # overflow on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert majorization_witness(np.eye(2), [1e-320, 0.0]) == 1e-320
+        assert _norm(np.array([3e-320j, 4e-320])) == pytest.approx(5e-320, rel=1e-3)
 
 
 def test_scaled_norm_is_numpys_norm_bit_for_bit_within_the_float_range():

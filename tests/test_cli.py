@@ -453,6 +453,19 @@ def test_perturb_overflowed_sum_exits_2_without_warnings(capsys, tmp_path):
     assert err == "error: NonFinite: the perturbed matrix A + B overflows the float range\n"
 
 
+def test_douglas_of_a_finite_hermitian_part_exits_0_without_warnings(capsys, tmp_path):
+    # B B* = diag(1.69e308, 1) is finite, and A = 0 is majorized by it.
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, np.zeros((2, 2)))
+    write_matrix(b_path, np.diag([1.3e154, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "douglas", str(a_path), str(b_path))
+    assert (code, err) == (0, "")
+    assert [(c["id"], c["passed"]) for c in json.loads(out)["report"]["conditions"]] == [
+        ("range_included", True), ("contraction", True)]
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "big.json"],
     ["pinv", "big.json", "--out", "p.json"],

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 import eplab
-from eplab import (SubspaceBasis, SvdFactors, TolerancePolicy, adjoint, check_perturbation,
-                   classify, closed_range_panel, dagger_identities, ep_closure_suite,
-                   gamma, majorization_witness, min_eigenvalue, null_basis, numerical_rank,
-                   op_norm, penrose_verify, pinv, projector, range_basis, subspace_equal,
-                   subspace_included, svd, svdvals)
+from eplab import (SubspaceBasis, TolerancePolicy, adjoint, check_perturbation,
+                   classify, closed_range_panel, dagger_identities, douglas_analysis,
+                   ep_closure_suite, gamma, majorization_witness, min_eigenvalue, modulus,
+                   null_basis, numerical_rank, op_norm, penrose_verify, pinv, projector,
+                   range_basis, subspace_equal, subspace_included, svd, svdvals)
 from eplab.core import _Operand
 from eplab.errors import ConvergenceFailure, DimensionMismatch, NonFinite
-from eplab.zoo import haar_frame
+from eplab.zoo import corpus_matrix, haar_frame
 
 from conftest import random_complex
 
@@ -59,22 +59,35 @@ def test_svd_rejects_nonfinite():
 
 
 def test_numerical_rank_examples():
-    assert numerical_rank(svd(np.diag([3.0, 1.0, 0.0]))) == 2
+    assert numerical_rank(np.diag([3.0, 1.0, 0.0])) == 2
     # 2*eps*1 > 1e-18 so the tiny value is cut
     assert 2 * EPS > 1e-18
-    f = SvdFactors(u=np.eye(2, dtype=complex), sigma=np.array([1.0, 1e-18]),
-                   v=np.eye(2, dtype=complex))
-    assert numerical_rank(f) == 1
-    empty = SvdFactors(u=np.zeros((0, 0)), sigma=np.zeros(0), v=np.zeros((0, 0)))
-    assert numerical_rank(empty) == 0
+    assert numerical_rank(np.diag([1.0, 1e-18])) == 1
+    assert numerical_rank(np.zeros((2, 3))) == 0
 
 
 def test_numerical_rank_policy_overrides():
-    f = SvdFactors(u=np.eye(2, dtype=complex), sigma=np.array([1.0, 1e-6]),
-                   v=np.eye(2, dtype=complex))
-    assert numerical_rank(f, TolerancePolicy(rank_abs=1e-7)) == 2
-    assert numerical_rank(f, TolerancePolicy(rank_abs=1e-5)) == 1
-    assert numerical_rank(f, TolerancePolicy(rank_rel=1e-5)) == 1
+    a = np.diag([1.0, 1e-6])
+    assert numerical_rank(a, TolerancePolicy(rank_abs=1e-7)) == 2
+    assert numerical_rank(a, TolerancePolicy(rank_abs=1e-5)) == 1
+    assert numerical_rank(a, TolerancePolicy(rank_rel=1e-5)) == 1
+
+
+@pytest.mark.parametrize("tol", [
+    TolerancePolicy(), TolerancePolicy(rank_rel=1e-6), TolerancePolicy(rank_abs=1e-3),
+], ids=["default", "rank_rel", "rank_abs"])
+def test_one_rank_rule_over_the_corpus(tol):
+    # The rule as the README states it, counted by hand on the values-only
+    # SVD that gamma reads: rank_abs if set, else rank_rel * sigma_1, else
+    # max(m, n) * eps * sigma_1.
+    for index in range(200):
+        a = corpus_matrix(index, 0).matrix
+        sigma = np.linalg.svd(a.astype(complex), compute_uv=False)
+        factor = tol.rank_rel if tol.rank_rel is not None else max(a.shape) * EPS
+        cut = tol.rank_abs if tol.rank_abs is not None else factor * sigma[0]
+        rank = int(np.count_nonzero(sigma > cut))
+        assert numerical_rank(a, tol) == classify(a, tol).rank == rank, index
+        assert gamma(a, tol) == (sigma[rank - 1] if rank else 0.0), index
 
 
 def test_tolerance_policy_validation():
@@ -210,7 +223,7 @@ def test_rank_matches_adjoint_rank():
     rng = np.random.default_rng(17)
     for _ in range(10):
         a = random_complex(rng, 5, 4)
-        assert numerical_rank(svd(a)) == numerical_rank(svd(adjoint(a)))
+        assert numerical_rank(a) == numerical_rank(adjoint(a))
 
 
 def test_subspace_basis_validation():
@@ -372,15 +385,6 @@ def test_factor_bases_and_svd_skip_construction_checks(monkeypatch):
         SubspaceBasis(6, rng_a.basis)  # a caller-built basis is still checked
 
 
-def test_svd_factors_rejects_non_unitary_factor():
-    with pytest.raises(ValueError):
-        SvdFactors(u=2.0 * np.eye(2, dtype=complex), sigma=np.array([1.0, 0.5]),
-                   v=np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        SvdFactors(u=np.eye(2, dtype=complex), sigma=np.array([1.0, 0.5]),
-                   v=np.ones((2, 2), dtype=complex))
-
-
 _DECOMPOSITIONS = {"svd", "eigvalsh", "eigh"}
 
 
@@ -482,22 +486,6 @@ def test_residual_slack_is_read_only_by_the_named_rules():
     assert _reads("from .core import RESIDUAL_SLACK\n", "RESIDUAL_SLACK") == {None}
 
 
-_SIGMA_RULE = "sigma must be non-negative, finite and non-increasing"
-
-
-@pytest.mark.parametrize("u, sigma, v, message", [
-    (np.ones((2, 3)), np.ones(2), np.eye(3), "u and v must be square"),
-    (np.eye(2), np.ones(3), np.eye(3), r"sigma must have min\(m, n\) entries"),
-    (np.eye(2), np.array([1.0, -1.0]), np.eye(2), _SIGMA_RULE),
-    (np.eye(2), np.array([1.0, 2.0]), np.eye(2), _SIGMA_RULE),
-    (np.eye(2), np.array([np.inf, 1.0]), np.eye(2), _SIGMA_RULE),
-    (2 * np.eye(2), np.ones(2), np.eye(2), "u columns are not orthonormal"),
-], ids=["not_square", "sigma_length", "negative", "increasing", "infinite", "u_not_unitary"])
-def test_svd_factors_validation(u, sigma, v, message):
-    with pytest.raises(ValueError, match=message):
-        SvdFactors(u=u, sigma=sigma, v=v)
-
-
 @pytest.mark.parametrize("call, routine, name", [
     (svd, "svd", "SVD"), (svdvals, "svd", "SVD"), (min_eigenvalue, "eigvalsh", "eigvalsh"),
 ], ids=["svd", "svdvals", "min_eigenvalue"])
@@ -531,11 +519,30 @@ _BIG_NORM = np.full((3, 3), 1.5e308)
     (classify, (_BIG_NORM,), "the 2-norm sigma_1 of the matrix"),
     (pinv, (_BIG_NORM, TolerancePolicy(rank_rel=1e-6)), "the 2-norm sigma_1 of the matrix"),
     (gamma, (_BIG_NORM, TolerancePolicy(rank_abs=1e-6)), "the 2-norm sigma_1 of the matrix"),
+    (modulus, (_BIG_NORM,), "the 2-norm sigma_1 of the matrix"),
+    # z = x is finite; its norm 2.1e308 is not.
+    (majorization_witness, (np.eye(2), [1.5e308, 1.5e308]), "the norm ||z|| of the solution z"),
 ], ids=["dagger_identities", "closed_range_panel", "ep_closure_suite", "check_perturbation",
         "majorization_witness_z", "penrose_verify", "classify_sigma_1",
-        "pinv_sigma_1_rank_rel", "gamma_sigma_1_rank_abs"])
+        "pinv_sigma_1_rank_rel", "gamma_sigma_1_rank_abs", "modulus_sigma_1",
+        "majorization_witness_norm_z"])
 def test_an_overflowed_formed_matrix_is_named_without_warnings(call, args, formed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match=f"^{re.escape(formed)} overflows the float range$"):
             call(*args)
+
+
+def test_hermitian_part_of_a_finite_matrix_does_not_overflow():
+    # A + A* overflows in the sum, (A + A*) / 2 = diag(1.7e308, -1) does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert min_eigenvalue(np.diag([1.7e308, -1.0])) == -1.0
+        # B B* = diag(1.69e308, 1) is finite, and A = 0 is majorized by any B.
+        report = douglas_analysis(np.zeros((2, 2)), np.diag([1.3e154, 1.0]))
+        # A* A = A A* = diag(1.44e308, 1) is PSD, read from a finite eigenvalue.
+        checks = {check.condition_id: check for check in dagger_identities(
+            np.diag([1.2e154, 1.0]))}
+    assert report.contraction_ok is True
+    for cid in ("gram_left_psd", "gram_right_psd"):
+        assert checks[cid] == (cid, 0.0, True)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from eplab import (adjoint, classify, modulus, null_basis, numerical_rank,
                    op_norm, penrose_verify, pinv, projector, range_basis,
-                   subspace_equal, subspace_included, svd)
+                   subspace_equal, subspace_included)
 
 settings.register_profile("eplab", max_examples=40, deadline=None)
 settings.load_profile("eplab")
@@ -60,7 +60,7 @@ def test_penrose_conditions_hold_at_default_tolerance(a):
 
 @given(structured_matrix())
 def test_rank_agrees_with_adjoint(a):
-    assert numerical_rank(svd(a)) == numerical_rank(svd(adjoint(a)))
+    assert numerical_rank(a) == numerical_rank(adjoint(a))
 
 
 @given(structured_matrix())

@@ -13,6 +13,9 @@ Each line is ``<sha256>  <family>``.  The families:
   ``--count 200 --tol-subspace 1e-15``, with their exit codes;
 - the deterministic zoo sections for n 1..64 and 96..192, random zoo
   sections, and ``corpus_matrix(i, 0)`` for i < 2000, as raw bytes;
+- the rank rule: the rank of each of those corpus matrices' full SVD and
+  its ``gamma``, under the default policy, ``rank_rel=1e-6`` and
+  ``rank_abs=1e-3``;
 - the ``eplab sweep`` tables of the deterministic families;
 - ``eplab classify``, ``pinv`` (its document and the written A+),
   ``douglas`` and ``perturb`` over fixed same-size corpus pairs, each at
@@ -21,9 +24,10 @@ Each line is ``<sha256>  <family>``.  The families:
   deterministic family at a few sizes and two random specs;
 - the ``NonFinite`` messages of fixed cases, in two families: non-finite
   inputs and report values, the pseudoinverse's ``1/sigma_r`` and the
-  majorization gap; and what overflows from finite input (the Gram
-  matrices, ``A + B``, ``A x``, the witness's ``z`` and its norms, the
-  products of a Penrose candidate, and the 2-norm ``sigma_1``).
+  majorization gap; and what overflows, or must not, from finite input
+  (the Gram matrices, ``A + B``, ``A x``, the witness's ``z`` and its
+  norms, the products of a Penrose candidate, the 2-norm ``sigma_1``, the
+  Hermitian part of ``min_eigenvalue`` and the root of ``modulus``).
 
 A CLI output is its exit code, standard output, standard error, the
 warnings it raised and the bytes of every file it wrote.  The commands run
@@ -47,11 +51,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from eplab import (check_perturbation, classify, closed_range_panel, cli,  # noqa: E402
-                   corpus_matrix, dagger_identities, douglas_analysis, ep_closure_suite,
-                   generate, generate_admissible, majorization_witness, penrose_verify,
-                   write_matrix)
-from eplab.core import as_matrix  # noqa: E402
+from eplab import (TolerancePolicy, check_perturbation, classify,  # noqa: E402
+                   closed_range_panel, cli, corpus_matrix, dagger_identities,
+                   douglas_analysis, ep_closure_suite, gamma, generate, generate_admissible,
+                   majorization_witness, min_eigenvalue, modulus, penrose_verify, write_matrix)
+from eplab.core import _Operand, as_matrix  # noqa: E402
 from eplab.reports import dump_document  # noqa: E402
 from eplab.zoo import DETERMINISTIC_FAMILIES, Family, OperatorSpec  # noqa: E402
 
@@ -62,6 +66,8 @@ ZOO_CLI_SIZES = (2, 3, 8)
 CORPUS_COUNT = 2000
 PAIR_COUNT = 48
 TOLERANCES = ([], ["--tol-subspace", "1e-15"])
+RANK_POLICIES = (TolerancePolicy(), TolerancePolicy(rank_rel=1e-6),
+                 TolerancePolicy(rank_abs=1e-3))
 
 
 def _sha256(items) -> str:
@@ -135,6 +141,13 @@ def zoo_sections() -> str:
 def corpus_matrices() -> str:
     return _sha256((entry.label, *_matrix(entry.matrix))
                    for entry in map(corpus_matrix, range(CORPUS_COUNT)))
+
+
+def rank_rule() -> str:
+    """The full-SVD rank and ``gamma`` of each corpus matrix under each policy."""
+    return _sha256((index, tol, _Operand(entry.matrix, tol).rank, gamma(entry.matrix, tol))
+                   for index, entry in enumerate(map(corpus_matrix, range(CORPUS_COUNT)))
+                   for tol in RANK_POLICIES)
 
 
 def sweep() -> str:
@@ -235,7 +248,9 @@ def non_finite_messages() -> str:
 def overflow_messages() -> str:
     """Finite inputs whose analysis forms a Gram matrix, ``A + B``, ``A x``,
     the witness's ``z``, a norm of the witness, a product of a Penrose
-    candidate or the 2-norm ``sigma_1`` past the float range."""
+    candidate or the 2-norm ``sigma_1`` past the float range, and finite
+    inputs whose Hermitian part, modulus, witness bound or witness norm is
+    finite although a sum, norm or reciprocal on the way to it is not."""
     big = np.diag([1e200, 3.0])
     norm_past_range = np.full((3, 3), 1.5e308)
     cases = [
@@ -248,24 +263,36 @@ def overflow_messages() -> str:
         (check_perturbation, np.diag([1.5e308, 1.0]), np.diag([1.5e308, 0.0])),
         (penrose_verify, np.diag([1e200, 1.0]), np.diag([1e200, 1.0])),
         (classify, norm_past_range),
+        (majorization_witness, np.eye(2), [1.5e308, 1.5e308]),
+        (majorization_witness, np.diag([1.0, 0.0]), [1.5e308, 1.5e308]),
+        (min_eigenvalue, np.diag([1.7e308, -1.0])),
+        (douglas_analysis, np.zeros((2, 2)), np.diag([1.3e154, 1.0])),
+        (dagger_identities, np.diag([1.2e154, 1.0])),
+        (modulus, np.full((2, 2), 1e308)),
+        (modulus, np.diag([1.5e308, 1.0])),
+        (majorization_witness, np.eye(2), [1e-320, 0.0]),
     ]
     with _scratch_directory():
         write_matrix("a.json", np.diag([1.5e308, 1.0]))
         write_matrix("b.json", np.diag([1.5e308, 0.0]))
         write_matrix("big.json", norm_past_range)
         write_matrix("eye.json", np.eye(3))
+        write_matrix("zero.json", np.zeros((2, 2)))
+        write_matrix("b154.json", np.diag([1.3e154, 1.0]))
         runs = [_run(["perturb", "a.json", "b.json"]),
                 _run(["classify", "big.json"]),
                 _run(["pinv", "big.json", "--out", "p.json"], written=("p.json",)),
                 _run(["douglas", "big.json", "big.json"]),
-                _run(["perturb", "eye.json", "big.json"])]
+                _run(["perturb", "eye.json", "big.json"]),
+                _run(["douglas", "zero.json", "b154.json"])]
     return _sha256([*(_caught(*case) for case in cases), *runs])
 
 
 def digests() -> dict[str, str]:
     """Every family's sha256, by family name, in a fixed order."""
     return {**propsuite(), "zoo sections": zoo_sections(),
-            "corpus matrices": corpus_matrices(), "sweep": sweep(), **analyses(),
+            "corpus matrices": corpus_matrices(), "rank rule": rank_rule(),
+            "sweep": sweep(), **analyses(),
             "cli zoo": zoo_documents(), "nonfinite messages": non_finite_messages(),
             "overflow messages": overflow_messages()}
 
