@@ -7,8 +7,10 @@ whose verdict is its exit code.
 
 Exit codes: 0 success, 1 propsuite found disagreements, 2 I/O, parse or
 precondition failure, 64 usage error (argparse's own errors included).
-Any failure to decode a matrix file or a spec is a ParseError with exit 2:
-bad UTF-8, bad JSON syntax or nesting depth, or a number out of range.
+Any failure to decode a matrix file is a ParseError with exit 2: bad
+UTF-8, bad JSON syntax or nesting depth, or a number out of range.  So is
+spec text that does not parse as JSON; a spec whose fields cannot make a
+buildable OperatorSpec is a BadSpec, also exit 2.
 Flag values are checked by their argparse types and TolerancePolicy only.
 The suffix sets the format of every matrix file read or written; an unknown
 suffix is a ParseError and writes nothing.  Tolerances come from the flags

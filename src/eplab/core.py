@@ -30,9 +30,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # solve residuals and the gamma perturbation bound.  Read only by
 # TolerancePolicy.slack_bound, which scales it by max(1, ||A||).
 RESIDUAL_SLACK = 1e-9
-# Largest ||B* B - I||_F accepted for the basis of a SubspaceBasis; the
-# Frobenius norm bounds the 2-norm from above.
-ORTHONORMAL_TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -64,22 +61,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
     return out
-
-
-def _trusted(cls, **fields):
-    """Instance of a frozen dataclass built without its ``__post_init__``
-    checks, for values this module computed itself; objects built by
-    callers are checked on construction."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-def _check_orthonormal(x: np.ndarray, what: str) -> None:
-    """ValueError unless ``||x* x - I||_F <= ORTHONORMAL_TOL``; runs no decomposition."""
-    if np.linalg.norm(x.conj().T @ x - np.eye(x.shape[1])) > ORTHONORMAL_TOL:
-        raise ValueError(f"{what} columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -199,44 +180,29 @@ def _gamma_and_rank(arr: np.ndarray, tol: TolerancePolicy) -> tuple[float, int]:
     return (float(sigma[rank - 1]) if rank else 0.0), rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SubspaceBasis:
-    """Orthonormal basis of a subspace of C^ambient_dim.
+    """A subspace of C^ambient_dim as the two parts of one unitary SVD factor.
 
-    ``basis`` is ambient_dim-by-k with orthonormal columns; k = 0 encodes the
-    zero subspace via an empty basis (never a null value).  A basis built
-    by a caller is checked on construction; those from an SVD (the bases of
-    :func:`range_basis`, :func:`null_basis` and of an operand) are not.
+    ``basis`` (ambient_dim-by-k) holds the singular vectors that span the
+    subspace and ``complement`` (ambient_dim-by-(ambient_dim - k)) the rest
+    of the same factor, so each is orthonormal and orthogonal to the other;
+    k = 0 is the zero subspace, an empty basis (never a null value).  Only
+    an operand's :attr:`_Operand.bases` builds one, so the constructor
+    checks nothing; a subspace spanned by a caller's columns is
+    :func:`range_basis` of them.
     """
 
-    ambient_dim: int
     basis: np.ndarray
+    complement: np.ndarray
 
-    def __post_init__(self):
-        if self.basis.shape[0] != self.ambient_dim:
-            raise ValueError("basis rows must equal ambient_dim")
-        if self.basis.shape[1] > self.ambient_dim:
-            raise ValueError("subspace dimension exceeds ambient dimension")
-        _check_orthonormal(self.basis, "basis")
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def k(self) -> int:
         return self.basis.shape[1]
-
-    @cached_property
-    def complement(self) -> np.ndarray:
-        """Orthonormal basis of the orthogonal complement, ambient_dim-by-(ambient_dim - k).
-
-        A basis from an SVD carries the other singular vectors
-        of its decomposition; any other gets it from one complete QR of
-        ``basis`` on first use.
-        """
-        return _readonly(np.linalg.qr(self.basis, mode="complete")[0][:, self.k:])
-
-
-def _split(basis: np.ndarray, complement: np.ndarray) -> SubspaceBasis:
-    return _trusted(SubspaceBasis, ambient_dim=basis.shape[0], basis=_readonly(basis),
-                    complement=complement)
 
 
 class _Operand:
@@ -309,7 +275,8 @@ class _Operand:
         remaining vectors of the same factor as its complement.
         """
         r, u, v = self.rank, self.factors.u, self.factors.v
-        return _split(u[:, :r], u[:, r:]), _split(v[:, r:], v[:, :r])
+        return (SubspaceBasis(basis=_readonly(u[:, :r]), complement=u[:, r:]),
+                SubspaceBasis(basis=_readonly(v[:, r:]), complement=v[:, :r]))
 
     @cached_property
     def adjoint(self) -> _Operand:
@@ -332,7 +299,10 @@ class _Operand:
 
 
 def range_basis(a, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the column space (leading left singular vectors)."""
+    """Orthonormal basis of the column space (leading left singular vectors).
+
+    ``a`` is any spanning set, so this is also the subspace spanned by a
+    caller's own columns."""
     return _Operand(a, tol).bases[0]
 
 

@@ -80,7 +80,8 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     at least ``-psd_tol``; the ``contraction`` check, ``||C||`` judged at
     ``tol.contraction_bound()``, is then made whether or not the inclusion
     holds, and left out otherwise.
-    Neither failure raises; unequal row counts are DimensionMismatch.
+    Neither failure raises; unequal row counts are DimensionMismatch, and a
+    ``C`` past the float range is NonFinite, naming it, without numpy warnings.
     One SVD of ``B`` gives both the inclusion basis and ``pinv(B)``.
     """
     arr_a, op_b = as_matrix(a), _Operand(b, tol)
@@ -88,7 +89,8 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
         raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {op_b.arr.shape[0]}")
     inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
     majorized = _majorization_gap(arr_a, op_b.arr) >= -tol.psd_tol
-    c = op_b.pinv @ arr_a if inclusion.passed or majorized else None
+    c = (_formed("the factor C = pinv(B) A", lambda: op_b.pinv @ arr_a)
+         if inclusion.passed or majorized else None)
     residual_bc_a = bound_k = None
     if inclusion.passed:
         residual_bc_a, bound_k = float(op_norm(op_b.arr @ c - arr_a)), growth_bound(c, arr_a)

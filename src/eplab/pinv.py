@@ -87,7 +87,9 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCh
     factorizations ``(A*A)+ = A+ A*+`` and ``(AA*)+ = A*+ A+``, the
     null-space match ``N(A*+) = N(A)``, and positivity of both Gram
     matrices (reported as the magnitude of any negative eigenvalue).  Each
-    residual passes at ``tol.residual_bound(||A||)``.
+    residual passes at ``tol.residual_bound(||A||)``.  A product ``A+ A*+``
+    or ``A*+ A+`` past the float range is NonFinite, naming it, without
+    numpy warnings.
     Six operands run one SVD each: ``A`` (for ``A+`` and ``N(A)``), ``A*``,
     ``A+``, ``A*+`` (for ``N(A*+)``), ``A* A`` and ``A A*``, except that an
     operand equal by value to one already decomposed takes its factors
@@ -103,8 +105,10 @@ def _identities(op: _Operand) -> list[ConditionCheck]:
     return _judged(op, {
         "double_pinv": op_norm(op.dagger.pinv - arr),
         "adjoint_pinv_swap": op_norm(star_dag - a_dag.conj().T),
-        "gram_left_pinv": op_norm(op.gram_left.pinv - a_dag @ star_dag),
-        "gram_right_pinv": op_norm(op.gram_right.pinv - star_dag @ a_dag),
+        "gram_left_pinv": op_norm(op.gram_left.pinv
+                                  - _formed("the product A+ A*+", lambda: a_dag @ star_dag)),
+        "gram_right_pinv": op_norm(op.gram_right.pinv
+                                   - _formed("the product A*+ A+", lambda: star_dag @ a_dag)),
         "null_space_match": subspace_equal(op.adjoint.dagger.bases[1], op.bases[1]).residual,
         "gram_left_psd": max(0.0, -min_eigenvalue(op.gram_left.arr)),
         "gram_right_psd": max(0.0, -min_eigenvalue(op.gram_right.arr)),

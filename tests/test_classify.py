@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eplab import (SubspaceBasis, TolerancePolicy, adjoint, classify, construct_factor_c,
+from eplab import (TolerancePolicy, adjoint, classify, construct_factor_c,
                    ep_closure_suite, gamma, majorization_witness, modulus,
                    null_basis, numerical_rank, op_norm, pinv, range_basis,
                    subspace_equal, subspace_included)
@@ -178,8 +178,8 @@ def test_norm_inequality_supremum_is_the_inclusion_residual(r_p, r_q):
     # attains it, and no random unit vector exceeds it.
     rng = np.random.default_rng(17 + r_p)
     n = 8
-    p = SubspaceBasis(n, haar_unitary(n, rng)[:, :r_p])
-    q = SubspaceBasis(n, haar_unitary(n, rng)[:, :r_q])
+    p = range_basis(haar_unitary(n, rng)[:, :r_p])
+    q = range_basis(haar_unitary(n, rng)[:, :r_q])
     residual = subspace_included(p, q).residual
 
     def excess(x):

@@ -453,6 +453,18 @@ def test_perturb_overflowed_sum_exits_2_without_warnings(capsys, tmp_path):
     assert err == "error: NonFinite: the perturbed matrix A + B overflows the float range\n"
 
 
+def test_douglas_overflowed_factor_exits_2_without_warnings(capsys, tmp_path):
+    # Both inputs are finite; the factor C = pinv(B) A = 1e310 I is not.
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, 1e150 * np.eye(2))
+    write_matrix(b_path, 1e-160 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "douglas", str(a_path), str(b_path))
+    assert (code, out) == (2, "")
+    assert err == "error: NonFinite: the factor C = pinv(B) A overflows the float range\n"
+
+
 def test_douglas_of_a_finite_hermitian_part_exits_0_without_warnings(capsys, tmp_path):
     # B B* = diag(1.69e308, 1) is finite, and A = 0 is majorized by it.
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"

@@ -13,9 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from eplab import (SubspaceBasis, check_perturbation, classify, closed_range_panel,
-                   dagger_identities, douglas_analysis, ep_closure_suite,
-                   generate_admissible, majorization_witness)
+from eplab import (check_perturbation, classify, closed_range_panel, dagger_identities,
+                   douglas_analysis, ep_closure_suite, generate_admissible,
+                   majorization_witness)
 from eplab import cli, write_matrix
 from eplab import douglas as douglas_module
 from eplab.core import _Operand
@@ -230,13 +230,6 @@ def test_property_suite_computes_no_growth_bound(monkeypatch):
 
     monkeypatch.setattr(douglas_module, "growth_bound", unused)
     assert run_property_suite(10, seed=0)["disagreement_count"] == 0
-
-
-def test_subspace_basis_check_runs_no_decomposition(counts):
-    basis = np.linalg.qr(np.random.default_rng(1).standard_normal((N, 5)))[0]
-    counts.clear()  # the QR that made the basis
-    SubspaceBasis(N, basis.astype(complex))
-    assert not counts
 
 
 def test_classify_subspace_products_avoid_n(operands, counts):

@@ -16,6 +16,11 @@ Each line is ``<sha256>  <family>``.  The families:
 - the rank rule: the rank of each of those corpus matrices' full SVD and
   its ``gamma``, under the default policy, ``rank_rel=1e-6`` and
   ``rank_abs=1e-3``;
+- the subspaces of fixed same-size corpus pairs ``(A, B)``: the bytes of
+  the basis and complement of ``range_basis`` and ``null_basis`` of ``A``,
+  and the ``subspace_equal`` and ``subspace_included`` checks between the
+  range bases and between the null bases of ``A`` and ``B``, at the
+  default tolerances and at ``subspace_tol=1e-15``;
 - the ``eplab sweep`` tables of the deterministic families;
 - ``eplab classify``, ``pinv`` (its document and the written A+),
   ``douglas`` and ``perturb`` over fixed same-size corpus pairs, each at
@@ -26,7 +31,8 @@ Each line is ``<sha256>  <family>``.  The families:
   inputs and report values, the pseudoinverse's ``1/sigma_r`` and the
   majorization gap; and what overflows, or must not, from finite input
   (the Gram matrices, ``A + B``, ``A x``, the witness's ``z`` and its
-  norms, the products of a Penrose candidate, the 2-norm ``sigma_1``, the
+  norms, the products of a Penrose candidate, the Douglas factor ``C``,
+  the products ``A+ A*+`` and ``A*+ A+``, the 2-norm ``sigma_1``, the
   Hermitian part of ``min_eigenvalue`` and the root of ``modulus``).
 
 A CLI output is its exit code, standard output, standard error, the
@@ -40,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -54,7 +61,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from eplab import (TolerancePolicy, check_perturbation, classify,  # noqa: E402
                    closed_range_panel, cli, corpus_matrix, dagger_identities,
                    douglas_analysis, ep_closure_suite, gamma, generate, generate_admissible,
-                   majorization_witness, min_eigenvalue, modulus, penrose_verify, write_matrix)
+                   majorization_witness, min_eigenvalue, modulus, null_basis, penrose_verify,
+                   range_basis, subspace_equal, subspace_included, write_matrix)
 from eplab.core import _Operand, as_matrix  # noqa: E402
 from eplab.reports import dump_document  # noqa: E402
 from eplab.zoo import DETERMINISTIC_FAMILIES, Family, OperatorSpec  # noqa: E402
@@ -68,6 +76,7 @@ PAIR_COUNT = 48
 TOLERANCES = ([], ["--tol-subspace", "1e-15"])
 RANK_POLICIES = (TolerancePolicy(), TolerancePolicy(rank_rel=1e-6),
                  TolerancePolicy(rank_abs=1e-3))
+SUBSPACE_POLICIES = (TolerancePolicy(), TolerancePolicy(subspace_tol=1e-15))
 
 
 def _sha256(items) -> str:
@@ -173,6 +182,19 @@ def _pairs(count: int):
         index += 1
 
 
+def subspaces() -> str:
+    """The range and null bases of each pair's ``A``, and the equality and
+    inclusion checks between the bases of ``A`` and ``B``, under each policy."""
+    items = []
+    for (index, a, b), tol in itertools.product(_pairs(PAIR_COUNT), SUBSPACE_POLICIES):
+        for split in (range_basis, null_basis):
+            p, q = split(a, tol), split(b, tol)
+            items += [index, tol, *_matrix(p.basis), *_matrix(p.complement),
+                      subspace_equal(p, q, tol), subspace_included(p, q, tol),
+                      subspace_included(q, p, tol)]
+    return _sha256(items)
+
+
 def analyses() -> dict[str, str]:
     """The CLI outputs of every pair, by command."""
     runs = {"classify": [], "pinv": [], "douglas": [], "perturb": []}
@@ -248,7 +270,8 @@ def non_finite_messages() -> str:
 def overflow_messages() -> str:
     """Finite inputs whose analysis forms a Gram matrix, ``A + B``, ``A x``,
     the witness's ``z``, a norm of the witness, a product of a Penrose
-    candidate or the 2-norm ``sigma_1`` past the float range, and finite
+    candidate, the Douglas factor ``C``, ``A+ A*+`` or the 2-norm
+    ``sigma_1`` past the float range, and finite
     inputs whose Hermitian part, modulus, witness bound or witness norm is
     finite although a sum, norm or reciprocal on the way to it is not."""
     big = np.diag([1e200, 3.0])
@@ -271,6 +294,8 @@ def overflow_messages() -> str:
         (modulus, np.full((2, 2), 1e308)),
         (modulus, np.diag([1.5e308, 1.0])),
         (majorization_witness, np.eye(2), [1e-320, 0.0]),
+        (douglas_analysis, 1e150 * np.eye(2), 1e-160 * np.eye(2)),
+        (dagger_identities, 1e-200 * np.diag([1.0, 2.0])),
     ]
     with _scratch_directory():
         write_matrix("a.json", np.diag([1.5e308, 1.0]))
@@ -279,12 +304,15 @@ def overflow_messages() -> str:
         write_matrix("eye.json", np.eye(3))
         write_matrix("zero.json", np.zeros((2, 2)))
         write_matrix("b154.json", np.diag([1.3e154, 1.0]))
+        write_matrix("a150.json", 1e150 * np.eye(2))
+        write_matrix("b160.json", 1e-160 * np.eye(2))
         runs = [_run(["perturb", "a.json", "b.json"]),
                 _run(["classify", "big.json"]),
                 _run(["pinv", "big.json", "--out", "p.json"], written=("p.json",)),
                 _run(["douglas", "big.json", "big.json"]),
                 _run(["perturb", "eye.json", "big.json"]),
-                _run(["douglas", "zero.json", "b154.json"])]
+                _run(["douglas", "zero.json", "b154.json"]),
+                _run(["douglas", "a150.json", "b160.json"])]
     return _sha256([*(_caught(*case) for case in cases), *runs])
 
 
@@ -292,7 +320,7 @@ def digests() -> dict[str, str]:
     """Every family's sha256, by family name, in a fixed order."""
     return {**propsuite(), "zoo sections": zoo_sections(),
             "corpus matrices": corpus_matrices(), "rank rule": rank_rule(),
-            "sweep": sweep(), **analyses(),
+            "subspaces": subspaces(), "sweep": sweep(), **analyses(),
             "cli zoo": zoo_documents(), "nonfinite messages": non_finite_messages(),
             "overflow messages": overflow_messages()}
 
