@@ -5,20 +5,22 @@ A square matrix is EP when its range equals the range of its adjoint
 of the adjoint.  Both notions admit several equivalent formulations;
 ``classify`` evaluates every one of them independently and reports each
 residual, because the mutual agreement of the routes is itself the main
-correctness check.  The condition ids, in report order, and the route that
-computes each, or the condition whose residual it copies, are the table
-``_ROUTES``; the README's "Classification conditions" states each condition
-and maps its route.  ep1..ep7 are equivalent, as are hypo1/hypo2;
+correctness check.  Two tables hold them: ``_ROUTES`` maps each route id
+to the function of the operand that measures its residual, and
+``_CONDITIONS`` maps each condition id, in report order, to the id of the
+one route it reads (and, for an equality, the operand whose rank must be
+A's).  The README's "Classification conditions" states each condition and
+maps its route.  ep1..ep7 are equivalent, as are hypo1/hypo2;
 chain2..chain4 are one-way consequences of hypo2 (and collapse back to the
 EP conditions in finite dimension).  Every residual is a scale-free
 projector distance, tested against ``tol.residual_bound()``, that is
 ``subspace_tol``; nothing is sampled.
 
-``classify`` evaluates every id of the table.  The callers that read only
-the EP verdict (the closure suite and its members, ``construct_factor_c``,
+``classify`` evaluates every condition.  The callers that read only the EP
+verdict (the closure suite and its members, ``construct_factor_c``,
 ``check_perturbation`` and ``generate_admissible``) evaluate ep1..ep7 only,
 and ``majorization_witness`` hypo1 and hypo2 only, through the same
-evaluator.
+evaluator, which measures each route they read once.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
-                   _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm, projector,
-                   subspace_equal, subspace_included)
+                   _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm, projector)
 from .errors import (DimensionMismatch, NonFinite, NotSquare, SolveFailure, SourceNotEP,
                      SourceNotHypoEP)
 
@@ -85,62 +86,72 @@ def _modulus(op: _Operand) -> np.ndarray:
     return root / 2.0 + root.conj().T / 2.0
 
 
-# The route of each condition, in report order: a function of the operand
-# that returns its residual, or the id of the condition whose residual it
-# copies.  Every route but ep2 reads the bases of the SVDs of A, A* and A+;
-# ep2 alone reads the products A A+ and A+ A of the computed A+.
+# The routes, by id: each a function of the operand that returns one
+# residual.  ``x_vs_y`` is ||X_perp* Y||, from the bases of the SVDs of A,
+# A* and A+: the sine of the largest principal angle between X and Y when
+# their dimensions are equal, and Y <= X's inclusion residual in any case.
+# The commutator alone reads the products A A+ and A+ A of the computed A+.
 _ROUTES = {
-    "ep1": lambda op: subspace_equal(op.bases[0], op.adjoint.bases[0]).residual,
-    "ep2": lambda op: op_norm(op.arr @ op.pinv - op.pinv @ op.arr),
-    "ep3": lambda op: subspace_equal(op.bases[1], op.dagger.bases[1]).residual,
-    "ep4": lambda op: subspace_equal(op.bases[1], op.adjoint.bases[1]).residual,
-    # ep5's (I - P_N(A)) - P_R(A) is minus ep7's P_R(A) + P_N(A) - I.  The
-    # complement of N(A) and R(A) each have dimension r, so its norm is the
-    # sine of their largest principal angle; N(A) is the complement of the
-    # first, so that sine is ||N(A)* R(A)||.
-    "ep5": lambda op: _cross_norm(op.bases[1].basis, op.bases[0].basis),
-    "ep6": lambda op: subspace_equal(op.dagger.bases[0], op.bases[0]).residual,
-    "ep7": "ep5",
-    "hypo1": lambda op: subspace_included(op.bases[1], op.adjoint.bases[1]).residual,
-    # hypo2's ||R(A+)_perp* R(A)|| is ep6's residual when A+ has A's rank,
-    # and its function then names ep6 instead of computing it again.
-    "hypo2": lambda op: ("ep6" if op.dagger.rank == op.rank else
-                         subspace_included(op.bases[0], op.dagger.bases[0]).residual),
-    # With P = A A+ and Q = A+ A, hypo2's Q P = P is R(A) <= R(A+), and
-    # chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.
-    "chain2": "hypo2",
+    "range_vs_adjoint_range": lambda op: _cross_norm(op.bases[0].complement,
+                                                     op.adjoint.bases[0].basis),
+    "commutator": lambda op: op_norm(op.arr @ op.pinv - op.pinv @ op.arr),
+    "null_vs_dagger_null": lambda op: _cross_norm(op.bases[1].complement,
+                                                  op.dagger.bases[1].basis),
+    "null_vs_adjoint_null": lambda op: _cross_norm(op.bases[1].complement,
+                                                   op.adjoint.bases[1].basis),
+    # N(A) is the complement of the carrier N(A)_perp in V's columns.
+    "carrier_vs_range": lambda op: _cross_norm(op.bases[1].basis, op.bases[0].basis),
+    "dagger_range_vs_range": lambda op: _cross_norm(op.dagger.bases[0].complement,
+                                                    op.bases[0].basis),
+    "adjoint_null_vs_null": lambda op: _cross_norm(op.adjoint.bases[1].complement,
+                                                   op.bases[1].basis),
     # For subspaces of equal dimension the eigenvalues of P_R(A+) - P_R(A)
-    # are the +-sines of their principal angles, so chain3 is hypo2's sine
-    # again, read from an eigendecomposition.
-    "chain3": lambda op: max(0.0, -min_eigenvalue(projector(op.dagger.bases[0])
-                                                  - projector(op.bases[0]))),
-    # chain4's sup of ||P x|| - ||Q x|| over unit x is ||(I - Q) P||, hypo2's.
-    "chain4": "hypo2",
+    # are the +-sines of their principal angles, so this is the sine of
+    # dagger_range_vs_range again, read from an eigendecomposition.
+    "projector_order": lambda op: max(0.0, -min_eigenvalue(projector(op.dagger.bases[0])
+                                                           - projector(op.bases[0]))),
 }
-_IDS = tuple(_ROUTES)
+
+# Each condition, in report order: the id of the route that measures it and,
+# for an equality of subspaces, the operand whose rank must be A's; when it
+# is not, the residual is 1, the projector distance of subspaces of unequal
+# dimensions, and the route is not read.
+_CONDITIONS = {
+    "ep1": ("range_vs_adjoint_range", "adjoint"), "ep2": ("commutator", None),
+    "ep3": ("null_vs_dagger_null", "dagger"), "ep4": ("null_vs_adjoint_null", "adjoint"),
+    # ep5's (I - P_N(A)) - P_R(A) is minus ep7's P_R(A) + P_N(A) - I.  The
+    # carrier N(A)_perp and R(A) each have dimension r, so its norm is the
+    # sine of their largest principal angle.
+    "ep5": ("carrier_vs_range", None), "ep6": ("dagger_range_vs_range", "dagger"),
+    "ep7": ("carrier_vs_range", None), "hypo1": ("adjoint_null_vs_null", None),
+    # hypo2's R(A) <= R(A+) has the inclusion residual ||R(A+)_perp* R(A)||,
+    # ep6's sine when A+ has A's rank.  With P = A A+ and Q = A+ A, hypo2 is
+    # Q P = P, and chain2's P Q = P is its adjoint: ||P Q - P|| = ||(Q P - P)*||.
+    "hypo2": ("dagger_range_vs_range", None), "chain2": ("dagger_range_vs_range", None),
+    # chain4's sup of ||P x|| - ||Q x|| over unit x is ||(I - Q) P||, hypo2's.
+    "chain3": ("projector_order", None), "chain4": ("dagger_range_vs_range", None),
+}
+_IDS = tuple(_CONDITIONS)
 _EP_IDS = tuple(cid for cid in _IDS if cid.startswith("ep"))
 _HYPO_IDS = tuple(cid for cid in _IDS if cid.startswith("hypo"))
 
 
-def _residual(op: _Operand, cid: str, residuals: dict[str, float]) -> float:
-    """The residual of condition ``cid``, from ``residuals`` or else its route,
-    which adds it and that of each condition it copies to ``residuals``."""
-    if cid not in residuals:
-        route = _ROUTES[cid]
-        value = route if isinstance(route, str) else route(op)
-        residuals[cid] = _residual(op, value, residuals) if isinstance(value, str) else value
-    return residuals[cid]
-
-
 def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
-    """The checks of the conditions ``ids`` of ``A``, each distinct route run once;
-    a copy is computed by the route it names, requested or not.  NotSquare
-    unless ``A`` is square."""
+    """The checks of the conditions ``ids`` of ``A``, each route they read
+    measured once.  NotSquare unless ``A`` is square."""
     if op.arr.shape[0] != op.arr.shape[1]:
         raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
-    residuals: dict[str, float] = {}
+    measured: dict[str, float] = {}
+
+    def measure(route: str, rank_operand: str | None) -> float:
+        if rank_operand is not None and op.rank != getattr(op, rank_operand).rank:
+            return 1.0
+        if route not in measured:
+            measured[route] = _ROUTES[route](op)
+        return measured[route]
+
     bound = op.tol.residual_bound()
-    return tuple(ConditionCheck.judge(cid, _residual(op, cid, residuals), bound) for cid in ids)
+    return tuple(ConditionCheck.judge(cid, measure(*_CONDITIONS[cid]), bound) for cid in ids)
 
 
 def _passes(op: _Operand, ids: tuple[str, ...]) -> bool:
@@ -161,7 +172,7 @@ def _source(op: _Operand, error: type[SourceNotEP | SourceNotHypoEP], message: s
 
 
 def _classify(op: _Operand) -> ClassificationReport:
-    """Classify ``A``: every condition of ``_ROUTES``."""
+    """Classify ``A``: every condition of ``_CONDITIONS``."""
     checks = _evaluate(op, _IDS)
     passed = {check.condition_id: check.passed for check in checks}
     return ClassificationReport(is_ep=all(passed[cid] for cid in _EP_IDS),
@@ -177,8 +188,8 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     a tolerance or conditioning problem worth surfacing.  ``is_ep`` is the
     conjunction of ep1..ep7, ``is_hypo_ep`` of hypo1/hypo2.  ``A``, ``A*``
     and ``A+`` are each decomposed once, and ``A*`` not at all when it
-    equals ``A`` (two full SVDs for exactly Hermitian ``A``); ep5 and ep7
-    are one residual.
+    equals ``A`` (two full SVDs for exactly Hermitian ``A``); the twelve
+    conditions read eight routes, each measured once.
     """
     return _classify(_Operand(a, tol))
 

@@ -95,10 +95,12 @@ class TolerancePolicy:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def residual_bound(self, scale: float = 1.0) -> float:
-        """``subspace_tol * max(1, scale)``: a residual whose exact value is 0
-        passes when it is at most this.  ``scale`` is the norm of the matrix
-        the residual is measured on; a sine is scale-free and takes the default."""
-        return self.subspace_tol * max(1.0, scale)
+        """``subspace_tol * scale``: a residual whose exact value is 0 passes
+        when it is at most this.  ``scale`` is the norm of the matrix the
+        residual is measured on, with no floor, so a residual on a small
+        matrix is held to its own size; a sine is scale-free and takes the
+        default."""
+        return self.subspace_tol * scale
 
     def slack_bound(self, scale: float = 1.0) -> float:
         """``RESIDUAL_SLACK * max(1, scale)``, whatever ``subspace_tol`` is: the

@@ -51,7 +51,9 @@ class DouglasReport:
 
 def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> ConditionCheck:
     """``range_included``, ``||U_perp* A||`` judged at ``tol.residual_bound(||A||)``,
-    ``norm_a`` being ``||A||``.
+    ``subspace_tol * ||A||`` with no floor, ``norm_a`` being ``||A||``; the
+    residual is at most ``||A||``, so a floored bound would pass any ``A``
+    of norm at most ``subspace_tol``.
 
     ``U_perp``, the left singular vectors of B's SVD past the rank, spans
     ``R(B)``'s complement, so the residual is ``||(I - P_R(B)) A||``.
@@ -108,7 +110,7 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionC
     (``R(A*) = R(A* A)``), each the :func:`~eplab.core.subspace_equal` check
     of its ranges, a sine judged at ``tol.residual_bound()``,
     and ``factors_through_gram``, the factorization ``A = A A* S`` for
-    ``S = pinv(A A*) A``, judged at ``tol.residual_bound(||A||)``.  Each
+    ``S = pinv(A A*) A``, judged at ``tol.residual_bound(max(1, ||A||))``.  Each
     residual comes from the operands' own SVDs.  Every range is closed in
     finite dimension, so closedness itself, and what A's SVD gives by
     construction (``gamma > 0`` at rank >= 1, the lower bound ``gamma`` on

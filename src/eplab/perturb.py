@@ -28,8 +28,9 @@ class PerturbationReport:
 
     ``conditions`` holds, in this order, the compression hypotheses
     ``b_adag_a`` (``||B A+ A - B||``) and ``a_adag_b`` (``||A A+ B - B||``),
-    each judged at ``tol.residual_bound(||B||)``, and the conclusions
-    ``null_equal`` (``N(A + B) = N(A)``) and ``range_equal``
+    each judged at ``tol.residual_bound(||B||)``, ``subspace_tol * ||B||``
+    with no floor, so a small ``B`` off ``A``'s subspaces fails them; and
+    the conclusions ``null_equal`` (``N(A + B) = N(A)``) and ``range_equal``
     (``R(A + B) = R(A)``), each a subspace sine.  Conclusions are evaluated
     regardless of whether the hypotheses hold, since falsification data is
     useful when probing sharpness.  When the hypotheses pass, all four

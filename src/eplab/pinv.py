@@ -6,7 +6,7 @@ classification so that all rank decisions for one analysis agree.
 ``penrose_verify`` and ``dagger_identities`` re-derive the defining
 conditions and algebraic identities from scratch so they can certify a
 candidate pseudoinverse without trusting its construction.  Both judge each
-residual at ``tol.residual_bound(||A||)``, ``subspace_tol * max(1, ||A||)``.
+residual at ``tol.residual_bound(max(1, ||A||))``, the operand's scale.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class PenroseReport:
     """The six defining conditions of a candidate pseudoinverse, in this order:
     ``a_dag_a_a_dag``, ``a_a_dag_a``, ``sym_a_dag_a``, ``sym_a_a_dag``,
     ``proj_range`` and ``proj_carrier``, each judged at
-    ``tol.residual_bound(||a||_2)``; ``passed`` is true iff all six pass.
+    ``tol.residual_bound(max(1, ||a||_2))``; ``passed`` is true iff all six pass.
     """
 
     conditions: tuple[ConditionCheck, ...]
@@ -75,7 +75,7 @@ def _penrose(op: _Operand, a_dag: _Operand) -> PenroseReport:
 
 def _judged(op: _Operand, residuals: dict[str, float]) -> list[ConditionCheck]:
     """Each named residual of ``residuals``, in order, judged at
-    ``tol.residual_bound(||A||)``."""
+    ``tol.residual_bound(max(1, ||A||))``."""
     bound = op.tol.residual_bound(op.scale)
     return [ConditionCheck.judge(name, residual, bound) for name, residual in residuals.items()]
 
@@ -87,7 +87,7 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCh
     factorizations ``(A*A)+ = A+ A*+`` and ``(AA*)+ = A*+ A+``, the
     null-space match ``N(A*+) = N(A)``, and positivity of both Gram
     matrices (reported as the magnitude of any negative eigenvalue).  Each
-    residual passes at ``tol.residual_bound(||A||)``.  A product ``A+ A*+``
+    residual passes at ``tol.residual_bound(max(1, ||A||))``.  A product ``A+ A*+``
     or ``A*+ A+`` past the float range is NonFinite, naming it, without
     numpy warnings.
     Six operands run one SVD each: ``A`` (for ``A+`` and ``N(A)``), ``A*``,

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from eplab import (TolerancePolicy, adjoint, classify, construct_factor_c,
                    ep_closure_suite, gamma, majorization_witness, modulus,
                    null_basis, numerical_rank, op_norm, pinv, range_basis,
                    subspace_equal, subspace_included)
-from eplab.classify import (_EP_IDS, _HYPO_IDS, _ROUTES, ConditionCheck, _classify,
-                            _evaluate, _norm, _passes)
+from eplab.classify import (_CONDITIONS, _EP_IDS, _HYPO_IDS, _IDS, _ROUTES, ConditionCheck,
+                            _classify, _evaluate, _norm, _passes)
 from eplab.core import _Operand
 from eplab.errors import (DimensionMismatch, NonFinite, NotSquare, SolveFailure, SourceNotEP,
                           SourceNotHypoEP)
@@ -291,25 +292,75 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
-def test_copies_are_bitwise_the_residual_they_copy_on_corpus():
+def test_conditions_that_name_one_route_are_bitwise_one_residual_on_corpus():
+    # an equality reads its route only when its rank operand has A's rank,
+    # and is exactly 1 otherwise
+    shared = Counter(route for route, _ in _CONDITIONS.values())
     conditional = 0
     for i in range(300):
         label, a = corpus_matrix(i, seed=0)
         op = _Operand(a)
         report = _classify(op)
-        for cid, route in _ROUTES.items():
-            target = route if isinstance(route, str) else route(op)
-            if isinstance(target, str):
-                conditional += not isinstance(route, str)
-                assert (_bits(report.condition(cid).residual)
-                        == _bits(report.condition(target).residual)), (label, cid, target)
+        by_route = defaultdict(set)
+        for cid, (route, rank_operand) in _CONDITIONS.items():
+            if rank_operand is not None and getattr(op, rank_operand).rank != op.rank:
+                assert report.condition(cid).residual == 1.0, (label, cid)
+                continue
+            by_route[route].add(_bits(report.condition(cid).residual))
+            conditional += rank_operand is not None and shared[route] > 1
+        assert all(len(bits) == 1 for bits in by_route.values()), label
     assert conditional > 200
+
+
+def test_every_condition_names_one_route_and_every_route_is_named():
+    assert {route for route, _ in _CONDITIONS.values()} == set(_ROUTES)
+    assert all(callable(route) for route in _ROUTES.values())
+    assert {cid: operand for cid, (_, operand) in _CONDITIONS.items() if operand} == {
+        "ep1": "adjoint", "ep3": "dagger", "ep4": "adjoint", "ep6": "dagger"}
+    assert _IDS == tuple(_CONDITIONS)
+
+
+def _near_cut(count: int) -> list[np.ndarray]:
+    """Seeded 3x3 matrices with singular values 1, 1/2 and one within 5% of
+    the rank cut, where the separate SVDs of A, A* and A+ may disagree on
+    the rank."""
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+    return [(haar_unitary(3, rng) * [1.0, 0.5, 3 * eps * rng.uniform(0.95, 1.05)])
+            @ haar_unitary(3, rng).conj().T for _ in range(count)]
+
+
+@pytest.mark.parametrize("ids", [_IDS, _EP_IDS, _HYPO_IDS], ids=["all", "ep", "hypo"])
+def test_evaluate_measures_each_route_it_reads_at_most_once(ids, monkeypatch):
+    counts = Counter()
+
+    def counted(route_id, route):
+        def wrapper(op):
+            counts[route_id] += 1
+            return route(op)
+        return wrapper
+
+    for route_id, route in list(_ROUTES.items()):
+        monkeypatch.setitem(_ROUTES, route_id, counted(route_id, route))
+    mismatched = 0
+    matrices = [corpus_matrix(i, seed=0)[1] for i in range(40)] + _near_cut(40)
+    for a in matrices:
+        counts.clear()
+        _evaluate(_Operand(a), ids)
+        op = _Operand(a)
+        read = {route for route, operand in map(_CONDITIONS.get, ids)
+                if operand is None or getattr(op, operand).rank == op.rank}
+        mismatched += len(read) < len({_CONDITIONS[cid][0] for cid in ids})
+        assert set(counts) == read and max(counts.values()) == 1
+    # the near-cut matrices include ones where a route only a rank-mismatched
+    # equality names is left unmeasured
+    assert mismatched > 0 or ids == _HYPO_IDS
 
 
 @pytest.mark.parametrize("ids", [_HYPO_IDS, _EP_IDS], ids=["hypo", "ep"])
 def test_subsets_match_classify_bitwise_on_corpus(ids):
-    # fresh operands on each side; the hypo subset reaches hypo2's copy of
-    # ep6 without ep6 being requested
+    # fresh operands on each side; the hypo subset reads hypo2's route, which
+    # ep6 shares, without ep6 being requested
     for i in range(300):
         label, a = corpus_matrix(i, seed=0)
         subset = _evaluate(_Operand(a), ids)

@@ -43,6 +43,14 @@ def test_inclusion_disjoint_axes():
     assert not rep.range_included and abs(rep.conditions[0].residual - 1.0) < 1e-12
 
 
+def test_inclusion_of_a_small_operand_is_judged_on_its_own_scale():
+    # span{e2} is not in span{e1}, however small A is: the residual 1e-9 is
+    # all of ||A||, and the bound is subspace_tol * ||A|| = 1e-17
+    rep = douglas_analysis(np.diag([0.0, 1e-9]), np.diag([1.0, 0.0]))
+    assert not rep.range_included and rep.conditions[0].residual == 1e-9
+    assert rep.factor_c is None
+
+
 def test_inclusion_of_exhibited_factor():
     rng = np.random.default_rng(1)
     b = random_complex(rng, 5, 3)

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -24,7 +25,9 @@ def test_prints_one_stable_digest_per_family(capsys, monkeypatch):
     monkeypatch.setattr(outputs_digest, "CORPUS_COUNT", 4)
     monkeypatch.setattr(outputs_digest, "PAIR_COUNT", 2)
     assert outputs_digest.main() == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    assert "BLAS" in captured.err and "OPENBLAS_NUM_THREADS=" in captured.err
+    lines = captured.out.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     assert [line.split("  ", 1)[1] for line in lines] == [
         "propsuite --count 2", "zoo sections", "corpus matrices", "rank rule", "subspaces",
@@ -32,3 +35,10 @@ def test_prints_one_stable_digest_per_family(capsys, monkeypatch):
         "nonfinite messages", "overflow messages"]
     outputs_digest.main()
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_importing_the_tool_changes_no_environment():
+    before = dict(os.environ)
+    spec = importlib.util.spec_from_file_location("outputs_digest_again", _PATH)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert dict(os.environ) == before

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,10 +110,23 @@ def test_sharpness_probe_recorded_not_asserted():
     assert isinstance(rep.concl_ep, bool)
 
 
+def test_small_perturbation_off_the_subspaces_fails_the_hypotheses():
+    # B = diag(0, 1e-9) lies wholly off R(A) and on N(A): each hypothesis
+    # residual is all of ||B||, over the bound subspace_tol * ||B||, so
+    # nothing passes and no conclusion is held to them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_perturbation(np.diag([1.0, 0.0]), np.diag([0.0, 1e-9]))
+    assert [c.residual for c in report.conditions[:2]] == [1e-9, 1e-9]
+    assert not any(c.passed for c in report.conditions[:2])
+    assert not report.hypotheses_pass
+
+
 def test_failed_conclusion_under_passing_hypotheses_warns():
     # At subspace_tol 0.1 the 0.05 of B off R(A) passes both compression
-    # hypotheses, but A + B is invertible, so N(A + B) is not N(A).
-    a, b = np.diag([1.0, 1.0, 0.0]), np.diag([0.1, 0.0, 0.05])
+    # hypotheses at the bound 0.1 * ||B|| = 0.1, but A + B is invertible,
+    # so N(A + B) is not N(A).
+    a, b = np.diag([10.0, 10.0, 0.0]), np.diag([1.0, 0.0, 0.05])
     with pytest.warns(UserWarning, match="hypotheses hold but a conclusion failed"):
         report = check_perturbation(a, b, TolerancePolicy(subspace_tol=0.1))
     assert report.hypotheses_pass and not report.concl_null_equal

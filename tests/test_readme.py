@@ -5,12 +5,10 @@ import re
 import shlex
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from eplab import cli
-from eplab.classify import _ROUTES
-from eplab.core import _Operand
+from eplab.classify import _CONDITIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -49,21 +47,18 @@ def _condition_tables() -> list[list[dict[str, str]]]:
     return [[dict(zip(lines[0], line)) for line in lines[2:]] for lines in rows]
 
 
-def test_readme_condition_tables_list_the_route_table_ids_in_order():
+def test_readme_condition_tables_list_the_condition_ids_in_order():
     tables = _condition_tables()
     assert len(tables) == 2
     for table in tables:
-        assert [row["id"] for row in table] == list(_ROUTES)
+        assert [row["id"] for row in table] == list(_CONDITIONS)
 
 
-def test_readme_route_map_names_every_copy_in_both_rows():
-    # hypo2's route names ep6 when A+ has A's rank, as it has for I.
-    op = _Operand(np.eye(2))
-    copies = {cid: route if isinstance(route, str) else route(op)
-              for cid, route in _ROUTES.items()}
-    copies = {cid: target for cid, target in copies.items() if isinstance(target, str)}
-    assert "ep7" in copies and "hypo2" in copies
-    same = {row["id"]: set(re.findall(r"\b(?:ep|hypo|chain)\d\b", row["same number as"]))
-            for row in _condition_tables()[1]}
-    for cid, target in copies.items():
-        assert target in same[cid] and cid in same[target], (cid, target)
+def test_readme_route_map_names_each_route_and_the_conditions_that_share_it():
+    rows = _condition_tables()[1]
+    for row in rows:
+        route = _CONDITIONS[row["id"]][0]
+        assert row["route"] == f"`{route}`", row["id"]
+        same = set(re.findall(r"\b(?:ep|hypo|chain)\d\b", row["same number as"]))
+        assert same == {cid for cid, (other, _) in _CONDITIONS.items()
+                        if other == route and cid != row["id"]}, row["id"]
