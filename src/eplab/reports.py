@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from . import __version__
@@ -69,44 +68,27 @@ def decode_document(doc: dict):
 def dump_document(doc: dict) -> str:
     """Deterministic JSON rendering (sorted keys, two-space indent).
 
-    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
-    for any JSON tree with string keys and finite floats.  That call runs
-    json's pure-Python encoder; here json's C encoder writes every scalar,
-    every empty container and each list of scalars, such as a matrix
-    payload, in one call.  A NaN or infinite float has no RFC 8259 form and
-    raises NonFinite, which names the key path and value of the first one in
-    key order, such as ``report.bound_k: inf``, so no document carries
-    ``NaN`` or ``Infinity``.
+    The text is ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, json's own.  A NaN or infinite float has no
+    RFC 8259 form, so no document carries ``NaN`` or ``Infinity``: when json
+    refuses one, NonFinite names the key path and value of the first one in
+    key order, such as ``report.bound_k: inf``.
     """
-    return _render(doc, "", "") + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        _raise_non_finite(doc, "")
+        raise
 
 
-# json's C encoder for one scalar or an empty container.
-_encode_leaf = json.JSONEncoder(allow_nan=False).encode
-
-
-def _render(value, indent: str, path: str) -> str:
-    """``value``, found at the key path ``path``, as json's ``indent=2`` text,
-    its closing bracket at ``indent``; NonFinite at its first NaN or infinity."""
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = [f"{_quote(key)}: {_render(item, inner, f'{path}.{key}' if path else key)}"
-                 for key, item in sorted(value.items())]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)) and value:
-        if not any(isinstance(item, (dict, list, tuple)) for item in value):
-            # The C encoder writes the items with the indented separator; it
-            # refuses a NaN or infinity, which the walk below then names.
-            try:
-                text = json.JSONEncoder(separators=(",\n" + inner, ": "),
-                                        allow_nan=False).encode(value)
-                return f"[\n{inner}{text[1:-1]}\n{indent}]"
-            except ValueError:
-                pass
-        items = [_render(item, inner, f"{path}[{index}]") for index, item in enumerate(value)]
-        brackets = "[]"
+def _raise_non_finite(value, path: str) -> None:
+    """NonFinite at the first NaN or infinity in ``value``, found at the key
+    path ``path``, in key order; nothing if it holds none."""
+    if isinstance(value, dict):
+        for key, item in sorted(value.items()):
+            _raise_non_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _raise_non_finite(item, f"{path}[{index}]")
     elif isinstance(value, float) and not math.isfinite(value):
         raise NonFinite(f"the report holds a value with no JSON form: {path}: {float(value)!r}")
-    else:
-        return _encode_leaf(value)
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
