@@ -20,7 +20,7 @@ WeightedShift     (k+1, k) entry = k; the modeled shift is hypo-EP and not
 MultInvSqrt       diag(1/sqrt(t_i)) on the midpoint grid t_i = (i-1/2)/n;
                   entries are >= 1, sections invertible and EP.
 FourierDerivative Hermitian compression of i d/dt with periodic boundary,
-                  built in the discrete Fourier eigenbasis; null space is
+                  the circulant of its discrete Fourier spectrum; null space is
                   the constants and the range is the mean-zero vectors for
                   every n.
 RandomClosedRange prescribed-rank matrix with singular values in [1/2, 2].
@@ -196,15 +196,22 @@ def _mult_inv_sqrt(n: int) -> np.ndarray:
 
 
 def _fourier_derivative(n: int) -> np.ndarray:
-    # Compression of i d/dt (periodic) onto the n lowest Fourier modes,
-    # expressed on the uniform grid.  The mode window -(n-1)//2 .. n//2 is
-    # symmetric for odd n and one-sided at the top frequency for even n,
-    # which keeps the null space exactly one-dimensional (the constants)
-    # for every n.
+    """Compression of i d/dt (periodic) onto the n lowest Fourier modes,
+    expressed on the uniform grid.
+
+    The mode window -(n-1)//2 .. n//2 is symmetric for odd n and one-sided
+    at the top frequency for even n, which keeps the null space exactly
+    one-dimensional (the constants) for every n.  The section is
+    ``U diag(-2 pi k) U*`` for the DFT basis ``U``, a circulant: entry
+    ``(j, l)`` is ``c[(j - l) mod n]`` with ``c_m = (1/n) sum_k (-2 pi k)
+    e^{2 pi i m k / n}``, returned as its Hermitian part.  The column is a
+    numpy sum, not a BLAS product, so the bytes do not depend on the BLAS
+    thread count.
+    """
     ks = np.arange(n) - (n - 1) // 2
-    u = np.exp(2j * np.pi * np.outer(np.arange(n), ks) / n) / np.sqrt(n)
-    eigenvalues = -2.0 * np.pi * ks
-    a = (u * eigenvalues) @ u.conj().T
+    m = np.arange(n)
+    c = (-2.0 * np.pi * ks * np.exp(2j * np.pi * (np.outer(m, ks) % n) / n)).sum(axis=1) / n
+    a = c[(m[:, None] - m) % n]
     return (a + a.conj().T) / 2.0
 
 

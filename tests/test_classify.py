@@ -473,6 +473,17 @@ def test_majorization_witness_bound_holds():
         assert abs(np.vdot(y, a @ x)) <= (k + 1e-8) * np.linalg.norm(a @ y) + 1e-8
 
 
+def test_majorization_witness_refuses_a_solve_off_the_adjoint_range():
+    # At the default cut diag(1, 1e-3) is invertible and z = A x = (0, 1e-3)
+    # gives k = 1.  At rank_abs = 1e-2 the second singular value is cut, so
+    # A is rank 1 (and hypo-EP), A* z reaches only span{e_1}, and
+    # A x = (0, 1e-3) is not in R(A*).
+    a, x = np.diag([1.0, 1e-3]), [0.0, 1.0]
+    assert majorization_witness(a, x) == 1.0
+    with pytest.raises(SolveFailure, match=r"^A\* z = A x is not solvable at tolerance"):
+        majorization_witness(a, x, TolerancePolicy(rank_abs=1e-2))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_majorization_witness_rejects_non_finite_vector(bad):
     with pytest.raises(NonFinite):

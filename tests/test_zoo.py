@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eplab
 from eplab import classify, gamma, numerical_rank, op_norm, projector, range_basis
 from eplab.errors import BadSpec
 from eplab.matio import MAX_DIMENSION
@@ -67,6 +72,44 @@ def test_fourier_derivative_small_sections():
         assert numerical_rank(a) == n - 1
     with pytest.raises(BadSpec):
         make(Family.FOURIER_DERIVATIVE, 1)
+
+
+def _spectral_fourier_derivative(n):
+    """The section by its spectral construction (U diag(lambda)) U* in the
+    DFT basis, a BLAS product: the oracle of the closed form."""
+    ks = np.arange(n) - (n - 1) // 2
+    u = np.exp(2j * np.pi * np.outer(np.arange(n), ks) / n) / np.sqrt(n)
+    a = (u * (-2.0 * np.pi * ks)) @ u.conj().T
+    return (a + a.conj().T) / 2.0
+
+
+def test_fourier_derivative_matches_the_spectral_construction():
+    for n in [*range(2, 65), *range(96, 193)]:
+        a, _ = make(Family.FOURIER_DERIVATIVE, n)
+        oracle = _spectral_fourier_derivative(n)
+        assert np.linalg.norm(a - oracle) <= 1e-12 * np.linalg.norm(oracle), n
+
+
+_FOURIER_SECTIONS_DIGEST = """
+import hashlib
+from eplab.zoo import Family, OperatorSpec, generate
+digest = hashlib.sha256()
+for n in range(130, 191):
+    digest.update(generate(OperatorSpec(Family.FOURIER_DERIVATIVE, n))[0].tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fourier_derivative_bytes_do_not_depend_on_blas_threads():
+    # The sizes where the spectral construction's threaded product made the
+    # bytes differ between one and two OpenBLAS threads.
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(Path(eplab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        digests.add(subprocess.run([sys.executable, "-c", _FOURIER_SECTIONS_DIGEST], env=env,
+                                   check=True, capture_output=True, text=True).stdout)
+    assert len(digests) == 1
 
 
 def test_random_families_need_rank():
