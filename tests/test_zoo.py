@@ -108,7 +108,8 @@ def test_fourier_derivative_bytes_do_not_depend_on_blas_threads():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
             [str(Path(eplab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
         digests.add(subprocess.run([sys.executable, "-c", _FOURIER_SECTIONS_DIGEST], env=env,
-                                   check=True, capture_output=True, text=True).stdout)
+                                   check=True, capture_output=True, text=True,
+                                   timeout=120).stdout)
     assert len(digests) == 1
 
 
