@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
                    _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm, projector)
-from .errors import (DimensionMismatch, NonFinite, NotSquare, SolveFailure, SourceNotEP,
-                     SourceNotHypoEP)
+from .errors import (DimensionMismatch, NonFinite, NotSquare, OperatorAnalysisError,
+                     SolveFailure, SourceNotEP, SourceNotHypoEP)
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,25 @@ _IDS = tuple(_CONDITIONS)
 _EP_IDS = tuple(cid for cid in _IDS if cid.startswith("ep"))
 _HYPO_IDS = tuple(cid for cid in _IDS if cid.startswith("hypo"))
 
+# The operand other than A whose SVD each route reads, if any.
+_ROUTE_READS = {"range_vs_adjoint_range": "adjoint", "null_vs_dagger_null": "dagger",
+                "null_vs_adjoint_null": "adjoint", "dagger_range_vs_range": "dagger",
+                "adjoint_null_vs_null": "adjoint", "projector_order": "dagger"}
+# Each condition's stage when the worker decomposes A* and A+: 0 when it
+# reads neither SVD, 1 when it reads A*'s and 2 when A+'s, through its rank
+# operand or else its route.
+_STAGE = {cid: (None, "adjoint", "dagger").index(rank_operand or _ROUTE_READS.get(route))
+          for cid, (route, rank_operand) in _CONDITIONS.items()}
+
 
 def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
     """The checks of the conditions ``ids`` of ``A``, each route they read
-    measured once.  NotSquare unless ``A`` is square."""
+    measured once.  NotSquare unless ``A`` is square.
+
+    When ``A`` is :attr:`_Operand.concurrent` the routes are first measured
+    by :func:`_overlapped`.  A failure there cancels what is still queued,
+    and the measurement in report order that follows raises what the
+    serial order raises first."""
     if op.arr.shape[0] != op.arr.shape[1]:
         raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
     measured: dict[str, float] = {}
@@ -150,8 +165,27 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
             measured[route] = _ROUTES[route](op)
         return measured[route]
 
+    if op.concurrent:
+        try:
+            _overlapped(op, ids, measure)
+        except OperatorAnalysisError:  # raised again below, in serial order
+            op.settle()
     bound = op.tol.residual_bound()
     return tuple(ConditionCheck.judge(cid, measure(*_CONDITIONS[cid]), bound) for cid in ids)
+
+
+def _overlapped(op: _Operand, ids: tuple[str, ...], measure) -> None:
+    """Measure each condition of ``ids`` while the worker decomposes ``A*``
+    and ``A+``, which every caller's conditions read: ``A*``'s SVD starts
+    before ``A``'s is computed here (none when ``A*`` equals ``A``), and
+    ``A+``'s as soon as ``A+`` is formed.  The conditions go in
+    :data:`_STAGE` order, so those that read ``A+``'s SVD come last."""
+    if not np.array_equal(op.adjoint.arr, op.arr):
+        op.adjoint.start()
+    op.factors  # A's SVD, on this thread
+    op.dagger.start()
+    for cid in sorted(ids, key=_STAGE.get):
+        measure(*_CONDITIONS[cid])
 
 
 def _passes(op: _Operand, ids: tuple[str, ...]) -> bool:
@@ -189,7 +223,10 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     conjunction of ep1..ep7, ``is_hypo_ep`` of hypo1/hypo2.  ``A``, ``A*``
     and ``A+`` are each decomposed once, and ``A*`` not at all when it
     equals ``A`` (two full SVDs for exactly Hermitian ``A``); the twelve
-    conditions read eight routes, each measured once.
+    conditions read eight routes, each measured once.  From order 48 on,
+    the SVDs of ``A*`` and ``A+`` run on a background thread while this
+    one decomposes ``A`` and measures the routes that read neither; the
+    report is bit for bit the serial one.
     """
     return _classify(_Operand(a, tol))
 

@@ -31,7 +31,8 @@ def test_prints_one_stable_digest_per_family(capsys, monkeypatch):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     assert [line.split("  ", 1)[1] for line in lines] == [
         "propsuite --count 2", "zoo sections", "corpus matrices", "rank rule", "subspaces",
-        "sweep", "cli classify", "cli pinv", "cli douglas", "cli perturb", "cli zoo",
+        "sweep", "cli classify", "cli pinv", "cli douglas", "cli perturb",
+        "cli large classify perturb", "cli zoo",
         "nonfinite messages", "overflow messages"]
     outputs_digest.main()
     assert capsys.readouterr().out.splitlines() == lines

@@ -31,6 +31,10 @@ families:
 - ``eplab classify``, ``pinv`` (its document and the written A+),
   ``douglas`` and ``perturb`` over fixed same-size corpus pairs, each at
   the default tolerances and at ``--tol-subspace 1e-15``;
+- ``eplab classify`` of an EP, a closed-range and an exactly Hermitian
+  matrix and ``eplab perturb`` of the EP one and an admissible
+  perturbation, at n 64 and 128, where the SVDs of ``A*`` and ``A+`` run
+  on the background worker;
 - the ``eplab zoo`` documents and the matrix files they write, for every
   deterministic family at a few sizes and two random specs;
 - the ``NonFinite`` messages of fixed cases, in two families: non-finite
@@ -81,6 +85,7 @@ PROPSUITE_RUNS = (["--count", "1000", "--seed", "0"],
                   ["--count", "200", "--tol-subspace", "1e-15"])
 ZOO_SIZES = (*range(1, 65), *range(96, 193))
 ZOO_CLI_SIZES = (2, 3, 8)
+LARGE_SIZES = (64, 128)
 CORPUS_COUNT = 2000
 PAIR_COUNT = 48
 TOLERANCES = ([], ["--tol-subspace", "1e-15"])
@@ -233,6 +238,28 @@ def analyses() -> dict[str, str]:
     return {f"cli {command}": _sha256(outputs) for command, outputs in runs.items()}
 
 
+def large_analyses() -> str:
+    """The CLI outputs of ``classify`` and ``perturb`` on large inputs,
+    matrix files alternately dense JSON and Matrix Market."""
+    runs = []
+    with _scratch_directory():
+        for index, n in enumerate(LARGE_SIZES):
+            rng = np.random.default_rng(n)
+            ep = generate(OperatorSpec(Family.RANDOM_EP, n, 3 * n // 4, n))[0]
+            herm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            names = {"ep": ep, "adm": generate_admissible(ep, 0.5, n),
+                     "cr": generate(OperatorSpec(Family.RANDOM_CLOSED_RANGE, n, n // 2, n))[0],
+                     "herm": herm + herm.conj().T}
+            suffix = (".json", ".mtx")[index % 2]
+            for name, matrix in names.items():
+                write_matrix(name + suffix, matrix)
+            runs += [_run(["classify", name + suffix]) for name in ("ep", "cr", "herm")]
+            runs.append(_run(["perturb", "ep" + suffix, "adm" + suffix]))
+            for name in names:
+                os.unlink(name + suffix)
+    return _sha256(runs)
+
+
 def zoo_documents() -> str:
     """The ``eplab zoo`` outputs, matrix files alternately dense JSON and
     Matrix Market."""
@@ -331,7 +358,8 @@ def digests() -> dict[str, str]:
     return {**propsuite(), "zoo sections": zoo_sections(),
             "corpus matrices": corpus_matrices(), "rank rule": rank_rule(),
             "subspaces": subspaces(), "sweep": sweep(), **analyses(),
-            "cli zoo": zoo_documents(), "nonfinite messages": non_finite_messages(),
+            "cli large classify perturb": large_analyses(), "cli zoo": zoo_documents(),
+            "nonfinite messages": non_finite_messages(),
             "overflow messages": overflow_messages()}
 
 
