@@ -5,16 +5,17 @@ A square matrix is EP when its range equals the range of its adjoint
 of the adjoint.  Both notions admit several equivalent formulations;
 ``classify`` evaluates every one of them independently and reports each
 residual, because the mutual agreement of the routes is itself the main
-correctness check.  Two tables hold them: ``_ROUTES`` maps each route id
-to the function of the operand that measures its residual, and
-``_CONDITIONS`` maps each condition id, in report order, to the id of the
-one route it reads (and, for an equality, the operand whose rank must be
-A's).  The README's "Classification conditions" states each condition and
-maps its route.  ep1..ep7 are equivalent, as are hypo1/hypo2;
-chain2..chain4 are one-way consequences of hypo2 (and collapse back to the
-EP conditions in finite dimension).  Every residual is a scale-free
-projector distance, tested against ``tol.residual_bound()``, that is
-``subspace_tol``; nothing is sampled.
+correctness check.  Two tables hold them: ``_ROUTES`` maps each route id,
+in measuring order, to the function of the operand that measures its
+residual, and ``_CONDITIONS`` maps each condition id, in report order, to
+the id of the one route it reads (and, for an equality, the operand whose
+rank must be A's, which is the operand that route reads).  The README's
+"Classification conditions" states each condition and maps its route.
+ep1..ep7 are equivalent, as are hypo1/hypo2; chain2..chain4 are one-way
+consequences of hypo2 (and collapse back to the EP conditions in finite
+dimension).  Every residual is a scale-free projector distance, tested
+against ``tol.residual_bound()``, that is ``subspace_tol``; nothing is
+sampled.
 
 ``classify`` evaluates every condition.  The callers that read only the EP
 verdict (the closure suite and its members, ``construct_factor_c``,
@@ -86,25 +87,28 @@ def _modulus(op: _Operand) -> np.ndarray:
     return root / 2.0 + root.conj().T / 2.0
 
 
-# The routes, by id: each a function of the operand that returns one
-# residual.  ``x_vs_y`` is ||X_perp* Y||, from the bases of the SVDs of A,
-# A* and A+: the sine of the largest principal angle between X and Y when
-# their dimensions are equal, and Y <= X's inclusion residual in any case.
-# The commutator alone reads the products A A+ and A+ A of the computed A+.
+# The routes, by id, in measuring order: each a function of the operand
+# that returns one residual.  ``x_vs_y`` is ||X_perp* Y||, from the bases
+# of the SVDs of A, A* and A+: the sine of the largest principal angle
+# between X and Y when their dimensions are equal, and Y <= X's inclusion
+# residual in any case.  The routes that read only A's SVD come first,
+# then those that read A*'s and last those that read A+'s, the SVD the
+# worker starts last.  The commutator alone reads the products A A+
+# and A+ A of the computed A+.
 _ROUTES = {
-    "range_vs_adjoint_range": lambda op: _cross_norm(op.bases[0].complement,
-                                                     op.adjoint.bases[0].basis),
     "commutator": lambda op: op_norm(op.arr @ op.pinv - op.pinv @ op.arr),
-    "null_vs_dagger_null": lambda op: _cross_norm(op.bases[1].complement,
-                                                  op.dagger.bases[1].basis),
-    "null_vs_adjoint_null": lambda op: _cross_norm(op.bases[1].complement,
-                                                   op.adjoint.bases[1].basis),
     # N(A) is the complement of the carrier N(A)_perp in V's columns.
     "carrier_vs_range": lambda op: _cross_norm(op.bases[1].basis, op.bases[0].basis),
-    "dagger_range_vs_range": lambda op: _cross_norm(op.dagger.bases[0].complement,
-                                                    op.bases[0].basis),
+    "range_vs_adjoint_range": lambda op: _cross_norm(op.bases[0].complement,
+                                                     op.adjoint.bases[0].basis),
+    "null_vs_adjoint_null": lambda op: _cross_norm(op.bases[1].complement,
+                                                   op.adjoint.bases[1].basis),
     "adjoint_null_vs_null": lambda op: _cross_norm(op.adjoint.bases[1].complement,
                                                    op.bases[1].basis),
+    "null_vs_dagger_null": lambda op: _cross_norm(op.bases[1].complement,
+                                                  op.dagger.bases[1].basis),
+    "dagger_range_vs_range": lambda op: _cross_norm(op.dagger.bases[0].complement,
+                                                    op.bases[0].basis),
     # For subspaces of equal dimension the eigenvalues of P_R(A+) - P_R(A)
     # are the +-sines of their principal angles, so this is the sine of
     # dagger_range_vs_range again, read from an eigendecomposition.
@@ -113,9 +117,10 @@ _ROUTES = {
 }
 
 # Each condition, in report order: the id of the route that measures it and,
-# for an equality of subspaces, the operand whose rank must be A's; when it
-# is not, the residual is 1, the projector distance of subspaces of unequal
-# dimensions, and the route is not read.
+# for an equality of subspaces, the operand whose rank must be A's, which
+# is the operand its route reads; when it is not, the residual is 1, the
+# projector distance of subspaces of unequal dimensions, and the route is
+# not read.
 _CONDITIONS = {
     "ep1": ("range_vs_adjoint_range", "adjoint"), "ep2": ("commutator", None),
     "ep3": ("null_vs_dagger_null", "dagger"), "ep4": ("null_vs_adjoint_null", "adjoint"),
@@ -135,28 +140,22 @@ _IDS = tuple(_CONDITIONS)
 _EP_IDS = tuple(cid for cid in _IDS if cid.startswith("ep"))
 _HYPO_IDS = tuple(cid for cid in _IDS if cid.startswith("hypo"))
 
-# The operand other than A whose SVD each route reads, if any.
-_ROUTE_READS = {"range_vs_adjoint_range": "adjoint", "null_vs_dagger_null": "dagger",
-                "null_vs_adjoint_null": "adjoint", "dagger_range_vs_range": "dagger",
-                "adjoint_null_vs_null": "adjoint", "projector_order": "dagger"}
-# Each condition's stage when the worker decomposes A* and A+: 0 when it
-# reads neither SVD, 1 when it reads A*'s and 2 when A+'s, through its rank
-# operand or else its route.
-_STAGE = {cid: (None, "adjoint", "dagger").index(rank_operand or _ROUTE_READS.get(route))
-          for cid, (route, rank_operand) in _CONDITIONS.items()}
-
 
 def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
-    """The checks of the conditions ``ids`` of ``A``, each route they read
-    measured once.  NotSquare unless ``A`` is square.
+    """The checks of the conditions ``ids`` of ``A``, in the order of ``ids``,
+    each route they read measured once.  NotSquare unless ``A`` is square.
 
-    When ``A`` is :attr:`_Operand.concurrent` the routes are first measured
-    by :func:`_overlapped`.  A failure there cancels what is still queued,
-    and the measurement in report order that follows raises what the
-    serial order raises first."""
+    The conditions are measured in the order of their routes in
+    :data:`_ROUTES`, so the first route that fails raises, whether or not
+    ``A`` is :attr:`_Operand.concurrent`.  When it is, the worker
+    decomposes ``A*`` and ``A+``, which every caller's conditions read:
+    ``A*``'s SVD starts before this thread decomposes ``A`` (none when
+    ``A*`` equals ``A``), and ``A+``'s as soon as ``A+`` is formed.  A
+    failure cancels what is still queued and waits for what runs before
+    it is raised."""
     if op.arr.shape[0] != op.arr.shape[1]:
         raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
-    measured: dict[str, float] = {}
+    routes, measured = list(_ROUTES), {}
 
     def measure(route: str, rank_operand: str | None) -> float:
         if rank_operand is not None and op.rank != getattr(op, rank_operand).rank:
@@ -165,27 +164,19 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
             measured[route] = _ROUTES[route](op)
         return measured[route]
 
-    if op.concurrent:
-        try:
-            _overlapped(op, ids, measure)
-        except OperatorAnalysisError:  # raised again below, in serial order
-            op.settle()
+    try:
+        if op.concurrent:
+            if not np.array_equal(op.adjoint.arr, op.arr):
+                op.adjoint.start()
+            op.factors  # A's SVD, on this thread
+            op.dagger.start()
+        values = {cid: measure(*_CONDITIONS[cid])
+                  for cid in sorted(ids, key=lambda cid: routes.index(_CONDITIONS[cid][0]))}
+    except OperatorAnalysisError:
+        op.settle()
+        raise
     bound = op.tol.residual_bound()
-    return tuple(ConditionCheck.judge(cid, measure(*_CONDITIONS[cid]), bound) for cid in ids)
-
-
-def _overlapped(op: _Operand, ids: tuple[str, ...], measure) -> None:
-    """Measure each condition of ``ids`` while the worker decomposes ``A*``
-    and ``A+``, which every caller's conditions read: ``A*``'s SVD starts
-    before ``A``'s is computed here (none when ``A*`` equals ``A``), and
-    ``A+``'s as soon as ``A+`` is formed.  The conditions go in
-    :data:`_STAGE` order, so those that read ``A+``'s SVD come last."""
-    if not np.array_equal(op.adjoint.arr, op.arr):
-        op.adjoint.start()
-    op.factors  # A's SVD, on this thread
-    op.dagger.start()
-    for cid in sorted(ids, key=_STAGE.get):
-        measure(*_CONDITIONS[cid])
+    return tuple(ConditionCheck.judge(cid, values[cid], bound) for cid in ids)
 
 
 def _passes(op: _Operand, ids: tuple[str, ...]) -> bool:
@@ -225,8 +216,9 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     equals ``A`` (two full SVDs for exactly Hermitian ``A``); the twelve
     conditions read eight routes, each measured once.  From order 48 on,
     the SVDs of ``A*`` and ``A+`` run on a background thread while this
-    one decomposes ``A`` and measures the routes that read neither; the
-    report is bit for bit the serial one.
+    one decomposes ``A`` and measures the routes that read neither.  Both
+    paths measure the routes in one order, so the report is bit for bit the
+    serial one and a failure raises the serial error.
     """
     return _classify(_Operand(a, tol))
 

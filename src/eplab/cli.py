@@ -190,8 +190,8 @@ def _command(sub, name: str, func, help: str, matrices: dict | None = None,
                             help="a subspace sine passes at most this, a residual on a "
                                  "matrix X at most this times ||X|| (default 1e-8)")
         parser.add_argument("--tol-psd", type=float,
-                            help="floor for the least eigenvalue of the Douglas "
-                                 "majorization gap B B* - A A* (default 1e-9)")
+                            help="the Douglas majorization gap B B* - A A* passes when its "
+                                 "least eigenvalue is at least -this*||B||^2 (default 1e-9)")
     return parser
 
 

@@ -7,20 +7,20 @@ of their orthogonal projectors, evaluated as the norm of one complement-side
 cross product (the sine of the largest principal angle), so set-level
 statements such as range equality or null-space inclusion reduce to
 residuals judged against a :class:`TolerancePolicy`, each reported as a
-:class:`ConditionCheck`.  Every function here is pure: no hidden state, no
-mutation of inputs, safe for concurrent use.  The private ``_Operand`` is
-the exception: it caches what derives from a matrix, and within one
-analysis a matrix equal by value to one already decomposed takes its
-factors.  An operand can start its SVD on one process-wide background
-thread, which runs :func:`svd` and nothing else, so that the analysis of
-a matrix of order at least ``_WORKER_MIN_DIM`` overlaps its independent
-decompositions.
+:class:`ConditionCheck`.  Every function here is pure: no mutation of
+inputs, safe for concurrent use, and no hidden state but the SVD worker.
+The private ``_Operand`` is the exception: it caches what derives from a
+matrix, and within one analysis a matrix equal by value to one already
+decomposed takes its factors.  An operand can start its SVD on that worker,
+a one-thread executor that runs :func:`svd` and nothing else, so that the
+analysis of a matrix of order at least ``_WORKER_MIN_DIM`` overlaps its
+independent decompositions.  The module makes the worker at import, and a
+forked child makes its own; the worker starts its thread on first use.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,10 +81,10 @@ class TolerancePolicy:
     ``subspace_tol`` and ``RESIDUAL_SLACK``: :meth:`residual_bound` (subspace
     sines and residuals whose exact value is 0), :meth:`slack_bound` (the
     fixed rule of factor-C, solve and gamma-bound residuals) and
-    :meth:`contraction_bound` (the Douglas contraction).  ``psd_tol`` is the
-    floor for the least eigenvalue of the Douglas majorization gap
-    ``B B* - A A*``.  Every value that is set must be finite and positive;
-    ValueError otherwise.
+    :meth:`contraction_bound` (the Douglas contraction).  ``psd_tol`` times
+    ``||B||^2`` is the floor for the least eigenvalue of the Douglas
+    majorization gap ``B B* - A A*``, so that rule is scale-free.  Every
+    value that is set must be finite and positive; ValueError otherwise.
     """
 
     rank_rel: float | None = None
@@ -218,27 +218,19 @@ class SubspaceBasis:
 # thread and two free CPUs, the worker took 1.19 times the serial time at
 # n = 32, 0.93 at 48 and 0.79 at 64.
 _WORKER_MIN_DIM = 48
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
 
 
-def _worker_pool() -> ThreadPoolExecutor:
-    """The one-thread executor of background SVDs, made on first use."""
+def _new_worker() -> None:
+    """Make the one-thread executor of background SVDs; it starts its thread
+    on its first submit.  A forked child, which has no worker thread, makes
+    its own."""
     global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eplab-svd")
-        return _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eplab-svd")
 
 
-def _forget_worker() -> None:
-    """A forked child has no worker thread: it makes its own on first use."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
+_new_worker()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 class _Operand:
@@ -286,7 +278,7 @@ class _Operand:
         """Start the operand's SVD on the worker, unless the table holds a
         matrix equal by value.  :attr:`factors` waits for it."""
         if self._entry() is None:
-            self._table.append((self.arr, _worker_pool().submit(svd, self.arr)))
+            self._table.append((self.arr, _worker.submit(svd, self.arr)))
 
     def settle(self) -> None:
         """Cancel the SVDs of this analysis still queued on the worker, drop

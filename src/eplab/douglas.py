@@ -79,18 +79,19 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     ``tol.residual_bound(||A||)``; the factor fields (``C = pinv(B) A``,
     ``||B C - A||`` and the growth bound) are then filled, and None otherwise.
     ``A A* <= B B*`` holds when the least eigenvalue of ``B B* - A A*`` is
-    at least ``-psd_tol``; the ``contraction`` check, ``||C||`` judged at
-    ``tol.contraction_bound()``, is then made whether or not the inclusion
-    holds, and left out otherwise.
+    at least ``-psd_tol * ||B||^2``, a floor on B's own scale; the
+    ``contraction`` check, ``||C||`` judged at ``tol.contraction_bound()``,
+    is then made whether or not the inclusion holds, and left out otherwise.
     Neither failure raises; unequal row counts are DimensionMismatch, and a
     ``C`` past the float range is NonFinite, naming it, without numpy warnings.
-    One SVD of ``B`` gives both the inclusion basis and ``pinv(B)``.
+    One SVD of ``B`` gives the inclusion basis, ``pinv(B)`` and ``||B||``.
     """
     arr_a, op_b = as_matrix(a), _Operand(b, tol)
     if arr_a.shape[0] != op_b.arr.shape[0]:
         raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {op_b.arr.shape[0]}")
     inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
-    majorized = _majorization_gap(arr_a, op_b.arr) >= -tol.psd_tol
+    norm_b = float(op_b.factors.sigma[0])
+    majorized = _majorization_gap(arr_a, op_b.arr) >= -tol.psd_tol * norm_b * norm_b
     c = (_formed("the factor C = pinv(B) A", lambda: op_b.pinv @ arr_a)
          if inclusion.passed or majorized else None)
     residual_bc_a = bound_k = None

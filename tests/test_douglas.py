@@ -133,6 +133,14 @@ def test_contraction_rejects_bad_majorization():
     assert rep.range_included and rep.contraction_ok is None
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-5, 1.0, 1e100])
+def test_majorization_floor_is_on_the_scale_of_b(s):
+    # A A* = 100 B B* is never majorized; at s = 1e-6 the gap -9.9e-11
+    # would clear an absolute floor of -psd_tol.
+    rep = douglas_analysis(10.0 * s * np.eye(2), s * np.eye(2))
+    assert rep.range_included and rep.contraction_ok is None
+
+
 def test_contraction_bound_sweep():
     rng = np.random.default_rng(7)
     for _ in range(30):
@@ -247,7 +255,7 @@ def test_douglas_analysis_four_cases(case):
     assert report.conditions[0] == ("range_included", residual,
                                     residual <= tol.subspace_tol * max(1.0, op_norm(a)))
     c = pinv(b) @ a
-    majorized = min_eigenvalue(b @ adjoint(b) - a @ adjoint(a)) >= -tol.psd_tol
+    majorized = min_eigenvalue(b @ adjoint(b) - a @ adjoint(a)) >= -tol.psd_tol * op_norm(b) ** 2
     contraction = ("contraction", op_norm(c), op_norm(c) <= 1.0 + tol.subspace_tol)
     assert report.conditions[1:] == ((contraction,) if majorized else ())
     assert report.contraction_ok == (contraction[2] if majorized else None)

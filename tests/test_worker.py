@@ -6,6 +6,7 @@ A forced-serial run sets the private threshold ``core._WORKER_MIN_DIM``
 past every input, which is how an analysis below the threshold runs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -162,7 +163,7 @@ def test_failure_on_the_calling_thread_cancels_the_queued_svds(monkeypatch, svd_
 
     monkeypatch.setitem(_ROUTES, "commutator", overflowing)
     release = threading.Event()
-    core._worker_pool().submit(release.wait, 60)
+    core._worker.submit(release.wait, 60)
     op = _Operand(random_complex(np.random.default_rng(3), 64, 64))
     try:
         with pytest.raises(NonFinite, match="commutator"):
@@ -170,8 +171,46 @@ def test_failure_on_the_calling_thread_cancels_the_queued_svds(monkeypatch, svd_
         assert not any(isinstance(entry, Future) for _, entry in op._table)
     finally:
         release.set()
-    core._worker_pool().submit(int).result(timeout=60)  # after anything still queued
+    core._worker.submit(int).result(timeout=60)  # after anything still queued
     assert _on_worker(svd_threads) == 0
+
+
+def test_both_paths_raise_the_error_of_the_first_route(monkeypatch):
+    # Two routes fail; the commutator comes first in _ROUTES, ep1's route
+    # first in report order.
+    def failing(text):
+        def route(op):
+            raise NonFinite(text)
+        return route
+
+    monkeypatch.setitem(_ROUTES, "commutator", failing("the commutator"))
+    monkeypatch.setitem(_ROUTES, "range_vs_adjoint_range", failing("the adjoint range"))
+    a = random_complex(np.random.default_rng(4), 64, 64)
+    for run in (classify, lambda a: serial(classify, a)):
+        with pytest.raises(NonFinite, match="^the commutator$"):
+            run(a)
+
+
+def test_routes_are_listed_in_measuring_order(monkeypatch):
+    # Each route's stage is the last of A, A* and A+ whose SVD it reads; a
+    # route out of place would wait on A+'s SVD before A*'s is read.
+    a = np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
+    a[0, 4], a[1, 5] = 1.0, 2.0j
+    operands = (a, a.conj().T, _Operand(a).pinv)
+    assert not any(np.array_equal(x, y) for i, x in enumerate(operands)
+                   for y in operands[i + 1:])
+    read, stages, full = [], [], core.svd
+
+    def recording(arr):
+        read.append(next(i for i, x in enumerate(operands) if np.array_equal(arr, x)))
+        return full(arr)
+
+    monkeypatch.setattr(core, "svd", recording)
+    for route in _ROUTES.values():
+        read.clear()
+        route(_Operand(a))
+        stages.append(max(read))
+    assert stages == sorted(stages) and set(stages) == {0, 1, 2}
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
@@ -239,12 +278,40 @@ print(len(digests))
 """
 
 
+def _in_child(script: str, *args: str, **env: str) -> str:
+    """The standard output of ``script`` run with ``args`` in a fresh
+    interpreter that imports this eplab, with ``env`` added to the
+    environment and OMP_NUM_THREADS taken out of it."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [str(Path(eplab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env.pop("OMP_NUM_THREADS", None)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_reports_repeat_bit_for_bit_on_one_and_two_blas_threads(threads):
     # In each child, three runs on the worker and one serial run hash alike.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-        [str(Path(eplab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    env.pop("OMP_NUM_THREADS", None)
-    out = subprocess.run([sys.executable, "-c", _REPEATED_DIGESTS, str(Path(__file__).parent)],
-                         env=env, check=True, capture_output=True, text=True, timeout=300)
-    assert out.stdout.strip() == "1"
+    out = _in_child(_REPEATED_DIGESTS, str(Path(__file__).parent), OPENBLAS_NUM_THREADS=threads)
+    assert out.strip() == "1"
+
+
+_THREADS = """
+import json, threading
+import numpy as np
+before = threading.active_count()
+import eplab
+started = [threading.active_count() - before]
+for n in (8, 64):
+    eplab.classify(np.random.default_rng(n).standard_normal((n, n)))
+    started.append(threading.active_count() - before)
+print(json.dumps([started, [t.name for t in threading.enumerate()]]))
+"""
+
+
+def test_the_worker_starts_its_one_thread_on_first_use():
+    # In a fresh interpreter: none on import, none below the threshold, one
+    # at n = 64.
+    started, names = json.loads(_in_child(_THREADS))
+    assert started == [0, 0, 1]
+    assert sum(name.startswith("eplab-svd") for name in names) == 1
