@@ -32,8 +32,8 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
                    _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm, projector)
-from .errors import (DimensionMismatch, NonFinite, NotSquare, OperatorAnalysisError,
-                     SolveFailure, SourceNotEP, SourceNotHypoEP)
+from .errors import (BadShape, DimensionMismatch, NonFinite, NotSquare,
+                     OperatorAnalysisError, SolveFailure, SourceNotEP, SourceNotHypoEP)
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     n = arr.shape[1]
     c = a_dag @ star + (np.eye(n, dtype=np.complex128) - a_dag @ arr)
     check = ConditionCheck.judge("factorization", op_norm(star - arr @ c),
-                                 tol.slack_bound(source.scale))
+                                 tol.slack_bound(source.norm))
     bijective = source.derive(c).rank == n
 
     if not bijective or not check.passed:
@@ -291,7 +291,9 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     minimal-norm solution ``z`` of ``A* z = A x`` exists and ``k = ||z||``
     works.  For every ``y``, ``|<A x, y>| <= ||z|| ||A y|| + ||A* z - A x|| ||y||``
     (Cauchy-Schwarz), so the check that the solve residual is within
-    tolerance certifies the bound; SolveFailure otherwise.  Returns 0 when
+    tolerance certifies the bound; SolveFailure otherwise.  ``x`` is a 1-D
+    vector or a single column (BadShape otherwise) of the length of a row
+    of ``A`` (DimensionMismatch otherwise).  Returns 0 when
     ``x`` is in the null space; NaN or Inf in ``x`` is NonFinite, as is an
     ``A x`` or ``z`` past the float range, each named, without numpy warnings.
     """
@@ -300,6 +302,8 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     arr, star = source.arr, source.adjoint.arr
     n = arr.shape[1]
 
+    if not np.ndim(x) or np.shape(x)[1:] not in ((), (1,)):
+        raise BadShape(f"x must be a vector or a single column, got shape {np.shape(x)}")
     vec = as_matrix(np.reshape(x, (-1, 1))).ravel()
     if vec.shape[0] != n:
         raise DimensionMismatch(
@@ -317,7 +321,7 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     # a finite x.  The scaling is exact: where the unscaled sides are finite,
     # the verdict is theirs.
     p = max(1.0, _power_of_two(vec))
-    scale = source.scale * max(1.0 / p, _norm(vec / p))
+    scale = max(1.0, source.norm) * max(1.0 / p, _norm(vec / p))
     bound = max(tol.residual_bound(scale), tol.slack_bound(scale))
     if not ConditionCheck.judge("solve", _norm(star @ (z / p) - ax / p), bound).passed:
         raise SolveFailure("A* z = A x is not solvable at tolerance; input may not be hypo-EP")
@@ -327,8 +331,16 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
 
 def _power_of_two(vec: np.ndarray) -> float:
     """The power of two at the largest modulus of ``vec``'s entries; 0.5 for
-    a zero vector."""
+    a zero array."""
     return float(np.ldexp(1.0, np.frexp(float(np.max(np.abs(vec))))[1] - 1))
+
+
+def _scaled(arr: np.ndarray, power: float) -> np.ndarray:
+    """``arr / power`` for a power of two ``power``, exact unless it
+    underflows.  The real and imaginary parts are divided apart: numpy
+    divides a complex number by multiplying with the divisor's reciprocal,
+    which overflows at a subnormal power."""
+    return arr.real / power + 1j * (arr.imag / power)
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -336,9 +348,6 @@ def _norm(vec: np.ndarray) -> float:
     decomposition: ``np.linalg.norm`` of the vector scaled by the power of
     two at its largest modulus (Blue 1978).  The scaling is exact, so the
     value is ``np.linalg.norm``'s wherever that does not overflow or
-    underflow; past the float range it is inf, without numpy warnings.  The
-    real and imaginary parts are divided apart: numpy divides a complex
-    number by multiplying with the divisor's reciprocal, which overflows at
-    a subnormal power."""
+    underflow; past the float range it is inf, without numpy warnings."""
     power = _power_of_two(vec)
-    return power * float(np.linalg.norm(vec.real / power + 1j * (vec.imag / power)))
+    return power * float(np.linalg.norm(_scaled(vec, power)))

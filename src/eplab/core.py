@@ -83,7 +83,8 @@ class TolerancePolicy:
     fixed rule of factor-C, solve and gamma-bound residuals) and
     :meth:`contraction_bound` (the Douglas contraction).  ``psd_tol`` times
     ``||B||^2`` is the floor for the least eigenvalue of the Douglas
-    majorization gap ``B B* - A A*``, so that rule is scale-free.  Every
+    majorization gap ``B B* - A A*``, so that rule is scale-free.  Only
+    the slack rule floors its scale at 1.  Every
     value that is set must be finite and positive; ValueError otherwise.
     """
 
@@ -102,10 +103,11 @@ class TolerancePolicy:
 
     def residual_bound(self, scale: float = 1.0) -> float:
         """``subspace_tol * scale``: a residual whose exact value is 0 passes
-        when it is at most this.  ``scale`` is the norm of the matrix the
-        residual is measured on, with no floor, so a residual on a small
-        matrix is held to its own size; a sine is scale-free and takes the
-        default."""
+        when it is at most this.  ``scale`` is the 2-norm of the exact term
+        the residual compares against, with no floor, so a residual on a
+        small matrix is held to its own size (the normwise relative
+        residual); a sine or a difference of projectors is scale-free and
+        takes the default."""
         return self.subspace_tol * scale
 
     def slack_bound(self, scale: float = 1.0) -> float:
@@ -236,7 +238,7 @@ if hasattr(os, "register_at_fork"):
 class _Operand:
     """A matrix and its tolerance policy; each thing derived from it is computed once.
 
-    The SVD and what it gives (rank, scale, gamma, ``A+``, bases) and the
+    The SVD and what it gives (rank, norm, gamma, ``A+``, bases) and the
     operands of ``A*``, ``A+``, ``A* A`` and ``A A*`` are made on first use
     and kept.  Every operand :meth:`derive` makes shares its maker's
     decomposition table: within one analysis a matrix equal by value to one
@@ -300,9 +302,9 @@ class _Operand:
         return _rank(self.factors.sigma, self.arr.shape, self.tol)
 
     @property
-    def scale(self) -> float:
-        """``max(1, ||A||_2)``, the scale of residual bounds on ``A``."""
-        return max(1.0, float(self.factors.sigma[0]))
+    def norm(self) -> float:
+        """``||A||_2``, the largest singular value."""
+        return float(self.factors.sigma[0])
 
     @property
     def gamma(self) -> float:

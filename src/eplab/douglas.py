@@ -20,6 +20,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
                    _Operand, adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm,
                    subspace_equal)
+from .classify import _power_of_two, _scaled
 from .errors import DimensionMismatch
 
 
@@ -62,16 +63,6 @@ def _inclusion(arr_a: np.ndarray, norm_a: float, op_b: _Operand) -> ConditionChe
                                 op_b.tol.residual_bound(norm_a))
 
 
-def _majorization_gap(arr_a: np.ndarray, arr_b: np.ndarray) -> float:
-    """Minimum eigenvalue of ``B B* - A A*``; ``A A* <= B B*`` iff it is >= 0.
-
-    A gap that overflows is NonFinite, naming the gap, raised without numpy's
-    warnings.
-    """
-    return min_eigenvalue(_formed("the majorization gap B B* - A A*",
-                                  lambda: arr_b @ adjoint(arr_b) - arr_a @ adjoint(arr_a)))
-
-
 def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     """Inclusion, factorization and contraction verdicts for ``(A, B)`` together.
 
@@ -79,7 +70,10 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     ``tol.residual_bound(||A||)``; the factor fields (``C = pinv(B) A``,
     ``||B C - A||`` and the growth bound) are then filled, and None otherwise.
     ``A A* <= B B*`` holds when the least eigenvalue of ``B B* - A A*`` is
-    at least ``-psd_tol * ||B||^2``, a floor on B's own scale; the
+    at least ``-psd_tol * ||B||^2``, a floor on B's own scale; both sides
+    are divided by ``p^2``, ``p`` the power of two at the largest entry
+    modulus of ``A`` and ``B``, so the gap never overflows and a pair with
+    entries past 1e154 is decided like any other.  The
     ``contraction`` check, ``||C||`` judged at ``tol.contraction_bound()``,
     is then made whether or not the inclusion holds, and left out otherwise.
     Neither failure raises; unequal row counts are DimensionMismatch, and a
@@ -90,8 +84,11 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     if arr_a.shape[0] != op_b.arr.shape[0]:
         raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {op_b.arr.shape[0]}")
     inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
-    norm_b = float(op_b.factors.sigma[0])
-    majorized = _majorization_gap(arr_a, op_b.arr) >= -tol.psd_tol * norm_b * norm_b
+    # The Gram matrices of A / p and B / p, p the power of two at their largest
+    # entry modulus, cannot overflow, and the division is exact.
+    p = max(_power_of_two(arr_a), _power_of_two(op_b.arr))
+    gram_a, gram_b = (m @ adjoint(m) for m in (_scaled(arr_a, p), _scaled(op_b.arr, p)))
+    majorized = min_eigenvalue(gram_b - gram_a) >= -tol.psd_tol * (op_b.norm / p) * (op_b.norm / p)
     c = (_formed("the factor C = pinv(B) A", lambda: op_b.pinv @ arr_a)
          if inclusion.passed or majorized else None)
     residual_bc_a = bound_k = None
@@ -111,11 +108,11 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionC
     (``R(A*) = R(A* A)``), each the :func:`~eplab.core.subspace_equal` check
     of its ranges, a sine judged at ``tol.residual_bound()``,
     and ``factors_through_gram``, the factorization ``A = A A* S`` for
-    ``S = pinv(A A*) A``, judged at ``tol.residual_bound(max(1, ||A||))``.  Each
-    residual comes from the operands' own SVDs.  Every range is closed in
-    finite dimension, so closedness itself, and what A's SVD gives by
-    construction (``gamma > 0`` at rank >= 1, the lower bound ``gamma`` on
-    the carrier), is not listed.  Nothing is sampled.
+    ``S = pinv(A A*) A``, judged at ``tol.residual_bound(||A||)`` with no
+    floor.  Each residual comes from the operands' own SVDs.  Every range is
+    closed in finite dimension, so closedness itself, and what A's SVD gives
+    by construction (``gamma > 0`` at rank >= 1, the lower bound ``gamma``
+    on the carrier), is not listed.  Nothing is sampled.
     """
     op = _Operand(a, tol)
     arr, gram_right = op.arr, op.gram_right
@@ -126,5 +123,5 @@ def closed_range_panel(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionC
             condition_id="adjoint_range_matches_gram_left"),
         ConditionCheck.judge("factors_through_gram",
                              op_norm(gram_right.arr @ (gram_right.pinv @ arr) - arr),
-                             tol.residual_bound(op.scale)),
+                             tol.residual_bound(op.norm)),
     ]

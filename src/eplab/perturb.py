@@ -93,7 +93,7 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
         subspace_equal(perturbed.bases[0], range_a, tol)._replace(condition_id="range_equal"))
 
     gamma_perturbed = perturbed.gamma
-    concl_gamma_bound = gamma_perturbed >= gamma_a - norm_b - tol.slack_bound(base.scale)
+    concl_gamma_bound = gamma_perturbed >= gamma_a - norm_b - tol.slack_bound(base.norm)
 
     report = PerturbationReport(hypotheses + conclusions, float(hyp_norm_product),
                                 hypotheses_pass, concl_ep, concl_gamma_bound, float(gamma_a),

@@ -6,7 +6,11 @@ classification so that all rank decisions for one analysis agree.
 ``penrose_verify`` and ``dagger_identities`` re-derive the defining
 conditions and algebraic identities from scratch so they can certify a
 candidate pseudoinverse without trusting its construction.  Both judge each
-residual at ``tol.residual_bound(max(1, ||A||))``, the operand's scale.
+residual on the norm of its own terms, the normwise relative residual
+(Rigal & Gaches 1967; Higham 2002, ch. 7): at ``tol.residual_bound(s)``,
+``s`` the 2-norm of the exact term the residual compares against, read from
+an SVD the check runs anyway; a difference of projectors or a sine takes
+``s = 1``, and a squared ``s`` is formed as ``tol.residual_bound(s) * s``.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ def pinv(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 class PenroseReport:
     """The six defining conditions of a candidate pseudoinverse, in this order:
     ``a_dag_a_a_dag``, ``a_a_dag_a``, ``sym_a_dag_a``, ``sym_a_a_dag``,
-    ``proj_range`` and ``proj_carrier``, each judged at
-    ``tol.residual_bound(max(1, ||a||_2))``; ``passed`` is true iff all six pass.
+    ``proj_range`` and ``proj_carrier``.  The first is judged at
+    ``tol.residual_bound(||a_dag||_2)``, the second at
+    ``tol.residual_bound(||a||_2)`` and the four projector rows at
+    ``tol.residual_bound()``; ``passed`` is true iff all six pass.
     """
 
     conditions: tuple[ConditionCheck, ...]
@@ -62,22 +68,17 @@ def _penrose(op: _Operand, a_dag: _Operand) -> PenroseReport:
         return _formed(f"the product {name} of the candidate", form)
 
     ada, aad = product("A+ A", lambda: cand @ arr), product("A A+", lambda: arr @ cand)
-    checks = _judged(op, {
-        "a_dag_a_a_dag": op_norm(product("A+ A A+", lambda: cand @ aad) - cand),
-        "a_a_dag_a": op_norm(product("A A+ A", lambda: aad @ arr) - arr),
-        "sym_a_dag_a": op_norm(ada - ada.conj().T),
-        "sym_a_a_dag": op_norm(aad - aad.conj().T),
-        "proj_range": op_norm(aad - projector(op.bases[0])),
-        "proj_carrier": op_norm(ada - projector(a_dag.bases[0])),
-    })
-    return PenroseReport(tuple(checks), all(check.passed for check in checks))
-
-
-def _judged(op: _Operand, residuals: dict[str, float]) -> list[ConditionCheck]:
-    """Each named residual of ``residuals``, in order, judged at
-    ``tol.residual_bound(max(1, ||A||))``."""
-    bound = op.tol.residual_bound(op.scale)
-    return [ConditionCheck.judge(name, residual, bound) for name, residual in residuals.items()]
+    judge, bound = ConditionCheck.judge, op.tol.residual_bound
+    checks = (
+        judge("a_dag_a_a_dag", op_norm(product("A+ A A+", lambda: cand @ aad) - cand),
+              bound(a_dag.norm)),
+        judge("a_a_dag_a", op_norm(product("A A+ A", lambda: aad @ arr) - arr), bound(op.norm)),
+        judge("sym_a_dag_a", op_norm(ada - ada.conj().T), bound()),
+        judge("sym_a_a_dag", op_norm(aad - aad.conj().T), bound()),
+        judge("proj_range", op_norm(aad - projector(op.bases[0])), bound()),
+        judge("proj_carrier", op_norm(ada - projector(a_dag.bases[0])), bound()),
+    )
+    return PenroseReport(checks, all(check.passed for check in checks))
 
 
 def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCheck]:
@@ -87,7 +88,10 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCh
     factorizations ``(A*A)+ = A+ A*+`` and ``(AA*)+ = A*+ A+``, the
     null-space match ``N(A*+) = N(A)``, and positivity of both Gram
     matrices (reported as the magnitude of any negative eigenvalue).  Each
-    residual passes at ``tol.residual_bound(max(1, ||A||))``.  A product ``A+ A*+``
+    residual passes at ``tol.residual_bound(s)``, ``s`` the norm of its exact
+    term: ``||A||`` for ``double_pinv``, ``||A+||`` for ``adjoint_pinv_swap``,
+    ``||A+||^2`` for the two Gram pseudoinverses, 1 for the null-space sine
+    and ``||A||^2`` for the two Gram positivity rows.  A product ``A+ A*+``
     or ``A*+ A+`` past the float range is NonFinite, naming it, without
     numpy warnings.
     Six operands run one SVD each: ``A`` (for ``A+`` and ``N(A)``), ``A*``,
@@ -101,15 +105,17 @@ def dagger_identities(a, tol: TolerancePolicy = DEFAULT_TOL) -> list[ConditionCh
 
 def _identities(op: _Operand) -> list[ConditionCheck]:
     """:func:`dagger_identities` for an operand, reusing what it holds."""
-    arr, a_dag, star_dag = op.arr, op.pinv, op.adjoint.pinv
-    return _judged(op, {
-        "double_pinv": op_norm(op.dagger.pinv - arr),
-        "adjoint_pinv_swap": op_norm(star_dag - a_dag.conj().T),
-        "gram_left_pinv": op_norm(op.gram_left.pinv
-                                  - _formed("the product A+ A*+", lambda: a_dag @ star_dag)),
-        "gram_right_pinv": op_norm(op.gram_right.pinv
-                                   - _formed("the product A*+ A+", lambda: star_dag @ a_dag)),
-        "null_space_match": subspace_equal(op.adjoint.dagger.bases[1], op.bases[1]).residual,
-        "gram_left_psd": max(0.0, -min_eigenvalue(op.gram_left.arr)),
-        "gram_right_psd": max(0.0, -min_eigenvalue(op.gram_right.arr)),
-    })
+    arr, a_dag, star_dag, dag = op.arr, op.pinv, op.adjoint.pinv, op.dagger
+    judge, bound, norm = ConditionCheck.judge, op.tol.residual_bound, op.norm
+    return [
+        judge("double_pinv", op_norm(dag.pinv - arr), bound(norm)),
+        judge("adjoint_pinv_swap", op_norm(star_dag - a_dag.conj().T), bound(dag.norm)),
+        judge("gram_left_pinv", op_norm(op.gram_left.pinv - _formed(
+            "the product A+ A*+", lambda: a_dag @ star_dag)), bound(dag.norm) * dag.norm),
+        judge("gram_right_pinv", op_norm(op.gram_right.pinv - _formed(
+            "the product A*+ A+", lambda: star_dag @ a_dag)), bound(dag.norm) * dag.norm),
+        subspace_equal(op.adjoint.dagger.bases[1], op.bases[1], op.tol)._replace(
+            condition_id="null_space_match"),
+        judge("gram_left_psd", max(0.0, -min_eigenvalue(op.gram_left.arr)), bound(norm) * norm),
+        judge("gram_right_psd", max(0.0, -min_eigenvalue(op.gram_right.arr)), bound(norm) * norm),
+    ]

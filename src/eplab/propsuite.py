@@ -39,8 +39,7 @@ def _violations(op: _Operand, report: ClassificationReport, rng: np.random.Gener
         yield "chain", f"implication chain broken: {chain}"
     for check in _identities(op):
         if not check.passed:
-            yield "dagger", (f"identity {check.condition_id} residual {check.residual:.3e} "
-                             f"exceeds {op.tol.residual_bound(op.scale):.3e}")
+            yield "dagger", f"identity {check.condition_id} failed at residual {check.residual:.3e}"
     if report.is_ep:
         for name, is_ep in _closure(op):
             if not is_ep:

@@ -11,8 +11,8 @@ from eplab import (TolerancePolicy, adjoint, classify, construct_factor_c,
 from eplab.classify import (_CONDITIONS, _EP_IDS, _HYPO_IDS, _IDS, _ROUTES, ConditionCheck,
                             _classify, _evaluate, _norm, _passes)
 from eplab.core import _Operand
-from eplab.errors import (DimensionMismatch, NonFinite, NotSquare, SolveFailure, SourceNotEP,
-                          SourceNotHypoEP)
+from eplab.errors import (BadShape, DimensionMismatch, NonFinite, NotSquare, SolveFailure,
+                          SourceNotEP, SourceNotHypoEP)
 from eplab.zoo import corpus_matrix, haar_unitary, random_ep
 
 from conftest import random_complex
@@ -539,6 +539,18 @@ def test_scaled_norm_is_numpys_norm_bit_for_bit_within_the_float_range():
 def test_majorization_witness_vector_length_must_match():
     with pytest.raises(DimensionMismatch, match="vector length 3 does not match matrix size 2"):
         majorization_witness(np.eye(2), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("x", [np.ones((2, 2)), np.ones((1, 4)), np.ones((4, 1, 1)), 1.0],
+                         ids=["square", "row", "three_dimensional", "scalar"])
+def test_majorization_witness_refuses_an_x_that_is_not_a_vector(x):
+    with pytest.raises(BadShape, match="x must be a vector or a single column"):
+        majorization_witness(np.eye(4), x)
+
+
+@pytest.mark.parametrize("x", [np.ones(4), np.ones((4, 1))], ids=["vector", "column"])
+def test_majorization_witness_takes_a_vector_or_a_column(x):
+    assert majorization_witness(np.eye(4), x) == 2.0
 
 
 def test_majorization_witness_requires_hypo_ep():

@@ -274,14 +274,19 @@ def test_douglas_command_is_douglas_analysis(capsys, tmp_path, case):
         "douglas", report, file_digest([a_path, b_path]), tol))
 
 
-def test_douglas_overflowed_gram_exits_2(capsys, tmp_path):
+def test_douglas_pair_past_1e154_exits_0(capsys, tmp_path):
+    # B B* - A A* is past the float range; the gap is formed on A / p and
+    # B / p instead, so the pair is decided and no warning is raised.
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
     write_matrix(a_path, np.diag([1e200, 3.0]))
     write_matrix(b_path, np.diag([1e200, 1.0]))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run(capsys, "douglas", str(a_path), str(b_path))
-    assert code == 2 and not out
-    assert "NonFinite" in err
+    assert (code, err) == (0, "")
+    conditions = json.loads(out)["report"]["conditions"]
+    assert conditions == [{"id": "range_included", "residual": 3.0, "passed": True},
+                          {"id": "contraction", "residual": 1.0, "passed": True}]
 
 
 # Bytes are written as they are: the first is not UTF-8.

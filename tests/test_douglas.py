@@ -7,10 +7,10 @@ import scipy.linalg
 
 from eplab import (DEFAULT_TOL, TolerancePolicy, adjoint, closed_range_panel,
                    douglas_analysis, generate_admissible, min_eigenvalue, op_norm, pinv,
-                   projector, range_basis, subspace_equal)
+                   projector, range_basis, subspace_equal, svd)
 from eplab import douglas as douglas_module
 from eplab.core import growth_bound
-from eplab.errors import DimensionMismatch, NonFinite
+from eplab.errors import DimensionMismatch
 from eplab.zoo import random_ep
 
 from conftest import douglas_cases, random_complex
@@ -197,8 +197,9 @@ def test_panel_residuals_are_the_public_routes(corpus1000):
 
 def test_panel_judges_each_row_once_at_the_callers_tolerance(corpus1000, monkeypatch):
     # At subspace_tol = 1e-15 each range row is the subspace_equal check made
-    # at that tolerance, renamed, and no check is made at the default; rows
-    # of each kind that pass at the default fail here.
+    # at that tolerance, renamed, and no check is made at the default; the
+    # factorization row is judged on ||A||, with no floor.  Rows of each
+    # kind that pass at the default fail here.
     tol = TolerancePolicy(subspace_tol=1e-15)
     tols = []
 
@@ -217,7 +218,7 @@ def test_panel_judges_each_row_once_at_the_callers_tolerance(corpus1000, monkeyp
         right, left, factors = items
         assert right.passed == (right.residual <= 1e-15)
         assert left.passed == (left.residual <= 1e-15)
-        assert factors.passed == (factors.residual <= 1e-15 * max(1.0, op_norm(a)))
+        assert factors.passed == (factors.residual <= tol.residual_bound(svd(a).sigma[0]))
         flipped |= {item.condition_id for item, was in zip(items, default)
                     if was.passed and not item.passed}
     assert tols and all(seen is tol for seen in tols)
@@ -291,20 +292,40 @@ def test_douglas_analysis_decomposition_counts(monkeypatch):
     assert counts["qr"] == 1  # the growth bound's
 
 
-def test_majorization_rejects_overflowed_gram():
-    # B B* - A A* overflows to [[nan, 0], [0, -8]]; it must not pass as PSD,
-    # and the error names the gap, not the input.
-    with pytest.raises(NonFinite, match=r"majorization gap B B\* - A A\* overflows"):
-        douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 1.0]))
+def test_majorization_decides_a_pair_whose_gram_overflows():
+    # B B* - A A* is past the float range, but the gap of A / p and B / p,
+    # p = 2^664 the power of two at the largest entry, is not.  B's rank is
+    # 1 (sigma_2 = 1 is below the cut 4.4e184), so A is 3 outside R(B),
+    # within the bound 1e192, and C = pinv(B) A = diag(1, 0).
+    report = douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 1.0]))
+    assert report.conditions == (("range_included", 3.0, True), ("contraction", 1.0, True))
+    np.testing.assert_array_equal(report.factor_c, np.diag([1.0, 0.0]))
 
 
-def test_overflowed_gram_raises_without_warnings():
-    # A = B, so the pair is majorized, but its Gram matrices overflow.
-    with warnings.catch_warnings(record=True) as caught, \
-            pytest.raises(NonFinite, match=r"majorization gap B B\* - A A\* overflows"):
-        warnings.simplefilter("always")
-        douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 3.0]))
-    assert not caught
+def test_pair_past_1e154_decided_without_warnings():
+    # A = B, so the pair is majorized, though its Gram matrices overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 3.0]))
+    assert report.conditions == (("range_included", 3.0, True), ("contraction", 1.0, True))
+
+
+def test_majorization_of_a_pair_below_1e154_is_not_lost_to_underflow():
+    # A A* = 1e-400 I and B B* = 2.5e-401 I underflow to 0, so the unscaled
+    # gap is 0 and passed; on A / p and B / p it is -0.75 p^-2 ||A||^2 < 0.
+    report = douglas_analysis(1e-200 * np.eye(2), 0.5e-200 * np.eye(2))
+    assert report.range_included and report.contraction_ok is None
+
+
+def test_majorization_of_a_pair_at_a_subnormal_power():
+    # The power of two at 8e-309 is 2^-1024, whose reciprocal overflows; the
+    # real and imaginary parts are divided by it apart, not multiplied.
+    a = 8e-309 * np.eye(2) * (1 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = douglas_analysis(a, a)
+    assert report.range_included and report.contraction_ok
+    assert abs(report.conditions[1].residual - 1.0) <= 1e-15
 
 
 def _sampled_growth_bound(c, a, seed):

@@ -32,6 +32,7 @@ def test_prints_one_stable_digest_per_family(capsys, monkeypatch):
     assert [line.split("  ", 1)[1] for line in lines] == [
         "propsuite --count 2", "zoo sections", "corpus matrices", "rank rule", "subspaces",
         "sweep", "cli classify", "cli pinv", "cli douglas", "cli perturb",
+        "identities", "identities --tol-subspace 1e-15",
         "cli large classify perturb", "cli zoo",
         "nonfinite messages", "overflow messages"]
     outputs_digest.main()

@@ -166,20 +166,54 @@ def test_dagger_identities_names_stable():
                                            (TolerancePolicy(subspace_tol=1e-15), False)])
 def test_dagger_identities_judged_at_the_residual_bound(corpus1000, tol, all_pass):
     # Each dagger identity and each Penrose condition passes exactly when its
-    # residual is within subspace_tol * max(1, ||A||); at 1e-15 some of each fail.
+    # residual is within subspace_tol times the norm of its exact term: ||A||,
+    # ||A+||, their squares, or 1 for a sine or a difference of projectors.
+    # At 1e-15 some of each fail.
     verdicts = {"dagger": [], "penrose": []}
+    bound = tol.residual_bound
     for _, a in corpus1000[:100]:
-        bound = tol.residual_bound(max(1.0, svd(a).sigma[0]))
-        penrose = penrose_verify(a, pinv(a, tol), tol)
+        a_dag = pinv(a, tol)
+        norm, norm_dag = svd(a).sigma[0], svd(a_dag).sigma[0]
+        bounds = {
+            "dagger": [bound(norm), bound(norm_dag), bound(norm_dag) * norm_dag,
+                       bound(norm_dag) * norm_dag, bound(), bound(norm) * norm,
+                       bound(norm) * norm],
+            "penrose": [bound(norm_dag), bound(norm), bound(), bound(), bound(), bound()],
+        }
+        penrose = penrose_verify(a, a_dag, tol)
         rows = {"dagger": dagger_identities(a, tol), "penrose": penrose.conditions}
         for source, checks in rows.items():
-            for check in checks:
-                assert check.passed == (check.residual <= bound), (source, check)
+            assert len(checks) == len(bounds[source])
+            for check, row_bound in zip(checks, bounds[source]):
+                assert check.passed == (check.residual <= row_bound), (source, check)
                 verdicts[source].append(check.passed)
         assert penrose.passed == all(check.passed for check in penrose.conditions)
     for source, passed in verdicts.items():
         assert any(passed), source
         assert all(passed) == all_pass, source
+
+
+def test_penrose_of_an_ill_conditioned_pseudoinverse_passes():
+    # A+ A A+ - A+ is 1.19e-7, 1.2e-16 of ||A+|| = 1e9: judged on ||A+||, not
+    # on ||A|| = 1.
+    a = np.diag([1.0, 1e-9])
+    report = penrose_verify(a, pinv(a))
+    assert report.conditions[0].residual > 1e-8
+    assert report.passed
+
+
+def test_penrose_refuses_a_candidate_whose_products_are_not_projectors():
+    # X = A+ + 1e-10 e1 e3^T leaves A X 1e-4 off Hermitian: the projector
+    # rows are differences of projectors, judged at subspace_tol, not at
+    # subspace_tol * ||A|| = 1e-2.
+    a = 1e6 * np.diag([1.0, 1.0, 0.0])
+    x = pinv(a)
+    x[0, 2] += 1e-10
+    report = penrose_verify(a, x)
+    failed = {check.condition_id: check.residual for check in report.conditions
+              if not check.passed}
+    assert failed.keys() == {"sym_a_a_dag", "proj_range"} and not report.passed
+    assert all(abs(residual - 1e-4) <= 1e-12 for residual in failed.values())
 
 
 def test_rank_threshold_shared_with_policy():

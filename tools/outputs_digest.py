@@ -31,6 +31,9 @@ families:
 - ``eplab classify``, ``pinv`` (its document and the written A+),
   ``douglas`` and ``perturb`` over fixed same-size corpus pairs, each at
   the default tolerances and at ``--tol-subspace 1e-15``;
+- the identities: the ``penrose_verify(m, pinv(m))``, ``dagger_identities``
+  and ``closed_range_panel`` records of both matrices of each of those
+  pairs, at the default tolerances and at ``subspace_tol=1e-15``;
 - ``eplab classify`` of an EP, a closed-range and an exactly Hermitian
   matrix and ``eplab perturb`` of the EP one and an admissible
   perturbation, at n 64 and 128, where the SVDs of ``A*`` and ``A+`` run
@@ -38,8 +41,9 @@ families:
 - the ``eplab zoo`` documents and the matrix files they write, for every
   deterministic family at a few sizes and two random specs;
 - the ``NonFinite`` messages of fixed cases, in two families: non-finite
-  inputs and report values, the pseudoinverse's ``1/sigma_r`` and the
-  majorization gap; and what overflows, or must not, from finite input
+  inputs and report values, the pseudoinverse's ``1/sigma_r`` and two
+  Douglas pairs with entries past 1e154, whose majorization gap must not
+  overflow; and what overflows, or must not, from finite input
   (the Gram matrices, ``A + B``, ``A x``, the witness's ``z`` and its
   norms, the products of a Penrose candidate, the Douglas factor ``C``,
   the products ``A+ A*+`` and ``A*+ A+``, the 2-norm ``sigma_1``, the
@@ -76,7 +80,7 @@ from eplab import (TolerancePolicy, check_perturbation, classify,  # noqa: E402
                    closed_range_panel, cli, corpus_matrix, dagger_identities,
                    douglas_analysis, ep_closure_suite, gamma, generate, generate_admissible,
                    majorization_witness, min_eigenvalue, modulus, null_basis, penrose_verify,
-                   range_basis, subspace_equal, subspace_included, write_matrix)
+                   pinv, range_basis, subspace_equal, subspace_included, write_matrix)
 from eplab.core import _Operand, as_matrix  # noqa: E402
 from eplab.reports import dump_document  # noqa: E402
 from eplab.zoo import DETERMINISTIC_FAMILIES, Family, OperatorSpec  # noqa: E402
@@ -238,6 +242,18 @@ def analyses() -> dict[str, str]:
     return {f"cli {command}": _sha256(outputs) for command, outputs in runs.items()}
 
 
+def identities() -> dict[str, str]:
+    """The Penrose, dagger and panel records of both matrices of every pair,
+    by tolerance."""
+    def records(m, tol):
+        return (_caught(lambda: penrose_verify(m, pinv(m, tol), tol)),
+                _caught(dagger_identities, m, tol), _caught(closed_range_panel, m, tol))
+
+    return {" ".join(["identities", *flags]): _sha256(
+        (index, *records(m, tol)) for index, a, b in _pairs(PAIR_COUNT) for m in (a, b))
+        for flags, tol in zip(TOLERANCES, SUBSPACE_POLICIES)}
+
+
 def large_analyses() -> str:
     """The CLI outputs of ``classify`` and ``perturb`` on large inputs,
     matrix files alternately dense JSON and Matrix Market."""
@@ -280,7 +296,7 @@ _INF, _NAN = float("inf"), float("nan")
 
 def non_finite_messages() -> str:
     """Non-finite inputs and report values, an overflowing ``1/sigma_r`` and
-    an overflowing majorization gap."""
+    the Douglas pairs past 1e154, which are decided."""
     cases = [
         (as_matrix, [[1.0, _NAN]]),
         (majorization_witness, np.diag([1.0, 2.0]), [_INF, 0.0]),
@@ -357,7 +373,7 @@ def digests() -> dict[str, str]:
     """Every family's sha256, by family name, in a fixed order."""
     return {**propsuite(), "zoo sections": zoo_sections(),
             "corpus matrices": corpus_matrices(), "rank rule": rank_rule(),
-            "subspaces": subspaces(), "sweep": sweep(), **analyses(),
+            "subspaces": subspaces(), "sweep": sweep(), **analyses(), **identities(),
             "cli large classify perturb": large_analyses(), "cli zoo": zoo_documents(),
             "nonfinite messages": non_finite_messages(),
             "overflow messages": overflow_messages()}
