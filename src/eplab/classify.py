@@ -26,6 +26,8 @@ evaluator, which measures each route they read once.
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +95,7 @@ def _modulus(op: _Operand) -> np.ndarray:
 # between X and Y when their dimensions are equal, and Y <= X's inclusion
 # residual in any case.  The routes that read only A's SVD come first,
 # then those that read A*'s and last those that read A+'s, the SVD the
-# worker starts last.  The commutator alone reads the products A A+
+# overlap starts last.  The commutator alone reads the products A A+
 # and A+ A of the computed A+.
 _ROUTES = {
     "commutator": lambda op: op_norm(op.arr @ op.pinv - op.pinv @ op.arr),
@@ -147,12 +149,13 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
 
     The conditions are measured in the order of their routes in
     :data:`_ROUTES`, so the first route that fails raises, whether or not
-    ``A`` is :attr:`_Operand.concurrent`.  When it is, the worker
-    decomposes ``A*`` and ``A+``, which every caller's conditions read:
-    ``A*``'s SVD starts before this thread decomposes ``A`` (none when
-    ``A*`` equals ``A``), and ``A+``'s as soon as ``A+`` is formed.  A
-    failure cancels what is still queued and waits for what runs before
-    it is raised."""
+    ``A`` is :attr:`_Operand.concurrent`.  When it is, the analysis opens
+    a one-thread executor that decomposes ``A*`` and ``A+``, which every
+    caller's conditions read: ``A*``'s SVD starts before this thread
+    decomposes ``A`` (none when ``A*`` equals ``A``), and ``A+``'s as soon
+    as ``A+`` is formed.  The executor's thread ends before this returns.
+    A failure cancels what is still queued, drops it from the table and
+    waits for what runs before it is raised."""
     if op.arr.shape[0] != op.arr.shape[1]:
         raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
     routes, measured = list(_ROUTES), {}
@@ -164,17 +167,21 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
             measured[route] = _ROUTES[route](op)
         return measured[route]
 
-    try:
-        if op.concurrent:
-            if not np.array_equal(op.adjoint.arr, op.arr):
-                op.adjoint.start()
-            op.factors  # A's SVD, on this thread
-            op.dagger.start()
-        values = {cid: measure(*_CONDITIONS[cid])
-                  for cid in sorted(ids, key=lambda cid: routes.index(_CONDITIONS[cid][0]))}
-    except OperatorAnalysisError:
-        op.settle()
-        raise
+    with ThreadPoolExecutor(1, "eplab-svd") if op.concurrent else nullcontext() as executor:
+        try:
+            if executor:
+                if not np.array_equal(op.adjoint.arr, op.arr):
+                    op.adjoint.start(executor)
+                op.factors  # A's SVD, on this thread
+                op.dagger.start(executor)
+            values = {cid: measure(*_CONDITIONS[cid]) for cid in
+                      sorted(ids, key=lambda cid: routes.index(_CONDITIONS[cid][0]))}
+        except OperatorAnalysisError:
+            if executor:
+                executor.shutdown(cancel_futures=True)
+                op._table[:] = [(arr, entry) for arr, entry in op._table
+                                if not (isinstance(entry, Future) and entry.cancelled())]
+            raise
     bound = op.tol.residual_bound()
     return tuple(ConditionCheck.judge(cid, values[cid], bound) for cid in ids)
 
@@ -215,8 +222,9 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     and ``A+`` are each decomposed once, and ``A*`` not at all when it
     equals ``A`` (two full SVDs for exactly Hermitian ``A``); the twelve
     conditions read eight routes, each measured once.  From order 48 on,
-    the SVDs of ``A*`` and ``A+`` run on a background thread while this
-    one decomposes ``A`` and measures the routes that read neither.  Both
+    while the BLAS runs one thread, the SVDs of ``A*`` and ``A+`` run on a
+    thread the call opens and closes, while this one decomposes ``A`` and
+    measures the routes that read neither.  Both
     paths measure the routes in one order, so the report is bit for bit the
     serial one and a failure raises the serial error.
     """
@@ -302,8 +310,12 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     arr, star = source.arr, source.adjoint.arr
     n = arr.shape[1]
 
-    if not np.ndim(x) or np.shape(x)[1:] not in ((), (1,)):
-        raise BadShape(f"x must be a vector or a single column, got shape {np.shape(x)}")
+    try:
+        shape = np.shape(x)
+    except ValueError as exc:
+        raise BadShape(f"x is not a rectangular array: {exc}") from None
+    if not shape or shape[1:] not in ((), (1,)):
+        raise BadShape(f"x must be a vector or a single column, got shape {shape}")
     vec = as_matrix(np.reshape(x, (-1, 1))).ravel()
     if vec.shape[0] != n:
         raise DimensionMismatch(

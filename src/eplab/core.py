@@ -8,22 +8,22 @@ cross product (the sine of the largest principal angle), so set-level
 statements such as range equality or null-space inclusion reduce to
 residuals judged against a :class:`TolerancePolicy`, each reported as a
 :class:`ConditionCheck`.  Every function here is pure: no mutation of
-inputs, safe for concurrent use, and no hidden state but the SVD worker.
+inputs, safe for concurrent use, and no hidden state.
 The private ``_Operand`` is the exception: it caches what derives from a
 matrix, and within one analysis a matrix equal by value to one already
-decomposed takes its factors.  An operand can start its SVD on that worker,
-a one-thread executor that runs :func:`svd` and nothing else, so that the
-analysis of a matrix of order at least ``_WORKER_MIN_DIM`` overlaps its
-independent decompositions.  The module makes the worker at import, and a
-forked child makes its own; the worker starts its thread on first use.
+decomposed takes its factors.  An operand can start its SVD on an executor
+the analysis owns, so that the analysis of a matrix of order at least
+``_WORKER_MIN_DIM`` overlaps its independent decompositions while the BLAS
+runs one thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+import ctypes
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -39,14 +39,25 @@ RESIDUAL_SLACK = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    arr = np.asarray(a)
+    """Coerce input to a 2-D complex128 array, rejecting NaN/Inf entries.
+
+    BadShape when ``a`` is ragged, is not 2-D or has an entry that is not a
+    number; NonFinite for an entry past the float range."""
+    try:
+        arr = np.asarray(a)
+    except ValueError as exc:
+        raise BadShape(f"not a rectangular matrix: {exc}") from None
     if arr.ndim != 2:
         raise BadShape(f"expected a 2-D matrix, got ndim={arr.ndim}")
     m, n = arr.shape
     if m < 1 or n < 1:
         raise BadShape(f"matrix dimensions must be positive, got {arr.shape}")
-    arr = arr.astype(np.complex128, copy=False)
+    try:
+        arr = arr.astype(np.complex128, copy=False)
+    except OverflowError:
+        raise NonFinite("matrix contains an entry past the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise BadShape(f"matrix entries must be numbers: {exc}") from None
     if not np.all(np.isfinite(arr)):
         raise NonFinite("matrix contains NaN or Inf entries")
     return arr
@@ -216,23 +227,27 @@ class SubspaceBasis:
 
 
 # The analysis of a matrix with both dimensions at least this decomposes
-# A* and A+ on the worker.  Measured on classify with OpenBLAS on one
-# thread and two free CPUs, the worker took 1.19 times the serial time at
-# n = 32, 0.93 at 48 and 0.79 at 64.
+# A* and A+ on a thread of its own.  Measured on classify with OpenBLAS on
+# one thread and two free CPUs, the overlap took 1.19 times the serial time
+# at n = 32, 0.93 at 48 and 0.79 at 64.
 _WORKER_MIN_DIM = 48
 
 
-def _new_worker() -> None:
-    """Make the one-thread executor of background SVDs; it starts its thread
-    on its first submit.  A forked child, which has no worker thread, makes
-    its own."""
-    global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eplab-svd")
+def _openblas_threads():
+    """The thread-count query of the OpenBLAS that numpy's wheel ships in
+    ``numpy.libs``; for any other BLAS a stand-in that reads 2, since two
+    SVDs that each run more than one BLAS thread compete for the cores."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        query = lib.scipy_openblas_get_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return lambda: 2
+    query.argtypes, query.restype = [], ctypes.c_int
+    return query
 
 
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_worker)
+_blas_threads = _openblas_threads()
 
 
 class _Operand:
@@ -272,22 +287,16 @@ class _Operand:
 
     @property
     def concurrent(self) -> bool:
-        """Whether the analysis of the operand decomposes on the worker: both
-        its dimensions are at least ``_WORKER_MIN_DIM``."""
-        return min(self.arr.shape) >= _WORKER_MIN_DIM
+        """Whether the analysis of the operand overlaps its SVDs: both its
+        dimensions are at least ``_WORKER_MIN_DIM`` and the BLAS runs one
+        thread."""
+        return min(self.arr.shape) >= _WORKER_MIN_DIM and _blas_threads() == 1
 
-    def start(self) -> None:
-        """Start the operand's SVD on the worker, unless the table holds a
+    def start(self, executor: Executor) -> None:
+        """Start the operand's SVD on ``executor``, unless the table holds a
         matrix equal by value.  :attr:`factors` waits for it."""
         if self._entry() is None:
-            self._table.append((self.arr, _worker.submit(svd, self.arr)))
-
-    def settle(self) -> None:
-        """Cancel the SVDs of this analysis still queued on the worker, drop
-        them from the table and wait for the one running, if any."""
-        self._table[:] = [(arr, entry) for arr, entry in self._table
-                          if not (isinstance(entry, Future) and entry.cancel())]
-        wait([entry for _, entry in self._table if isinstance(entry, Future)])
+            self._table.append((self.arr, executor.submit(svd, self.arr)))
 
     @cached_property
     def factors(self) -> SvdFactors:

@@ -11,7 +11,9 @@ class NonFinite(OperatorAnalysisError):
 
 
 class BadShape(OperatorAnalysisError, ValueError):
-    """An input is not a 2-D matrix with at least one row and one column."""
+    """An input is not a 2-D matrix of numbers with at least one row and one
+    column: it is ragged, has another number of dimensions, is empty or has
+    an entry that is not a number."""
 
 
 class ConvergenceFailure(OperatorAnalysisError):

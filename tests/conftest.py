@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eplab
 from eplab.perturb import generate_admissible
 from eplab.zoo import Family, OperatorSpec, corpus_matrix, generate, random_ep
 
@@ -38,3 +42,11 @@ def douglas_cases():
         ("not_included_not_majorized", np.diag([0.0, 1.0]), np.diag([1.0, 0.0])),
         ("not_included_majorized", np.diag([0.0, 1e-5]), np.diag([1.0, 0.0])),
     ]
+
+
+def child_env(**extra):
+    """The environment of a child interpreter that imports this checkout's
+    eplab: ``os.environ`` with ``extra`` added and the source tree first on
+    PYTHONPATH."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(Path(eplab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))

@@ -1,11 +1,13 @@
-"""Hypothesis fuzzing of the CLI's input boundary.
+"""Hypothesis fuzzing of the CLI's and the library's input boundaries.
 
 Malformed dense JSON matrices, Matrix Market files and operator specs, and
 arbitrary bytes as a matrix or spec file, go through ``cli.main`` in
 process; each must end in exit 0 or in a typed error with exit 2, never in
 an exception escaping ``main``.  Every generated dimension is at most 8 or
 exactly ``MAX_DIMENSION + 1``, so an input that slipped past a size check
-could not allocate much.
+could not allocate much.  Nested lists and object arrays of numbers,
+strings and ``None`` go to the library's analyses, which must return or
+raise an eplab error.
 """
 
 import contextlib
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eplab import classify, douglas_analysis, majorization_witness
 from eplab.cli import main
+from eplab.errors import OperatorAnalysisError
 from eplab.matio import MAX_DIMENSION
 from eplab.zoo import Family
 
@@ -139,3 +143,32 @@ def test_arbitrary_bytes_exit_0_or_2(workdir, data):
     spec_path.write_bytes(data)
     assert run_cli("classify", matrix_path) in (0, 2)
     assert run_cli("zoo", spec_path, "--out", workdir / "zoo.mtx") in (0, 2)
+
+
+LIBRARY_ENTRY = st.one_of(ENTRY, st.complex_numbers(max_magnitude=1e3), st.none(),
+                          st.text(max_size=3), st.sampled_from(["1", "-2.5", "1+2j", "inf"]))
+NESTED = st.recursive(LIBRARY_ENTRY, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+
+
+@st.composite
+def object_arrays(draw):
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    arr = np.empty(shape, dtype=object)
+    for index in np.ndindex(*shape):
+        arr[index] = draw(NESTED)
+    return arr
+
+
+LIBRARY_INPUTS = st.one_of(NESTED, object_arrays())
+
+
+@fuzz
+@given(LIBRARY_INPUTS, LIBRARY_INPUTS)
+def test_library_inputs_end_in_a_report_or_an_eplab_error(a, x):
+    for call in (lambda: classify(a), lambda: douglas_analysis(np.eye(2), a),
+                 lambda: majorization_witness(np.eye(2), x)):
+        with np.errstate(all="ignore"):
+            try:
+                call()
+            except OperatorAnalysisError:
+                pass

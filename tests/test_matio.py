@@ -1,13 +1,10 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import eplab
 from eplab.cli import main
 from eplab.core import as_matrix
 from eplab.errors import BadShape, OperatorAnalysisError, ParseError
@@ -15,7 +12,7 @@ from eplab.matio import (MAX_DIMENSION, bytes_digest, file_digest,
                          matrix_from_json_dict, matrix_to_json_dict, read_matrix,
                          sniff_format, write_matrix)
 
-from conftest import random_complex
+from conftest import child_env, random_complex
 
 
 def test_sniff_format():
@@ -133,20 +130,10 @@ def test_json_keeps_signed_zeros(tmp_path):
 
 
 def test_import_leaves_scipy_io_unloaded():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(eplab.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
     probe = "import sys, eplab; print('scipy.io' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
-
-
-def _subprocess_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(eplab.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
-    return env
 
 
 # scipy's reader dies with SIGFPE on these headers, so they run in a child
@@ -156,7 +143,7 @@ def test_matrix_market_empty_array_header_exits_2(tmp_path, size):
     path = tmp_path / "empty.mtx"
     path.write_text(f"%%MatrixMarket matrix array real general\n{size}\n")
     run = subprocess.run([sys.executable, "-m", "eplab.cli", "classify", str(path)],
-                         env=_subprocess_env(), capture_output=True, text=True)
+                         env=child_env(), capture_output=True, text=True)
     assert run.returncode == 2 and "ParseError" in run.stderr
 
 

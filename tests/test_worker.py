@@ -1,8 +1,12 @@
-"""The background SVD worker: counts, bits, failures and lifetime above the
-size threshold, where ``classify`` and the EP-only analyses decompose
-``A*`` and ``A+`` on the worker while the calling thread decomposes ``A``.
+"""The overlapped SVDs: counts, bits, failures and thread lifetime above
+the size threshold, where ``classify`` and the EP-only analyses decompose
+``A*`` and ``A+`` on a thread of the analysis's own while the calling
+thread decomposes ``A``.
 
-A forced-serial run sets the private threshold ``core._WORKER_MIN_DIM``
+The overlap also needs the BLAS to run one thread.  Every test here but
+the one about that rule makes the private query ``core._blas_threads``
+read 1, so the overlap runs whatever the BLAS thread count.  A
+forced-serial run sets the private threshold ``core._WORKER_MIN_DIM``
 past every input, which is how an analysis below the threshold runs.
 """
 
@@ -13,13 +17,12 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import eplab
 from eplab import (check_perturbation, classify, core, ep_closure_suite, generate_admissible,
                    majorization_witness)
 from eplab.classify import _ROUTES, _classify
@@ -27,7 +30,7 @@ from eplab.core import _Operand
 from eplab.errors import ConvergenceFailure, NonFinite
 from eplab.zoo import Family, OperatorSpec, generate
 
-from conftest import random_complex
+from conftest import child_env, random_complex
 
 LARGE_SIZES = tuple(range(96, 193, 16))
 N = 128
@@ -52,6 +55,12 @@ def serial(call, *args):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_WORKER_MIN_DIM", sys.maxsize)
         return call(*args)
+
+
+@pytest.fixture(autouse=True)
+def one_blas_thread(monkeypatch):
+    """The overlap's rule reads one BLAS thread, whatever the BLAS runs."""
+    monkeypatch.setattr(core, "_blas_threads", lambda: 1)
 
 
 @pytest.fixture
@@ -91,9 +100,10 @@ def test_equal_operands_are_decomposed_once(svd_threads):
     a = random_complex(np.random.default_rng(1), N, N)
     op = _Operand(a)
     twin = op.derive(a.copy())
-    op.start()
-    twin.start()
-    assert twin.factors is op.factors
+    with ThreadPoolExecutor(1, "eplab-svd") as executor:
+        op.start(executor)
+        twin.start(executor)
+        assert twin.factors is op.factors
     assert op.derive(a.copy()).factors is op.factors
     assert sum(svd_threads.values()) == 1
 
@@ -103,6 +113,14 @@ def test_inputs_below_the_threshold_stay_on_the_calling_thread(svd_threads):
         classify(random_complex(np.random.default_rng(n), n, n))
     assert _on_worker(svd_threads) == 0
     assert sum(svd_threads.values()) == 9
+
+
+def test_more_than_one_blas_thread_keeps_the_analysis_serial(monkeypatch, svd_threads):
+    monkeypatch.setattr(core, "_blas_threads", lambda: 2)
+    a = generate(OperatorSpec(Family.RANDOM_EP, N, 3 * N // 4, 0))[0]
+    assert classify(a).is_ep
+    assert sum(svd_threads.values()) == 3
+    assert _on_worker(svd_threads) == 0
 
 
 def test_large_reports_match_a_serial_run():
@@ -141,9 +159,10 @@ def test_worker_convergence_failure_has_the_serial_text(monkeypatch):
 
 def test_non_finite_on_the_calling_thread_leaves_nothing_queued(monkeypatch):
     # sigma_1 of this triangle is past the float range: A's rank rule raises
-    # while A*'s SVD is queued or running on the worker.
+    # while A*'s SVD is queued or running on the analysis's thread.
     started, start = [], _Operand.start
-    monkeypatch.setattr(_Operand, "start", lambda op: started.append(start(op)))
+    monkeypatch.setattr(_Operand, "start",
+                        lambda op, executor: started.append(start(op, executor)))
     a = np.triu(np.full((64, 64), 1.5e308))
     op = _Operand(a)
     with pytest.raises(NonFinite) as concurrent:
@@ -156,22 +175,33 @@ def test_non_finite_on_the_calling_thread_leaves_nothing_queued(monkeypatch):
 
 
 def test_failure_on_the_calling_thread_cancels_the_queued_svds(monkeypatch, svd_threads):
-    # The worker is held busy, so the SVDs of A* and A+ are still queued
-    # when a route measured on the calling thread raises.
+    # The analysis's thread is held busy until the SVDs of A* and A+ are
+    # cancelled, so they are still queued when a route measured on the
+    # calling thread raises.  Were they not cancelled, they would run after
+    # the 60-s hold, on that thread.
+    release, start, held = threading.Event(), _Operand.start, []
+
+    def start_behind_a_hold(op, executor):
+        if not held:
+            held.append(executor.submit(release.wait, 60))
+        start(op, executor)
+
     def overflowing(op):
+        queued = [entry for _, entry in op._table if isinstance(entry, Future)]
+        for entry in queued:
+            entry.add_done_callback(lambda _: all(f.done() for f in queued) and release.set())
         raise NonFinite("the commutator overflows")
 
+    monkeypatch.setattr(_Operand, "start", start_behind_a_hold)
     monkeypatch.setitem(_ROUTES, "commutator", overflowing)
-    release = threading.Event()
-    core._worker.submit(release.wait, 60)
     op = _Operand(random_complex(np.random.default_rng(3), 64, 64))
     try:
         with pytest.raises(NonFinite, match="commutator"):
             _classify(op)
+        assert held and held[0].done()
         assert not any(isinstance(entry, Future) for _, entry in op._table)
     finally:
         release.set()
-    core._worker.submit(int).result(timeout=60)  # after anything still queued
     assert _on_worker(svd_threads) == 0
 
 
@@ -216,7 +246,7 @@ def test_routes_are_listed_in_measuring_order(monkeypatch):
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
 def test_forked_child_classifies_on_its_own_worker():
     a = generate(OperatorSpec(Family.RANDOM_CLOSED_RANGE, N, 90, 4))[0]
-    expected = repr(classify(a))  # the parent's worker thread now exists
+    expected = repr(classify(a))  # the parent has run an overlapped analysis
     pid = os.fork()
     if pid == 0:
         try:
@@ -236,8 +266,8 @@ def test_forked_child_classifies_on_its_own_worker():
 
 
 def test_user_threads_get_the_serial_reports():
-    # Three user threads and the worker on at most two cores, switching
-    # often, each thread in its own order.
+    # Three user threads and their analyses' threads on at most two cores,
+    # switching often, each thread in its own order.
     inputs = list(large_inputs((64, 96)))
     expected = [repr(serial(classify, a)) for a in inputs]
     orders = {"forward": range(len(inputs)), "backward": range(len(inputs) - 1, -1, -1),
@@ -268,6 +298,7 @@ import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 from eplab import classify, core
 from test_worker import large_inputs
+core._blas_threads = lambda: 1
 inputs = list(large_inputs())
 def digest():
     return hashlib.sha256(repr([classify(a) for a in inputs]).encode()).hexdigest()
@@ -282,8 +313,7 @@ def _in_child(script: str, *args: str, **env: str) -> str:
     """The standard output of ``script`` run with ``args`` in a fresh
     interpreter that imports this eplab, with ``env`` added to the
     environment and OMP_NUM_THREADS taken out of it."""
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        [str(Path(eplab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env = child_env(**env)
     env.pop("OMP_NUM_THREADS", None)
     return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
                           capture_output=True, text=True, timeout=300).stdout
@@ -291,7 +321,7 @@ def _in_child(script: str, *args: str, **env: str) -> str:
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_reports_repeat_bit_for_bit_on_one_and_two_blas_threads(threads):
-    # In each child, three runs on the worker and one serial run hash alike.
+    # In each child, three overlapped runs and one serial run hash alike.
     out = _in_child(_REPEATED_DIGESTS, str(Path(__file__).parent), OPENBLAS_NUM_THREADS=threads)
     assert out.strip() == "1"
 
@@ -301,17 +331,42 @@ import json, threading
 import numpy as np
 before = threading.active_count()
 import eplab
+from eplab import core
+core._blas_threads = lambda: 1
+full, decomposed_on = np.linalg.svd, set()
+def recording(*args, **kwargs):
+    decomposed_on.add(threading.current_thread().name)
+    return full(*args, **kwargs)
+np.linalg.svd = recording
 started = [threading.active_count() - before]
 for n in (8, 64):
     eplab.classify(np.random.default_rng(n).standard_normal((n, n)))
     started.append(threading.active_count() - before)
-print(json.dumps([started, [t.name for t in threading.enumerate()]]))
+print(json.dumps([started, [t.name for t in threading.enumerate()], sorted(decomposed_on)]))
 """
 
 
 def test_the_worker_starts_its_one_thread_on_first_use():
-    # In a fresh interpreter: none on import, none below the threshold, one
-    # at n = 64.
-    started, names = json.loads(_in_child(_THREADS))
-    assert started == [0, 0, 1]
-    assert sum(name.startswith("eplab-svd") for name in names) == 1
+    # In a fresh interpreter: no thread is left on import, after an analysis
+    # below the threshold or after one at n = 64, which decomposed on an
+    # eplab-svd thread.
+    started, names, decomposed_on = json.loads(_in_child(_THREADS))
+    assert started == [0, 0, 0]
+    assert not any(name.startswith("eplab-svd") for name in names)
+    assert any(name.startswith("eplab-svd") for name in decomposed_on)
+
+
+_BLAS_THREADS = """
+from eplab import core
+print(core._blas_threads())
+"""
+
+
+def test_the_overlap_rule_reads_one_blas_thread_when_pinned():
+    assert _in_child(_BLAS_THREADS, OPENBLAS_NUM_THREADS="1").strip() == "1"
+
+
+def test_an_unknown_blas_counts_as_more_than_one_thread(monkeypatch, tmp_path):
+    # numpy installed where no numpy.libs holds the vendored OpenBLAS.
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert core._openblas_threads()() == 2

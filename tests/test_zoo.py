@@ -1,19 +1,18 @@
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import eplab
 from eplab import classify, gamma, numerical_rank, op_norm, projector, range_basis
 from eplab.errors import BadSpec
 from eplab.matio import MAX_DIMENSION
 from eplab.zoo import (Expectation, ExpectedTraits, Family, OperatorSpec,
                        corpus_matrix, gamma_sweep, generate, haar_frame, random_conditioned,
                        random_ep)
+
+from conftest import child_env
 
 
 def make(family, n, **kw):
@@ -105,8 +104,7 @@ def test_fourier_derivative_bytes_do_not_depend_on_blas_threads():
     # bytes differ between one and two OpenBLAS threads.
     digests = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            [str(Path(eplab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        env = child_env(OPENBLAS_NUM_THREADS=threads)
         digests.add(subprocess.run([sys.executable, "-c", _FOURIER_SECTIONS_DIGEST], env=env,
                                    check=True, capture_output=True, text=True,
                                    timeout=120).stdout)
