@@ -26,16 +26,15 @@ evaluator, which measures each route they read once.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
-                   _gamma_and_rank, _Operand, as_matrix, min_eigenvalue, op_norm, projector)
-from .errors import (BadShape, DimensionMismatch, NonFinite, NotSquare,
-                     OperatorAnalysisError, SolveFailure, SourceNotEP, SourceNotHypoEP)
+                   _gamma_and_rank, _norm, _Operand, _power_of_two, as_matrix, min_eigenvalue,
+                   op_norm, projector)
+from .errors import (BadShape, DimensionMismatch, NonFinite, NotSquare, SolveFailure,
+                     SourceNotEP, SourceNotHypoEP)
 
 
 @dataclass(frozen=True)
@@ -149,13 +148,8 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
 
     The conditions are measured in the order of their routes in
     :data:`_ROUTES`, so the first route that fails raises, whether or not
-    ``A`` is :attr:`_Operand.concurrent`.  When it is, the analysis opens
-    a one-thread executor that decomposes ``A*`` and ``A+``, which every
-    caller's conditions read: ``A*``'s SVD starts before this thread
-    decomposes ``A`` (none when ``A*`` equals ``A``), and ``A+``'s as soon
-    as ``A+`` is formed.  The executor's thread ends before this returns.
-    A failure cancels what is still queued, drops it from the table and
-    waits for what runs before it is raised."""
+    :meth:`_Operand.overlap` runs the SVDs of ``A*`` and ``A+``, which
+    every caller's conditions read, beside ``A``'s."""
     if op.arr.shape[0] != op.arr.shape[1]:
         raise NotSquare(f"EP classification requires a square matrix, got {op.arr.shape}")
     routes, measured = list(_ROUTES), {}
@@ -167,21 +161,9 @@ def _evaluate(op: _Operand, ids: tuple[str, ...]) -> tuple[ConditionCheck, ...]:
             measured[route] = _ROUTES[route](op)
         return measured[route]
 
-    with ThreadPoolExecutor(1, "eplab-svd") if op.concurrent else nullcontext() as executor:
-        try:
-            if executor:
-                if not np.array_equal(op.adjoint.arr, op.arr):
-                    op.adjoint.start(executor)
-                op.factors  # A's SVD, on this thread
-                op.dagger.start(executor)
-            values = {cid: measure(*_CONDITIONS[cid]) for cid in
-                      sorted(ids, key=lambda cid: routes.index(_CONDITIONS[cid][0]))}
-        except OperatorAnalysisError:
-            if executor:
-                executor.shutdown(cancel_futures=True)
-                op._table[:] = [(arr, entry) for arr, entry in op._table
-                                if not (isinstance(entry, Future) and entry.cancelled())]
-            raise
+    with op.overlap():
+        values = {cid: measure(*_CONDITIONS[cid]) for cid in
+                  sorted(ids, key=lambda cid: routes.index(_CONDITIONS[cid][0]))}
     bound = op.tol.residual_bound()
     return tuple(ConditionCheck.judge(cid, values[cid], bound) for cid in ids)
 
@@ -223,10 +205,9 @@ def classify(a, tol: TolerancePolicy = DEFAULT_TOL) -> ClassificationReport:
     equals ``A`` (two full SVDs for exactly Hermitian ``A``); the twelve
     conditions read eight routes, each measured once.  From order 48 on,
     while the BLAS runs one thread, the SVDs of ``A*`` and ``A+`` run on a
-    thread the call opens and closes, while this one decomposes ``A`` and
-    measures the routes that read neither.  Both
-    paths measure the routes in one order, so the report is bit for bit the
-    serial one and a failure raises the serial error.
+    thread of the call's own (see :meth:`eplab.core._Operand.overlap`).
+    Both paths measure the routes in one order, so the report is bit for
+    bit the serial one and a failure raises the serial error.
     """
     return _classify(_Operand(a, tol))
 
@@ -340,26 +321,3 @@ def majorization_witness(a, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
 
     return k
 
-
-def _power_of_two(vec: np.ndarray) -> float:
-    """The power of two at the largest modulus of ``vec``'s entries; 0.5 for
-    a zero array."""
-    return float(np.ldexp(1.0, np.frexp(float(np.max(np.abs(vec))))[1] - 1))
-
-
-def _scaled(arr: np.ndarray, power: float) -> np.ndarray:
-    """``arr / power`` for a power of two ``power``, exact unless it
-    underflows.  The real and imaginary parts are divided apart: numpy
-    divides a complex number by multiplying with the divisor's reciprocal,
-    which overflows at a subnormal power."""
-    return arr.real / power + 1j * (arr.imag / power)
-
-
-def _norm(vec: np.ndarray) -> float:
-    """Euclidean norm of a vector whose sum of squares may overflow, with no
-    decomposition: ``np.linalg.norm`` of the vector scaled by the power of
-    two at its largest modulus (Blue 1978).  The scaling is exact, so the
-    value is ``np.linalg.norm``'s wherever that does not overflow or
-    underflow; past the float range it is inf, without numpy warnings."""
-    power = _power_of_two(vec)
-    return power * float(np.linalg.norm(_scaled(vec, power)))

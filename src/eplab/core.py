@@ -11,16 +11,15 @@ residuals judged against a :class:`TolerancePolicy`, each reported as a
 inputs, safe for concurrent use, and no hidden state.
 The private ``_Operand`` is the exception: it caches what derives from a
 matrix, and within one analysis a matrix equal by value to one already
-decomposed takes its factors.  An operand can start its SVD on an executor
-the analysis owns, so that the analysis of a matrix of order at least
-``_WORKER_MIN_DIM`` overlaps its independent decompositions while the BLAS
-runs one thread.
+decomposed takes its factors.  :meth:`_Operand.overlap` runs an analysis's
+independent SVDs beside each other; its docstring states when and how.
 """
 
 from __future__ import annotations
 
 import ctypes
-from concurrent.futures import Executor, Future
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,7 +41,8 @@ def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-D complex128 array, rejecting NaN/Inf entries.
 
     BadShape when ``a`` is ragged, is not 2-D or has an entry that is not a
-    number; NonFinite for an entry past the float range."""
+    number; NonFinite for an entry past the float range or a ``None``,
+    which numpy would read as NaN."""
     try:
         arr = np.asarray(a)
     except ValueError as exc:
@@ -52,6 +52,8 @@ def as_matrix(a) -> np.ndarray:
     m, n = arr.shape
     if m < 1 or n < 1:
         raise BadShape(f"matrix dimensions must be positive, got {arr.shape}")
+    if arr.dtype == object and any(entry is None for entry in arr.flat):
+        raise NonFinite("matrix contains a None entry")
     try:
         arr = arr.astype(np.complex128, copy=False)
     except OverflowError:
@@ -72,6 +74,30 @@ def _formed(what: str, form) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"{what} overflows the float range")
     return arr
+
+
+def _power_of_two(vec: np.ndarray) -> float:
+    """The power of two at the largest modulus of ``vec``'s entries; 0.5 for
+    a zero array."""
+    return float(np.ldexp(1.0, np.frexp(float(np.max(np.abs(vec))))[1] - 1))
+
+
+def _scaled(arr: np.ndarray, power: float) -> np.ndarray:
+    """``arr / power`` for a power of two ``power``, exact unless it
+    underflows.  The real and imaginary parts are divided apart: numpy
+    divides a complex number by multiplying with the divisor's reciprocal,
+    which overflows at a subnormal power."""
+    return arr.real / power + 1j * (arr.imag / power)
+
+
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a vector whose sum of squares may overflow, with no
+    decomposition: ``np.linalg.norm`` of the vector scaled by the power of
+    two at its largest modulus (Blue 1978).  The scaling is exact, so the
+    value is ``np.linalg.norm``'s wherever that does not overflow or
+    underflow; past the float range it is inf, without numpy warnings."""
+    power = _power_of_two(vec)
+    return power * float(np.linalg.norm(_scaled(vec, power)))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -260,7 +286,8 @@ class _Operand:
     already decomposed takes its factors (``np.array_equal`` counts the
     ``-0.0`` of ``conj`` as ``+0.0``).  That is the same decomposition, so
     no independent route is lost.  :meth:`start` puts an operand's pending
-    SVD in the table, and an operand equal by value takes that.
+    SVD in the table, and an operand equal by value takes that;
+    :meth:`overlap` starts them.
     The table holds only arrays, factors and futures of factors: no
     operand refers back to another, so reference counting frees an operand
     once dropped; the cycle collector does not count numpy arrays, so
@@ -285,12 +312,29 @@ class _Operand:
                 return entry
         return None
 
-    @property
-    def concurrent(self) -> bool:
-        """Whether the analysis of the operand overlaps its SVDs: both its
-        dimensions are at least ``_WORKER_MIN_DIM`` and the BLAS runs one
-        thread."""
-        return min(self.arr.shape) >= _WORKER_MIN_DIM and _blas_threads() == 1
+    @contextmanager
+    def overlap(self):
+        """Run the SVDs of ``A*`` and ``A+`` on a thread beside this one for
+        the body of the ``with`` block.
+
+        When both dimensions of ``A`` are at least ``_WORKER_MIN_DIM`` and
+        the BLAS runs one thread, it opens a one-thread executor (thread
+        name prefix ``eplab-svd``), starts ``A*``'s SVD on it (none when
+        ``A*`` equals ``A`` exactly), decomposes ``A`` on the calling
+        thread, starts ``A+``'s SVD and yields; otherwise it only yields
+        and every SVD is made on first use.  Either way each matrix is
+        decomposed once and the factors are the same bits.  The executor's
+        thread ends before the block is left: on a failure, in the block or
+        here, what is queued runs first and the same error propagates."""
+        if min(self.arr.shape) < _WORKER_MIN_DIM or _blas_threads() != 1:
+            yield
+            return
+        with ThreadPoolExecutor(1, "eplab-svd") as executor:
+            if not np.array_equal(self.adjoint.arr, self.arr):
+                self.adjoint.start(executor)
+            self.factors  # A's SVD, on this thread
+            self.dagger.start(executor)
+            yield
 
     def start(self, executor: Executor) -> None:
         """Start the operand's SVD on ``executor``, unless the table holds a

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
-                   _Operand, adjoint, as_matrix, growth_bound, min_eigenvalue, op_norm,
-                   subspace_equal)
-from .classify import _power_of_two, _scaled
+                   _Operand, _power_of_two, _scaled, adjoint, as_matrix, growth_bound,
+                   min_eigenvalue, op_norm, subspace_equal)
 from .errors import DimensionMismatch
 
 

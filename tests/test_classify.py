@@ -9,8 +9,8 @@ from eplab import (TolerancePolicy, adjoint, classify, construct_factor_c,
                    null_basis, numerical_rank, op_norm, pinv, range_basis,
                    subspace_equal, subspace_included)
 from eplab.classify import (_CONDITIONS, _EP_IDS, _HYPO_IDS, _IDS, _ROUTES, ConditionCheck,
-                            _classify, _evaluate, _norm, _passes)
-from eplab.core import _Operand
+                            _classify, _evaluate, _passes)
+from eplab.core import _norm, _Operand
 from eplab.errors import (BadShape, DimensionMismatch, NonFinite, NotSquare, SolveFailure,
                           SourceNotEP, SourceNotHypoEP)
 from eplab.zoo import corpus_matrix, haar_unitary, random_ep

@@ -393,6 +393,37 @@ def test_decompositions_are_called_only_in_core():
     assert _decomposition_uses("from numpy.linalg import svd\n")
 
 
+def _thread_uses(source: str) -> list[str]:
+    """Imports from ``concurrent.futures`` or ``threading`` and reads of a
+    ``_table`` attribute in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        found += [f"line {node.lineno}: import {m}" for m in modules
+                  if m.split(".")[0] in ("concurrent", "threading")]
+        if isinstance(node, ast.Attribute) and node.attr == "_table":
+            found.append(f"line {node.lineno}: ._table")
+    return found
+
+
+def test_the_svd_overlap_lives_only_in_core():
+    # The overlap's executor and the decomposition table it fills belong to
+    # core._Operand; no other module opens a thread or edits the table.
+    package = Path(eplab.__file__).parent
+    uses = {path.name: _thread_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py")) if path.name != "core.py"}
+    assert not {name: found for name, found in uses.items() if found}
+    assert _thread_uses((package / "core.py").read_text(encoding="utf-8"))
+    assert _thread_uses("import threading\n")
+    assert _thread_uses("from concurrent.futures import Future\nop._table[:] = []\n") == [
+        "line 1: import concurrent.futures", "line 2: ._table"]
+
+
 def _random_uses(source: str) -> list[tuple[str | None, int]]:
     """(enclosing top-level function, line) of each ``np.random`` or
     ``default_rng`` reference or import in a module's source."""
@@ -592,6 +623,16 @@ def test_scaled_finite_inputs_return_or_raise_a_named_error():
             except OperatorAnalysisError:
                 pass
     assert not blamed
+
+
+@pytest.mark.parametrize("entries", [[[None, 1.0], [1.0, 1.0]],
+                                     np.array([[1.0, 2j], [None, 0.0]], dtype=object)])
+def test_a_none_entry_is_named_not_blamed_as_nan(entries):
+    # numpy reads None as NaN; the error names the entry the caller wrote.
+    with pytest.raises(NonFinite, match="^matrix contains a None entry$"):
+        classify(entries)
+    with pytest.raises(NonFinite, match="^matrix contains NaN or Inf entries$"):
+        classify([[float("nan"), 1.0], [1.0, 1.0]])
 
 
 def test_hermitian_part_of_a_finite_matrix_does_not_overflow():

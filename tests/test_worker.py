@@ -1,7 +1,9 @@
 """The overlapped SVDs: counts, bits, failures and thread lifetime above
 the size threshold, where ``classify`` and the EP-only analyses decompose
 ``A*`` and ``A+`` on a thread of the analysis's own while the calling
-thread decomposes ``A``.
+thread decomposes ``A`` (``core._Operand.overlap``).  A failure on the
+calling thread lets the queued SVD finish before it propagates, so no
+future in the decomposition table is cancelled.
 
 The overlap also needs the BLAS to run one thread.  Every test here but
 the one about that rule makes the private query ``core._blas_threads``
@@ -174,35 +176,23 @@ def test_non_finite_on_the_calling_thread_leaves_nothing_queued(monkeypatch):
     assert str(concurrent.value) == str(inline.value)
 
 
-def test_failure_on_the_calling_thread_cancels_the_queued_svds(monkeypatch, svd_threads):
-    # The analysis's thread is held busy until the SVDs of A* and A+ are
-    # cancelled, so they are still queued when a route measured on the
-    # calling thread raises.  Were they not cancelled, they would run after
-    # the 60-s hold, on that thread.
-    release, start, held = threading.Event(), _Operand.start, []
-
-    def start_behind_a_hold(op, executor):
-        if not held:
-            held.append(executor.submit(release.wait, 60))
-        start(op, executor)
-
+def test_failure_on_the_calling_thread_finishes_the_queued_svds_first(monkeypatch,
+                                                                      svd_threads):
+    # The first route raises while A+'s SVD may still be queued on the
+    # analysis's thread; leaving the overlap runs it before the error
+    # propagates, so no future in the table is cancelled.
     def overflowing(op):
-        queued = [entry for _, entry in op._table if isinstance(entry, Future)]
-        for entry in queued:
-            entry.add_done_callback(lambda _: all(f.done() for f in queued) and release.set())
         raise NonFinite("the commutator overflows")
 
-    monkeypatch.setattr(_Operand, "start", start_behind_a_hold)
     monkeypatch.setitem(_ROUTES, "commutator", overflowing)
     op = _Operand(random_complex(np.random.default_rng(3), 64, 64))
-    try:
-        with pytest.raises(NonFinite, match="commutator"):
-            _classify(op)
-        assert held and held[0].done()
-        assert not any(isinstance(entry, Future) for _, entry in op._table)
-    finally:
-        release.set()
-    assert _on_worker(svd_threads) == 0
+    with pytest.raises(NonFinite, match="^the commutator overflows$"):
+        _classify(op)
+    futures = [entry for _, entry in op._table if isinstance(entry, Future)]
+    assert len(futures) == 2  # A* and A+
+    assert all(future.done() and not future.cancelled() for future in futures)
+    assert _on_worker(svd_threads) == 2
+    assert not any(t.name.startswith("eplab-svd") for t in threading.enumerate())
 
 
 def test_both_paths_raise_the_error_of_the_first_route(monkeypatch):

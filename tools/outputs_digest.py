@@ -37,7 +37,7 @@ families:
 - ``eplab classify`` of an EP, a closed-range and an exactly Hermitian
   matrix and ``eplab perturb`` of the EP one and an admissible
   perturbation, at n 64 and 128, where the SVDs of ``A*`` and ``A+`` run
-  on the background worker;
+  on a thread of the analysis's own;
 - the ``eplab zoo`` documents and the matrix files they write, for every
   deterministic family at a few sizes and two random specs;
 - the ``NonFinite`` messages of fixed cases, in two families: non-finite
