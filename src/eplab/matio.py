@@ -124,6 +124,28 @@ def matrix_from_json_dict(data) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
+@contextmanager
+def _one_reader_thread():
+    """Hold scipy's Matrix Market reader to the calling thread.
+
+    By default each ``mmread`` starts two OS threads; the malloc arenas they
+    free then serve the SVD thread of later analyses, and two arenas each
+    grow to its working set.  The caller's setting comes back on the way
+    out, also when the read raises.  scipy before 1.12 has no threaded
+    reader and nothing is set.
+    """
+    try:
+        from scipy.io import _fast_matrix_market as reader
+    except ImportError:
+        yield
+        return
+    saved, reader.PARALLELISM = reader.PARALLELISM, 1
+    try:
+        yield
+    finally:
+        reader.PARALLELISM = saved
+
+
 def read_matrix(path) -> np.ndarray:
     """Load a dense complex matrix from a Matrix Market or JSON file."""
     if sniff_format(path) == FORMAT_MATRIXMARKET:
@@ -131,7 +153,7 @@ def read_matrix(path) -> np.ndarray:
         # only Matrix Market files need it.
         import scipy.io
         import scipy.sparse
-        with _malformed(f"invalid Matrix Market file {path!r}"):
+        with _malformed(f"invalid Matrix Market file {path!r}"), _one_reader_thread():
             rows, cols, entries = scipy.io.mminfo(str(path))[:3]
             if not (1 <= rows <= MAX_DIMENSION and 1 <= cols <= MAX_DIMENSION
                     and entries <= rows * cols):

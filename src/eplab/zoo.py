@@ -13,7 +13,8 @@ Families
 DiagHarmonic      diag(1, 2, ..., n); sections and model both EP.
 DiagAlternating   diag(1, 2, 1/3, 4, 1/5, ...); each section is invertible
                   hence EP, but gamma decays like 1/n along odd sizes: the
-                  modeled operator's range is dense and not closed.
+                  modeled operator's range is dense and not closed, so it is
+                  neither EP nor hypo-EP.
 WeightedShift     (k+1, k) entry = k; the modeled shift is hypo-EP and not
                   EP, while every section has null(A) = span{e_n} not inside
                   null(A*) = span{e_1}, so sections are neither.
@@ -221,7 +222,8 @@ _HARMONIC_NOTE = ("diagonal with entries 1..n modeling an unbounded positive "
 _ALTERNATING_NOTE = ("diagonal alternating k and 1/k; every section is an "
                      "invertible diagonal, hence EP, but gamma decays like 1/n "
                      "along odd sizes, reflecting that the modeled operator has "
-                     "dense non-closed range and is therefore not EP in the limit")
+                     "dense non-closed range and is therefore not EP in the limit, "
+                     "nor hypo-EP: both need a closed range")
 _SHIFT_NOTE = ("weighted forward shift: the modeled sequence-space operator is "
                "injective with null(adjoint) = span{e1}, making it hypo-EP but "
                "not EP; every n-by-n section instead has null(A) = span{e_n} "
@@ -245,7 +247,7 @@ _DETERMINISTIC = {
     Family.DIAG_HARMONIC: (_diag_harmonic, ExpectedTraits(
         Expectation.YES, Expectation.YES, _HARMONIC_NOTE)),
     Family.DIAG_ALTERNATING: (_diag_alternating, ExpectedTraits(
-        Expectation.YES, Expectation.YES, _ALTERNATING_NOTE)),
+        Expectation.DIVERGES, Expectation.DIVERGES, _ALTERNATING_NOTE)),
     Family.WEIGHTED_SHIFT: (_weighted_shift, ExpectedTraits(
         Expectation.NO, Expectation.DIVERGES, _SHIFT_NOTE)),
     Family.MULT_INV_SQRT: (_mult_inv_sqrt, ExpectedTraits(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -37,6 +38,106 @@ def test_matrix_market_coordinate_input(tmp_path):
                     "2 2 2\n1 1 3.0\n2 2 -1.5\n")
     np.testing.assert_array_equal(read_matrix(path),
                                   np.array([[3.0, 0.0], [0.0, -1.5]], dtype=complex))
+
+
+def _fast_reader(monkeypatch):
+    """scipy's threaded Matrix Market module, its thread count set to 3 for the test."""
+    reader = pytest.importorskip("scipy.io._fast_matrix_market")
+    monkeypatch.setattr(reader, "PARALLELISM", 3)
+    return reader
+
+
+def test_matrix_market_is_read_on_the_calling_thread(monkeypatch, tmp_path):
+    reader = _fast_reader(monkeypatch)
+    seen, open_cursor = [], reader._get_read_cursor
+
+    def spy(*args, **kwargs):
+        seen.append(reader.PARALLELISM)
+        return open_cursor(*args, **kwargs)
+
+    monkeypatch.setattr(reader, "_get_read_cursor", spy)
+    path = tmp_path / "a.mtx"
+    write_matrix(path, np.eye(3))
+    read_matrix(path)
+    assert seen and set(seen) == {1}
+    assert reader.PARALLELISM == 3
+
+
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix array integer general\n1 1\n99999999999999999999\n",
+    "%%MatrixMarket matrix array complex general\n2 2\n1 0\n2 0\n",
+], ids=["beyond_int64", "truncated"])
+def test_a_failed_read_restores_the_callers_thread_count(monkeypatch, tmp_path, text):
+    reader = _fast_reader(monkeypatch)
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        read_matrix(path)
+    assert reader.PARALLELISM == 3
+
+
+def _bits(a) -> tuple:
+    return a.shape, a.dtype, a.tobytes()
+
+
+def test_the_one_thread_read_is_bitwise_scipys_default(tmp_path):
+    import scipy.io
+    rng = np.random.default_rng(2)
+    dense = tmp_path / "dense.mtx"
+    write_matrix(dense, random_complex(rng, 64, 48))
+    rows, cols = np.divmod(rng.choice(64 * 48, 400, replace=False), 48)
+    sparse = tmp_path / "sparse.mtx"
+    values = rng.standard_normal(400).tolist()
+    sparse.write_text("%%MatrixMarket matrix coordinate real general\n64 48 400\n" + "".join(
+        f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(rows, cols, values)))
+    assert _bits(read_matrix(dense)) == _bits(scipy.io.mmread(dense))
+    default = scipy.io.mmread(sparse).toarray().astype(np.complex128)
+    assert _bits(read_matrix(sparse)) == _bits(default)
+
+
+def _matrix_market(layout: str, field: str, symmetry: str) -> tuple[str, np.ndarray]:
+    """A 3 x 3 Matrix Market file's text and the dense matrix it encodes.
+    A symmetric file lists the lower triangle, a skew-symmetric one the part
+    below the diagonal; an array file lists its entries by columns, and a
+    coordinate file leaves out the antidiagonal."""
+    text, dense = [], np.zeros((3, 3), dtype=complex)
+    for j, i in itertools.product(range(3), repeat=2):
+        if (symmetry != "general" and (i < j or i == j and symmetry == "skew-symmetric")
+                or layout == "coordinate" and i + j == 2):
+            continue
+        value = {"real": (-1) ** i * (4 * i + j + 1) / 4, "integer": (-1) ** j * (3 * i + j),
+                 "complex": complex(i - 2 * j, 0 if symmetry == "hermitian" and i == j
+                                    else (i + 1) / (j + 2)),
+                 "pattern": 1}[field]
+        dense[i, j] = value
+        if i != j and symmetry != "general":
+            dense[j, i] = {"symmetric": value, "skew-symmetric": -value,
+                           "hermitian": np.conj(value)}[symmetry]
+        entry = {"complex": f"{complex(value).real!r} {complex(value).imag!r}",
+                 "pattern": ""}.get(field, repr(value))
+        text.append(entry if layout == "array" else f"{i + 1} {j + 1} {entry}".rstrip())
+    size = "3 3" if layout == "array" else f"3 3 {len(text)}"
+    return "\n".join([f"%%MatrixMarket matrix {layout} {field} {symmetry}", size, *text,
+                      ""]), dense
+
+
+# Every header the format allows: a pattern has no array layout and no
+# skew-symmetric or Hermitian symmetry, and only a complex field is Hermitian.
+_HEADERS = [(layout, field, symmetry)
+            for layout, field, symmetry in itertools.product(
+                ("array", "coordinate"), ("real", "integer", "complex", "pattern"),
+                ("general", "symmetric", "skew-symmetric", "hermitian"))
+            if not (field == "pattern" and (layout == "array" or symmetry in (
+                "skew-symmetric", "hermitian")))
+            and (symmetry != "hermitian" or field == "complex")]
+
+
+@pytest.mark.parametrize("header", _HEADERS, ids="-".join)
+def test_every_matrix_market_header_reads_as_its_dense_matrix(tmp_path, header):
+    text, dense = _matrix_market(*header)
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    np.testing.assert_array_equal(read_matrix(path), dense)
 
 
 def test_json_round_trip(tmp_path):

@@ -27,6 +27,7 @@ def test_prints_one_stable_digest_per_family(capsys, monkeypatch):
     assert outputs_digest.main() == 0
     captured = capsys.readouterr()
     assert "BLAS" in captured.err and "OPENBLAS_NUM_THREADS=" in captured.err
+    assert "scipy " in captured.err
     lines = captured.out.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     assert [line.split("  ", 1)[1] for line in lines] == [

@@ -30,7 +30,9 @@ def test_diag_harmonic():
 def test_diag_alternating_entries_and_gamma():
     a, traits = make(Family.DIAG_ALTERNATING, 5)
     np.testing.assert_allclose(np.diagonal(a).real, [1.0, 2.0, 1 / 3, 4.0, 1 / 5])
-    assert traits.ep is Expectation.YES and traits.note
+    # Each section is EP; the modeled operator's range is not closed.
+    assert (traits.ep, traits.hypo_ep) == (Expectation.DIVERGES, Expectation.DIVERGES)
+    assert traits.note
     assert gamma(a) == 1 / 5
     assert classify(a).is_ep
 
@@ -187,6 +189,12 @@ def test_gamma_sweep_rejects_random_families():
         gamma_sweep(Family.RANDOM_EP, [3])
 
 
+# The (is_ep, is_hypo_ep) of every section of a family that diverges from
+# its model, as the family's note documents it.
+_SECTION_VERDICTS = {Family.DIAG_ALTERNATING: (True, True),
+                     Family.WEIGHTED_SHIFT: (False, False)}
+
+
 def test_expected_traits_match_classification_across_sizes():
     deterministic = {
         Family.DIAG_HARMONIC: range(2, 65, 7),
@@ -201,9 +209,11 @@ def test_expected_traits_match_classification_across_sizes():
             rep = classify(a)
             if traits.ep is not Expectation.DIVERGES:
                 assert rep.is_ep == (traits.ep is Expectation.YES), (family, n)
+            else:
+                assert rep.is_ep == _SECTION_VERDICTS[family][0], (family, n)
             if traits.hypo_ep is Expectation.DIVERGES:
                 # the documented section-level outcome must hold instead
-                assert not rep.is_hypo_ep, (family, n)
+                assert rep.is_hypo_ep == _SECTION_VERDICTS[family][1], (family, n)
 
 
 def test_expected_traits_match_at_large_sizes():

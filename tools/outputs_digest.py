@@ -9,11 +9,11 @@ whose line differs names what changed.  Run from the root of a checkout::
 It takes no flags and imports eplab from the ``src`` of its own checkout.
 Run as a script, it pins the BLAS to one thread before numpy loads, as
 ``perfbench/run.py`` does for its children, because some bytes depend on
-the thread count; imported, it changes no environment.  Documents are
-byte-identical for one numpy build, BLAS build and thread count, so it
-writes those to standard error and two digests compare only when they
-match.  Each line of standard output is ``<sha256>  <family>``.  The
-families:
+the thread count; imported, it changes no environment.  Every ``.mtx``
+file is read and written through scipy, so the digests hold for one
+numpy, scipy and BLAS build and one thread count; it writes those to
+standard error and two digests compare only when they match.  Each line
+of standard output is ``<sha256>  <family>``.  The families:
 
 - the propsuite documents of ``--count 1000 --seed 0`` and of
   ``--count 200 --tol-subspace 1e-15``, with their exit codes;
@@ -73,6 +73,7 @@ if __name__ == "__main__":
     os.environ.update(BLAS_ENV)
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -379,16 +380,18 @@ def digests() -> dict[str, str]:
             "overflow messages": overflow_messages()}
 
 
-def blas_setting() -> str:
-    """The numpy build, BLAS build and BLAS thread settings the digests hold for."""
+def build_setting() -> str:
+    """The numpy, scipy and BLAS builds and the BLAS thread settings the
+    digests hold for."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in BLAS_ENV)
-    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"BLAS {blas.get('name')} {blas.get('version')}, "
             f"{threads}, {os.cpu_count()} CPUs")
 
 
 def main() -> int:
-    print(blas_setting(), file=sys.stderr)
+    print(build_setting(), file=sys.stderr)
     for family, digest in digests().items():
         print(f"{digest}  {family}")
     return 0
