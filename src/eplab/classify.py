@@ -253,18 +253,19 @@ def construct_factor_c(a, tol: TolerancePolicy = DEFAULT_TOL) -> FactorC:
     ``A*`` and ``y2`` in ``N(A*)``.  Solving ``A x = A* y`` on the carrier
     gives the minimal-norm component ``x1 = A+ A* y``, and ``C y = x1 + y2``
     works because ``A`` kills ``y2`` (EP makes the two null spaces equal).
-    In matrix form ``C = A+ A* + (I - A+ A)``: it preserves the splitting
-    of the space into range and null space, acting invertibly on each part.
-    The residual check is authoritative; the formula is not trusted blindly.
+    In matrix form ``C = A+ A* + P_N(A)``, where ``I - A+ A = P_N(A) = V_0 V_0*``
+    is the projector of the null basis of A's SVD: it preserves the
+    splitting of the space into range and null space, acting invertibly on
+    each part.  The residual check is authoritative; the formula is not
+    trusted blindly.
     """
     source = _source(_Operand(a, tol), SourceNotEP, "factor construction requires an EP input")
 
-    arr, a_dag, star = source.arr, source.pinv, source.adjoint.arr
-    n = arr.shape[1]
-    c = a_dag @ star + (np.eye(n, dtype=np.complex128) - a_dag @ arr)
+    arr, star = source.arr, source.adjoint.arr
+    c = source.pinv @ star + projector(source.bases[1])
     check = ConditionCheck.judge("factorization", op_norm(star - arr @ c),
                                  tol.slack_bound(source.norm))
-    bijective = source.derive(c).rank == n
+    bijective = source.derive(c).rank == len(c)
 
     if not bijective or not check.passed:
         raise SolveFailure(

@@ -206,16 +206,23 @@ def numerical_rank(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     return _Operand(a, tol).rank
 
 
+def _two_norm(sigma: np.ndarray) -> float:
+    """``sigma_1``, the 2-norm of a matrix with the singular values ``sigma``.
+    NonFinite when it is past the float range, as it is for a finite matrix
+    whose entries are all 1.5e308."""
+    if sigma[0] == np.inf:
+        raise NonFinite("the 2-norm sigma_1 of the matrix overflows the float range")
+    return float(sigma[0])
+
+
 def _rank(sigma: np.ndarray, shape: tuple[int, int], tol: TolerancePolicy) -> int:
     """The number of the singular values ``sigma`` of a matrix of ``shape``
     strictly above the cut: ``rank_abs`` if set, else ``rank_rel`` if set,
-    else ``max(m, n) * eps``, times ``sigma_1``.  NonFinite when ``sigma_1``,
-    the 2-norm, is past the float range, as it is for a finite matrix whose
-    entries are all 1.5e308."""
-    if sigma[0] == np.inf:
-        raise NonFinite("the 2-norm sigma_1 of the matrix overflows the float range")
+    else ``max(m, n) * eps``, times ``sigma_1``.  NonFinite, from
+    :func:`_two_norm`, when ``sigma_1`` is past the float range."""
+    norm = _two_norm(sigma)
     factor = tol.rank_rel if tol.rank_rel is not None else max(shape) * _EPS
-    cut = float(tol.rank_abs) if tol.rank_abs is not None else float(factor) * float(sigma[0])
+    cut = float(tol.rank_abs) if tol.rank_abs is not None else float(factor) * norm
     return int(np.count_nonzero(sigma > cut))
 
 

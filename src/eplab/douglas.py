@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
-                   _Operand, _power_of_two, _scaled, adjoint, as_matrix, growth_bound,
-                   min_eigenvalue, op_norm, subspace_equal)
+                   _Operand, _power_of_two, _scaled, _two_norm, adjoint, as_matrix,
+                   growth_bound, min_eigenvalue, op_norm, subspace_equal, svdvals)
 from .errors import DimensionMismatch
 
 
@@ -77,12 +77,14 @@ def douglas_analysis(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> DouglasReport:
     is then made whether or not the inclusion holds, and left out otherwise.
     Neither failure raises; unequal row counts are DimensionMismatch, and a
     ``C`` past the float range is NonFinite, naming it, without numpy warnings.
+    So is an ``A`` whose 2-norm is past the float range, with the rank
+    rule's message, although ``A`` has no rank decision.
     One SVD of ``B`` gives the inclusion basis, ``pinv(B)`` and ``||B||``.
     """
     arr_a, op_b = as_matrix(a), _Operand(b, tol)
     if arr_a.shape[0] != op_b.arr.shape[0]:
         raise DimensionMismatch(f"row counts differ: {arr_a.shape[0]} vs {op_b.arr.shape[0]}")
-    inclusion = _inclusion(arr_a, op_norm(arr_a), op_b)
+    inclusion = _inclusion(arr_a, _two_norm(svdvals(arr_a)), op_b)
     # The Gram matrices of A / p and B / p, p the power of two at their largest
     # entry modulus, cannot overflow, and the division is exact.
     p = max(_power_of_two(arr_a), _power_of_two(op_b.arr))

@@ -134,9 +134,9 @@ def _one_reader_thread():
     out, also when the read raises.  scipy before 1.12 has no threaded
     reader and nothing is set.
     """
-    try:
-        from scipy.io import _fast_matrix_market as reader
-    except ImportError:
+    import scipy.io
+    reader = getattr(scipy.io, "_fast_matrix_market", None)
+    if reader is None:
         yield
         return
     saved, reader.PARALLELISM = reader.PARALLELISM, 1

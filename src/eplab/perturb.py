@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, ConditionCheck, TolerancePolicy, _cross_norm, _formed,
-                   _Operand, as_matrix, op_norm, subspace_equal)
+                   _Operand, as_matrix, op_norm, projector, subspace_equal)
 from .errors import DimensionMismatch, SourceNotEP
 from .classify import _EP_IDS, _passes, _source
 
@@ -109,26 +109,21 @@ def check_perturbation(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> Perturbation
 def generate_admissible(a, scale: float, seed: int) -> np.ndarray:
     """Seeded perturbation with ``||B|| ||A+|| = scale`` and exact compressions.
 
-    ``B = P M P`` where ``P = A A+`` projects onto the range of ``A`` (equal
-    to ``A+ A`` for EP input) and ``M`` is a seeded random matrix; both
-    compression hypotheses then hold by construction.  Returns the zero
-    matrix when the compression degenerates (rank-0 input or a zero draw).
+    ``B = P M P`` where ``P = U_r U_r*``, the projector of A's range basis
+    (equal to ``A A+`` and, for EP input, to ``A+ A``), and ``M`` is a
+    seeded random matrix; both compression hypotheses then hold by
+    construction.  ``B`` is scaled by ``scale * gamma / ||B||``, since
+    ``||A+|| = 1 / gamma``.  Returns the zero matrix when the compression
+    degenerates (rank-0 input or a zero draw).
     """
-    source = _source(_Operand(a), SourceNotEP,
-                     "admissible perturbations are generated for EP matrices only")
-    arr = source.arr
     if not 0.0 < scale < 1.0:
         raise ValueError(f"scale must lie in (0, 1), got {scale}")
-
-    a_dag = source.pinv
-    dag_norm = op_norm(a_dag)
-    p = arr @ a_dag
-    p = (p + p.conj().T) / 2.0
+    source = _source(_Operand(a), SourceNotEP,
+                     "admissible perturbations are generated for EP matrices only")
+    p = projector(source.bases[0])
     rng = np.random.default_rng(seed)
-    n = arr.shape[0]
+    n = source.arr.shape[0]
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = p @ m @ p
     norm_b = op_norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(arr)
-    return b * (scale / (norm_b * dag_norm))
+    return b * (scale * source.gamma / norm_b) if norm_b else np.zeros_like(b)

@@ -488,12 +488,16 @@ def test_douglas_of_a_finite_hermitian_part_exits_0_without_warnings(capsys, tmp
     ["pinv", "big.json", "--out", "p.json"],
     ["douglas", "big.json", "big.json"],
     ["perturb", "eye.json", "big.json"],
-], ids=["classify", "pinv", "douglas", "perturb"])
+    ["douglas", "big.json", "cut.json"],
+    ["douglas", "big.json", "eye.json"],
+], ids=["classify", "pinv", "douglas", "perturb", "douglas_a_cut", "douglas_a_eye"])
 def test_an_overflowed_two_norm_exits_2_without_warnings(capsys, monkeypatch, tmp_path, argv):
-    # Every entry of big.json is finite; its 2-norm 4.5e308 is not.
+    # Every entry of big.json is finite; its 2-norm 4.5e308 is not.  The
+    # Douglas A is no operand, yet its 2-norm is refused like an operand's.
     monkeypatch.chdir(tmp_path)
     write_matrix("big.json", np.full((3, 3), 1.5e308))
     write_matrix("eye.json", np.eye(3))
+    write_matrix("cut.json", np.diag([1.0, 1.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv)

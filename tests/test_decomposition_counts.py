@@ -123,6 +123,15 @@ def test_check_perturbation_decompositions(operands, counts):
     assert counts["eigvalsh"] == 0
 
 
+def test_generate_admissible_decompositions(operands, counts):
+    # A, A* and A+ for the EP check; ep2's commutator and ||B|| are the
+    # n x n norms, and ||A+|| is 1 / gamma from A's SVD.
+    a, _ = operands
+    generate_admissible(a, 0.5, 0)
+    assert counts["svd"] == 3
+    assert counts["svdvals", (N, N)] <= 2
+
+
 def test_ep_closure_suite_decompositions(operands, counts):
     a, _ = operands
     assert all(is_ep for _, is_ep in ep_closure_suite(a))

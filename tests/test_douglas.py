@@ -10,7 +10,7 @@ from eplab import (DEFAULT_TOL, TolerancePolicy, adjoint, closed_range_panel,
                    projector, range_basis, subspace_equal, svd)
 from eplab import douglas as douglas_module
 from eplab.core import growth_bound
-from eplab.errors import DimensionMismatch
+from eplab.errors import DimensionMismatch, NonFinite
 from eplab.zoo import random_ep
 
 from conftest import douglas_cases, random_complex
@@ -308,6 +308,18 @@ def test_pair_past_1e154_decided_without_warnings():
         warnings.simplefilter("error")
         report = douglas_analysis(np.diag([1e200, 3.0]), np.diag([1e200, 3.0]))
     assert report.conditions == (("range_included", 3.0, True), ("contraction", 1.0, True))
+
+
+@pytest.mark.parametrize("b", [np.diag([1.0, 1.0, 0.0]), np.eye(3)], ids=["cut", "identity"])
+def test_an_a_whose_two_norm_overflows_is_non_finite(b):
+    # Every entry of A is finite and B is harmless; A's 2-norm 4.5e308 is
+    # not.  Unchecked, the inclusion residual inf passed at 1e-8 * inf, and
+    # against B = I the growth bound's QR overflowed to bound_k 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^the 2-norm sigma_1 of the matrix overflows "
+                                            "the float range$"):
+            douglas_analysis(np.full((3, 3), 1.5e308), b)
 
 
 def test_majorization_of_a_pair_below_1e154_is_not_lost_to_underflow():

@@ -63,6 +63,26 @@ def test_matrix_market_is_read_on_the_calling_thread(monkeypatch, tmp_path):
     assert reader.PARALLELISM == 3
 
 
+def test_a_scipy_without_the_threaded_reader_keeps_the_callers_setting(monkeypatch, tmp_path):
+    # scipy before 1.12 has no _fast_matrix_market; the reader the test
+    # spies on stands in for its pure-Python one, which starts no thread.
+    import scipy.io
+    reader = _fast_reader(monkeypatch)
+    seen, open_cursor = [], reader._get_read_cursor
+
+    def spy(*args, **kwargs):
+        seen.append(reader.PARALLELISM)
+        return open_cursor(*args, **kwargs)
+
+    monkeypatch.setattr(reader, "_get_read_cursor", spy)
+    monkeypatch.delattr(scipy.io, "_fast_matrix_market")
+    a = random_complex(np.random.default_rng(4), 4, 3)
+    path = tmp_path / "a.mtx"
+    write_matrix(path, a)
+    np.testing.assert_array_equal(read_matrix(path), a)
+    assert seen and set(seen) == {3}
+
+
 @pytest.mark.parametrize("text", [
     "%%MatrixMarket matrix array integer general\n1 1\n99999999999999999999\n",
     "%%MatrixMarket matrix array complex general\n2 2\n1 0\n2 0\n",

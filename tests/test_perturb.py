@@ -80,6 +80,9 @@ def test_generate_admissible_validates_scale():
         generate_admissible(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5, seed=0)
     with pytest.raises(NotSquare):
         generate_admissible(np.ones((2, 3)), 0.5, seed=0)
+    # The scale is checked first, before the matrix is decomposed.
+    with pytest.raises(ValueError, match="^scale must lie in"):
+        generate_admissible(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, seed=0)
 
 
 def test_theorem_reproduction_slice():

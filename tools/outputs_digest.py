@@ -34,6 +34,9 @@ of standard output is ``<sha256>  <family>``.  The families:
 - the identities: the ``penrose_verify(m, pinv(m))``, ``dagger_identities``
   and ``closed_range_panel`` records of both matrices of each of those
   pairs, at the default tolerances and at ``subspace_tol=1e-15``;
+- the constructions on the ``A`` of each of those pairs: the bytes of
+  ``generate_admissible(A, 0.5, index)`` and of the ``construct_factor_c``
+  record, or the text of what each raised;
 - ``eplab classify`` of an EP, a closed-range and an exactly Hermitian
   matrix and ``eplab perturb`` of the EP one and an admissible
   perturbation, at n 64 and 128, where the SVDs of ``A*`` and ``A+`` run
@@ -78,7 +81,7 @@ import scipy  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from eplab import (TolerancePolicy, check_perturbation, classify,  # noqa: E402
-                   closed_range_panel, cli, corpus_matrix, dagger_identities,
+                   closed_range_panel, cli, construct_factor_c, corpus_matrix, dagger_identities,
                    douglas_analysis, ep_closure_suite, gamma, generate, generate_admissible,
                    majorization_witness, min_eigenvalue, modulus, null_basis, penrose_verify,
                    pinv, range_basis, subspace_equal, subspace_included, write_matrix)
@@ -255,6 +258,22 @@ def identities() -> dict[str, str]:
         for flags, tol in zip(TOLERANCES, SUBSPACE_POLICIES)}
 
 
+def constructions() -> str:
+    """The bytes of ``generate_admissible(A, 0.5, index)`` and of the
+    ``construct_factor_c`` record of each pair's ``A``, or the text of what
+    each raised."""
+    items = []
+    for index, a, _ in _pairs(PAIR_COUNT):
+        admissible, adm_warnings = _caught(generate_admissible, a, 0.5, index)
+        factor, factor_warnings = _caught(construct_factor_c, a)
+        if not isinstance(admissible, str):
+            admissible = _matrix(admissible)
+        if not isinstance(factor, str):
+            factor = (*_matrix(factor.c), factor.residual_factorization)
+        items += [index, admissible, adm_warnings, factor, factor_warnings]
+    return _sha256(items)
+
+
 def large_analyses() -> str:
     """The CLI outputs of ``classify`` and ``perturb`` on large inputs,
     matrix files alternately dense JSON and Matrix Market."""
@@ -375,7 +394,8 @@ def digests() -> dict[str, str]:
     return {**propsuite(), "zoo sections": zoo_sections(),
             "corpus matrices": corpus_matrices(), "rank rule": rank_rule(),
             "subspaces": subspaces(), "sweep": sweep(), **analyses(), **identities(),
-            "cli large classify perturb": large_analyses(), "cli zoo": zoo_documents(),
+            "constructions": constructions(), "cli large classify perturb": large_analyses(),
+            "cli zoo": zoo_documents(),
             "nonfinite messages": non_finite_messages(),
             "overflow messages": overflow_messages()}
 
