@@ -14,7 +14,9 @@ buildable OperatorSpec is a BadSpec, also exit 2.
 Flag values are checked by their argparse types and TolerancePolicy only.
 The suffix sets the format of every matrix file read or written; an unknown
 suffix is a ParseError and writes nothing.  Tolerances come from the flags
-alone.
+alone.  Documents hold numbers and verdicts; matrices go to files: the
+pseudoinverse to ``pinv --out``, the Douglas factor C to ``douglas
+--factor-out`` when ``R(A) <= R(B)``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .classify import classify
 from .core import TolerancePolicy, _Operand
 from .douglas import douglas_analysis
 from .errors import OperatorAnalysisError, ParseError
-from .matio import _malformed, bytes_digest, file_digest, read_matrix, write_matrix
+from .matio import (_malformed, bytes_digest, file_digest, read_matrix, sniff_format,
+                    write_matrix)
 from .perturb import check_perturbation
 from .pinv import _penrose
 from .propsuite import run_property_suite
@@ -95,33 +98,50 @@ def _write_document(kind: str, report, digest: str, tol: TolerancePolicy,
     return 0
 
 
+_MATRIX_OUT = "output path; its suffix (.mtx, .mm or .json) sets the format"
+
 # The analysis commands: each row is the document kind, the analysis, the
-# help text and the matrix file positionals with their help.  The analysis
-# is named, not held, and looked up in this module when the command runs,
-# so perfbench's span tracer, which rebinds module attributes, sees it.
+# help text, the matrix file positionals with their help, and the matrix
+# output: None, or its flag, the report field it writes and the flag's help.
+# The analysis is named, not held, and looked up in this module when the
+# command runs, so perfbench's span tracer, which rebinds module
+# attributes, sees it.
 _ANALYSES = {
     "classify": ("classification", "classify",
                  "evaluate every EP / hypo-EP condition for a square matrix; "
                  "gamma is reported as 0 for numerically rank-0 matrices rather than +inf",
-                 {"input": "matrix file"}),
+                 {"input": "matrix file"}, None),
     "douglas": ("douglas", "douglas_analysis",
                 "range inclusion, factorization and contraction checks for (A, B)",
-                {"a": "matrix file for A", "b": "matrix file for B"}),
+                {"a": "matrix file for A", "b": "matrix file for B"},
+                ("--factor-out", "factor_c",
+                 f"factor C = pinv(B) A {_MATRIX_OUT}; written only when R(A) <= R(B)")),
     "perturb": ("perturbation", "check_perturbation",
                 "perturbation hypotheses and conclusions for an EP matrix A and B",
                 {"a": "matrix file for the EP base matrix A",
-                 "b": "matrix file for the perturbation B"}),
+                 "b": "matrix file for the perturbation B"}, None),
 }
 
 
 def _cmd_analysis(args) -> int:
     """Run the analysis of ``args.command`` on its matrix files under the
-    tolerance flags and write its document."""
-    kind, analysis, _, matrices = _ANALYSES[args.command]
+    tolerance flags and write its document, and the report's matrix to the
+    row's matrix output if that flag is given and the matrix is not None."""
+    kind, analysis, _, matrices, output = _ANALYSES[args.command]
     tol = _tolerance(args)
     paths = [getattr(args, dest) for dest in matrices]
+    matrix_out = getattr(args, "matrix_out", None)
+    if matrix_out:
+        sniff_format(matrix_out)
     report = globals()[analysis](*map(read_matrix, paths), tol)
-    return _write_document(kind, report, file_digest(paths), tol, args.out)
+    # Digest the inputs before the write: the matrix output may name an input.
+    # Render before the write too: a report with no JSON form writes nothing.
+    text = dump_document(make_document(kind, report, file_digest(paths), tol))
+    matrix = getattr(report, output[1]) if matrix_out else None
+    if matrix is not None:
+        write_matrix(matrix_out, matrix)
+    _emit(text, args.out)
+    return 0
 
 
 def _cmd_pinv(args) -> int:
@@ -195,15 +215,16 @@ def _command(sub, name: str, func, help: str, matrices: dict | None = None,
     return parser
 
 
-_MATRIX_OUT = "output path; its suffix (.mtx, .mm or .json) sets the format"
-
-
 def _analysis_commands(sub, *names: str) -> None:
     """The subcommands of the ``_ANALYSES`` rows ``names``, in that order,
-    each with its row's help text and matrix file positionals."""
+    each with its row's help text, matrix file positionals and matrix output."""
     for name in names:
-        _command(sub, name, _cmd_analysis, *_ANALYSES[name][2:]).add_argument(
-            "--out", help="write the JSON report here")
+        parser = _command(sub, name, _cmd_analysis, *_ANALYSES[name][2:4])
+        parser.add_argument("--out", help="write the JSON report here")
+        output = _ANALYSES[name][4]
+        if output:
+            flag, _, text = output
+            parser.add_argument(flag, dest="matrix_out", metavar="PATH", help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

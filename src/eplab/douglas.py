@@ -32,6 +32,8 @@ class DouglasReport:
     the least growth constant of the factor: the exact supremum of
     ``||C x||^2 / (||x||^2 + ||A x||^2)`` over nonzero ``x``,
     ``||C (I + A* A)^(-1/2)||_2^2`` (see :func:`eplab.core.growth_bound`).
+    ``factor_c`` is C itself, for library callers; a document omits it and
+    ``eplab douglas --factor-out`` writes it to a matrix file.
     """
 
     conditions: tuple[ConditionCheck, ...]

@@ -11,18 +11,21 @@ checked before its body is read.  :func:`_malformed` alone
 decides which failures to decode a file, spec or record are a ParseError.
 
 One codec serves every JSON record of the package: report documents and
-their envelope, the tolerance policy and operator specs.  It walks the
-fields of a dataclass or NamedTuple in declaration order and converts each
-value by its type hint: ``bool``, ``int``, ``float``, ``str`` and ``dict``
-(a plain JSON object) as themselves, a ``str`` enum by its value,
-``np.ndarray`` through the dense JSON matrix format, ``tuple[X, ...]`` as a
-list, ``X | None`` as X or null, and any other class as a nested record.
+their envelope, the tolerance policy and operator specs.  Documents hold
+numbers and verdicts; matrices go to files.  The codec walks the fields of
+a dataclass or NamedTuple in declaration order and converts each value by
+its type hint: ``bool``, ``int``, ``float``, ``str`` and ``dict`` (a plain
+JSON object) as themselves, a ``str`` enum by its value, ``tuple[X, ...]``
+as a list, ``X | None`` as X or null, and any other class as a nested
+record.  A field typed ``np.ndarray`` stays in memory: it has no key and is
+never encoded, and decoding gives it None, so such a field is optional.
 Decoding is strict: an ``int`` takes only a non-bool JSON integer, a
 ``float`` any JSON number, ``bool`` and ``str`` only their own JSON type,
 and a ``dict`` or a record only a JSON object; anything else is a
 ParseError.  A missing key takes the field's default, or None for an
 optional field, and is a ParseError for a field that has neither; a key
-the record does not declare is a ParseError, in specs and documents.
+the record does not declare, a matrix field's name included, is a
+ParseError, in specs and documents.
 """
 
 from __future__ import annotations
@@ -214,6 +217,14 @@ def _split_optional(hint) -> tuple[object, bool]:
     return hint, False
 
 
+@cache
+def _fields(record: type) -> dict[str, tuple[str, object]]:
+    """The JSON key of each encoded field of ``record``, with the field's name
+    and hint; a field typed ``np.ndarray`` has none."""
+    return {_KEYS.get(name, name): (name, hint) for name, hint in _hints(record).items()
+            if _split_optional(hint)[0] is not np.ndarray}
+
+
 def _json(kind: type, data):
     """``data`` if it has the JSON type ``kind`` (a JSON integer below 2^1023
     also serves as a float, a bool never as a number); ParseError otherwise."""
@@ -230,14 +241,12 @@ def _encode(hint, value):
         return None
     if get_origin(hint) is tuple:
         return [_encode(get_args(hint)[0], item) for item in value]
-    if hint is np.ndarray:
-        return matrix_to_json_dict(value)
     if hint in _LEAVES:
         return hint(value)
     if issubclass(hint, enum.Enum):
         return value.value
-    return {_KEYS.get(name, name): _encode(field_hint, getattr(value, name))
-            for name, field_hint in _hints(hint).items()}
+    return {key: _encode(field_hint, getattr(value, name))
+            for key, (name, field_hint) in _fields(hint).items()}
 
 
 def _decode(hint, data):
@@ -246,15 +255,13 @@ def _decode(hint, data):
         return None
     if get_origin(hint) is tuple:
         return tuple(_decode(get_args(hint)[0], item) for item in _json(list, data))
-    if hint is np.ndarray:
-        return matrix_from_json_dict(data)
     if hint in _LEAVES:
         return _json(hint, data)
     with _malformed(hint.__name__):
         if issubclass(hint, enum.Enum):
             return hint(_json(str, data))
         data = _json(dict, data)
-        unknown = set(data) - {_KEYS.get(name, name) for name in _hints(hint)}
+        unknown = set(data) - set(_fields(hint))
         if unknown:
             raise ParseError(f"{hint.__name__}: unknown keys {sorted(unknown)}")
         kwargs = {}

@@ -140,7 +140,70 @@ def test_douglas_not_included_still_exits_0(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["conditions"][0]["passed"] is False
-    assert doc["report"]["factor_c"] is None
+    assert "factor_c" not in doc["report"]
+
+
+def _douglas_pair(tmp_path, a, b):
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, a)
+    write_matrix(b_path, b)
+    return str(a_path), str(b_path)
+
+
+@pytest.mark.parametrize("suffix", [".json", ".mtx"])
+def test_douglas_factor_out_writes_the_bytes_of_write_matrix(capsys, tmp_path, suffix):
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    a_path, b_path = _douglas_pair(tmp_path, b @ rng.standard_normal((3, 3)), b)
+    c_path, expected = tmp_path / f"c{suffix}", tmp_path / f"expected{suffix}"
+    code, out, _ = run(capsys, "douglas", a_path, b_path, "--factor-out", str(c_path))
+    assert code == 0
+    assert out == run(capsys, "douglas", a_path, b_path)[1]
+    c = douglas_analysis(read_matrix(a_path), read_matrix(b_path), TolerancePolicy()).factor_c
+    write_matrix(expected, c)
+    assert c_path.read_bytes() == expected.read_bytes()
+    if suffix == ".json":
+        np.testing.assert_array_equal(read_matrix(c_path), c)
+
+
+def test_douglas_factor_out_keeps_signed_zeros(capsys, tmp_path):
+    # C = pinv(-I) diag(1, 0) has zero entries, some of them -0.0.
+    a_path, b_path = _douglas_pair(tmp_path, np.diag([1.0, 0.0]), -np.eye(2))
+    c_path = tmp_path / "c.json"
+    assert run(capsys, "douglas", a_path, b_path, "--factor-out", str(c_path))[0] == 0
+    c = douglas_analysis(read_matrix(a_path), read_matrix(b_path)).factor_c.view(float)
+    assert (np.signbit(c) & (c == 0)).any()
+    np.testing.assert_array_equal(np.signbit(read_matrix(c_path).view(float)), np.signbit(c))
+
+
+def test_douglas_factor_out_over_input_a_records_the_input_digest(capsys, tmp_path):
+    # The digest names the inputs read, not the factor written over A.
+    a_path, b_path = _douglas_pair(tmp_path, np.diag([1.0, 2.0, 0.0]), np.diag([2.0, 1.0, 0.0]))
+    digest = file_digest([a_path, b_path])
+    code, out, _ = run(capsys, "douglas", a_path, b_path, "--factor-out", a_path)
+    assert code == 0 and json.loads(out)["input_digest"] == digest
+    np.testing.assert_array_equal(read_matrix(a_path), np.diag([0.5, 2.0, 0.0]))
+
+
+def test_douglas_factor_out_unknown_suffix_exits_2_before_the_analysis(capsys, monkeypatch,
+                                                                        tmp_path):
+    a_path, b_path = _douglas_pair(tmp_path, np.eye(2), np.eye(2))
+    monkeypatch.setattr(cli, "douglas_analysis", lambda *args: pytest.fail("analysis ran"))
+    c_path, doc_path = tmp_path / "c.txt", tmp_path / "d.json"
+    code, out, err = run(capsys, "douglas", a_path, b_path, "--factor-out", str(c_path),
+                         "--out", str(doc_path))
+    assert code == 2 and not out and "ParseError" in err
+    assert not c_path.exists() and not doc_path.exists()
+
+
+def test_douglas_factor_out_not_included_leaves_the_path_untouched(capsys, tmp_path):
+    # R(A) is not in R(B), so there is no factor C to write.
+    a_path, b_path = _douglas_pair(tmp_path, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    c_path = tmp_path / "c.json"
+    c_path.write_text("earlier contents")
+    code, out, _ = run(capsys, "douglas", a_path, b_path, "--factor-out", str(c_path))
+    assert code == 0 and json.loads(out)["report"]["conditions"][0]["passed"] is False
+    assert c_path.read_text() == "earlier contents"
 
 
 def test_perturb_command(capsys, tmp_path):
@@ -345,20 +408,24 @@ def test_non_finite_tolerance_exits_64(capsys, tmp_path, flag, value):
     assert "finite and positive" in err
 
 
-@pytest.mark.parametrize("command, a, b, field", [
-    ("douglas", np.eye(2), 1e-200 * np.eye(2), "report.bound_k: inf"),
-    ("perturb", np.diag([1.0, 1e-14]), np.diag([1e300, 0.0]), "report.hyp_norm_product: inf"),
-], ids=["douglas_bound_k", "perturb_hyp_norm_product"])
-def test_non_finite_report_value_exits_2_without_a_document(capsys, tmp_path,
-                                                             command, a, b, field):
+@pytest.mark.parametrize("command, a, b, field, flags", [
+    ("douglas", np.eye(2), 1e-200 * np.eye(2), "report.bound_k: inf", []),
+    ("perturb", np.diag([1.0, 1e-14]), np.diag([1e300, 0.0]), "report.hyp_norm_product: inf",
+     []),
+    ("douglas", np.eye(2), 1e-200 * np.eye(2), "report.bound_k: inf", ["--factor-out", "c.json"]),
+], ids=["douglas_bound_k", "perturb_hyp_norm_product", "douglas_bound_k_factor_out"])
+def test_non_finite_report_value_exits_2_without_a_document(capsys, monkeypatch, tmp_path,
+                                                             command, a, b, field, flags):
     # bound_k = 5e399 and ||B|| ||A+|| = 1e314 overflow to inf, which has
-    # no JSON form.
+    # no JSON form.  The factor C = 1e200 I is finite, but not written either.
+    monkeypatch.chdir(tmp_path)
     write_matrix(tmp_path / "a.json", a)
     write_matrix(tmp_path / "b.json", b)
     out_path = tmp_path / "out.json"
     code, out, err = run(capsys, command, str(tmp_path / "a.json"),
-                         str(tmp_path / "b.json"), "--out", str(out_path))
+                         str(tmp_path / "b.json"), "--out", str(out_path), *flags)
     assert code == 2 and not out and not out_path.exists()
+    assert not (tmp_path / "c.json").exists()
     assert err == f"error: NonFinite: the report holds a value with no JSON form: {field}\n"
 
 
@@ -432,7 +499,7 @@ TOLERANCE_FLAGS = ["--tol-rank-rel", "--tol-rank-abs", "--tol-subspace", "--tol-
 @pytest.mark.parametrize("command, flags", [
     ("classify", ["--out", *TOLERANCE_FLAGS]),
     ("pinv", ["--out", *TOLERANCE_FLAGS]),
-    ("douglas", ["--out", *TOLERANCE_FLAGS]),
+    ("douglas", ["--out", "--factor-out", *TOLERANCE_FLAGS]),
     ("perturb", ["--out", *TOLERANCE_FLAGS]),
     ("zoo", ["--out"]),
     ("sweep", ["--sizes", "--out"]),

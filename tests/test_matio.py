@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from eplab import douglas_analysis
 from eplab.cli import main
 from eplab.core import as_matrix
 from eplab.errors import BadShape, OperatorAnalysisError, ParseError
@@ -204,6 +205,16 @@ def test_json_undeclared_key_rejected():
         matrix_from_json_dict({"rows": 1, "cols": 1, "re": [1], "img": [2]})
 
 
+def test_undeclared_key_in_a_matrix_payload_is_parse_error():
+    rng = np.random.default_rng(1)
+    b = random_complex(rng, 4, 3)
+    data = matrix_to_json_dict(douglas_analysis(b @ random_complex(rng, 3, 2), b).factor_c)
+    matrix_from_json_dict(data)
+    data["bogus"] = 1
+    with pytest.raises(ParseError, match="unknown keys"):
+        matrix_from_json_dict(data)
+
+
 def test_json_length_mismatch_rejected():
     with pytest.raises(ParseError):
         matrix_from_json_dict({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
@@ -248,6 +259,20 @@ def test_json_keeps_signed_zeros(tmp_path):
     np.testing.assert_array_equal(np.signbit(b.real), [[True, False]])
     np.testing.assert_array_equal(np.signbit(b.imag), [[False, True]])
     assert json.dumps(matrix_to_json_dict(b)) == json.dumps(data)
+
+
+def test_signed_zeros_round_trip_byte_exactly(tmp_path):
+    c = np.empty((2, 2), dtype=np.complex128)
+    c.real = [[-0.0, 1.0], [0.0, -2.0]]
+    c.imag = [[0.0, -0.0], [-0.0, 3.0]]
+    path = tmp_path / "c.json"
+    write_matrix(path, c)
+    text = path.read_text()
+    assert text.count("-0.0") == 3
+    decoded = read_matrix(path)
+    np.testing.assert_array_equal(np.signbit(decoded.view(float)), np.signbit(c.view(float)))
+    write_matrix(path, decoded)
+    assert path.read_text() == text
 
 
 def test_import_leaves_scipy_io_unloaded():

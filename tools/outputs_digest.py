@@ -29,8 +29,9 @@ of standard output is ``<sha256>  <family>``.  The families:
   default tolerances and at ``subspace_tol=1e-15``;
 - the ``eplab sweep`` tables of the deterministic families;
 - ``eplab classify``, ``pinv`` (its document and the written A+),
-  ``douglas`` and ``perturb`` over fixed same-size corpus pairs, each at
-  the default tolerances and at ``--tol-subspace 1e-15``;
+  ``douglas`` (its document and the factor C written by ``--factor-out``)
+  and ``perturb`` over fixed same-size corpus pairs, each at the default
+  tolerances and at ``--tol-subspace 1e-15``;
 - the identities: the ``penrose_verify(m, pinv(m))``, ``dagger_identities``
   and ``closed_range_panel`` records of both matrices of each of those
   pairs, at the default tolerances and at ``subspace_tol=1e-15``;
@@ -230,16 +231,19 @@ def analyses() -> dict[str, str]:
                 names["adm"] = admissible
             for name, matrix in names.items():
                 write_matrix(name + suffix, matrix)
-            a_file, b_file = "a" + suffix, "b" + suffix
+            a_file, b_file, c_file = "a" + suffix, "b" + suffix, "c" + suffix
             for flags in TOLERANCES:
                 runs["classify"].append(_run(["classify", a_file, *flags]))
                 runs["pinv"].append(_run(["pinv", a_file, "--out", "p" + suffix, *flags],
                                          written=("p" + suffix,)))
                 runs["douglas"].append(_run(["douglas", a_file, b_file, *flags]))
+                runs["douglas"].append(_run(["douglas", a_file, b_file, "--factor-out", c_file,
+                                             *flags], written=(c_file,)))
                 runs["perturb"].append(_run(["perturb", a_file, b_file, *flags]))
                 if "adm" in names:
                     adm_file = "adm" + suffix
-                    runs["douglas"].append(_run(["douglas", adm_file, a_file, *flags]))
+                    runs["douglas"].append(_run(["douglas", adm_file, a_file, "--factor-out",
+                                                 c_file, *flags], written=(c_file,)))
                     runs["perturb"].append(_run(["perturb", a_file, adm_file, *flags]))
             for name in names:
                 os.unlink(name + suffix)
